@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
 from typing import Optional, Sequence, Union
@@ -17,7 +16,7 @@ from mpmath import mp, mpc, mpf
 from . import builders
 from .builders import LoewnerSpec
 from .exact import det_fraction
-from .inertia import InertiaReport, consensus_inertia, eig_sym
+from .inertia import InertiaReport, consensus_inertia, eig_sym, exact_route_hint
 from .types import (
     DEFAULT_TOL,
     Exponent,
@@ -49,40 +48,24 @@ class ComboFunction:
             raise ValueError("at least one coefficient must be nonzero")
 
 
-def _term_with_bound(x, pj, prj, r, eps):
-    """Divided-difference term at x plus a roundoff bound for its value.
+def _combo_value_bound(f: ComboFunction, x, pv, prv, r, m, eps):
+    """Combination value at x plus a roundoff bound for it.
 
-    Near-coincident arguments are evaluated through expm1/log at doubled
-    precision, which kills the cancellation and keeps the error bound
-    proportional to the term itself.
+    Each term comes from the divided-difference kernel, accurate to 16 eps
+    relative, and summing n terms adds at most n eps of each.
     """
-    if x == pj:
-        v = r * pj ** (r - 1)
-        return v, 16 * eps * abs(v)
-    d = x - pj
-    if abs(d) <= pj / 4:
-        with mp.extraprec(mp.prec):
-            u = d / pj
-            t = mp.expm1(r * mp.log(1 + u)) / u
-            v = pj ** (r - 1) * t
-        v = +v
-        return v, 16 * eps * abs(v)
-    v = (x ** r - prj) / d
-    return v, 16 * eps * (x ** r + prj) / abs(d)
-
-
-def _combo_value_bound(f: ComboFunction, x, pv, prv, r, eps):
     n = f.config.n
+    xr = x ** r
     total = mpf(0)
     bound = mpf(0)
     for j in range(n):
         c = to_mpf(f.coeffs[j])
         if c == 0:
             continue
-        v, b = _term_with_bound(x, pv[j], prv[j], r, eps)
-        total += c * v
-        bound += abs(c) * (b + eps * abs(v) * n)
-    return total, bound
+        term = c * builders._divided_difference(x, pv[j], xr, prv[j], r, m)
+        total += term
+        bound += abs(term)
+    return total, (16 + n) * eps * bound
 
 
 def combo_eval(f: ComboFunction, x: Scalar, tol: ToleranceContext = DEFAULT_TOL):
@@ -91,9 +74,10 @@ def combo_eval(f: ComboFunction, x: Scalar, tol: ToleranceContext = DEFAULT_TOL)
         raise ValueError(f"argument must be positive, got {x!r}")
     with tol.prec():
         pv = f.config.mp_points()
-        r = to_mpf(f.r)
+        ex = Exponent.of(f.r)
+        r = to_mpf(ex.r)
         prv = [p ** r for p in pv]
-        value, _ = _combo_value_bound(f, to_mpf(x), pv, prv, r, tol.eps())
+        value, _ = _combo_value_bound(f, to_mpf(x), pv, prv, r, ex.integer_value, tol.eps())
         return value
 
 
@@ -134,7 +118,8 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
             raise ValueError("scan interval must satisfy 0 < x_min < x_max")
         N = scan.grid if scan.grid is not None else tol.grid_points
         pv = f.config.mp_points()
-        r = to_mpf(f.r)
+        ex = Exponent.of(f.r)
+        r = to_mpf(ex.r)
         prv = [p ** r for p in pv]
         eps = tol.eps()
 
@@ -143,7 +128,7 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
         def classify(x):
             s = memo.get(x)
             if s is None:
-                v, bound = _combo_value_bound(f, x, pv, prv, r, eps)
+                v, bound = _combo_value_bound(f, x, pv, prv, r, ex.integer_value, eps)
                 s = 0 if abs(v) <= bound else (1 if v > 0 else -1)
                 memo[x] = s
             return s
@@ -631,8 +616,5 @@ def pr_compare(config: PointConfig, r: Scalar,
     p_rep = consensus_inertia(P, tol)
     ex = Exponent.of(r + 1)
     L = builders.loewner_matrix(LoewnerSpec(config, ex), tol)
-    hint = None
-    if ex.is_integer and ex.integer_value >= 1:
-        hint = (config.ensure_exact(), ex.integer_value)
-    l_rep = consensus_inertia(L, tol, exact_hint=hint)
+    l_rep = consensus_inertia(L, tol, exact_hint=exact_route_hint(config, ex))
     return PrCompareReport(p_rep, l_rep, p_rep.consensus == l_rep.consensus)

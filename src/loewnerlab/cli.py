@@ -26,7 +26,6 @@ from .types import (
     DEFAULT_PRECISION_BITS,
     Exponent,
     Inertia,
-    PointConfig,
     ToleranceContext,
     make_point_config,
 )
@@ -64,12 +63,6 @@ def parse_range(s: str) -> tuple[float, float, int]:
     if steps > 1 and not a < b:
         raise ValueError("empty range: need a < b")
     return a, b, steps
-
-
-def range_values(a: float, b: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [a]
-    return [a + (b - a) * i / (steps - 1) for i in range(steps)]
 
 
 def _digits(bits: int) -> int:
@@ -186,7 +179,7 @@ def cmd_verify(args) -> int:
         rs = [parse_scalar(args.r)]
     else:
         a, b, steps = parse_range(args.r_range)
-        rs = range_values(a, b, steps)
+        rs = sweep_mod.exponent_grid(a, b, steps)
     if any(r == 0 for r in rs):
         raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
     results = []
@@ -221,10 +214,10 @@ def cmd_sweep(args) -> int:
             or args.residual_tol is not None or PRECISION_ENV in os.environ):
         ctx = _context(args)
     else:
-        ctx = None  # let the sweep pick (256-bit for n >= 6)
+        ctx = None  # the sweep picks its own precision
     s = sweep_mod.eigen_trajectories(cfg, a, b, steps, ctx)
     header, rows = sweep_mod.emit_figure1(s, scaling=args.scale)
-    bits = ctx.precision_bits if ctx is not None else (256 if cfg.n >= 6 else 53)
+    bits = s.precision_bits
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)

@@ -1,11 +1,11 @@
 """Inertia of symmetric matrices by three independent routes.
 
 Route one diagonalizes with cyclic orthogonal (Jacobi) rotations and counts
-eigenvalue signs.  Route two runs a symmetric-pivoted block congruence
-elimination (1x1 and 2x2 pivots) and counts pivot signs, which preserves
-inertia by Sylvester's law.  Route three, available for integer exponents
-with rational nodes, diagonalizes the exact rational matrix.  A report
-reconciles whichever routes ran.
+eigenvalue signs.  Route two runs a completely pivoted (Bunch-Parlett)
+block congruence elimination with 1x1 and 2x2 pivots and counts pivot
+signs, which preserves inertia by Sylvester's law.  Route three, available
+for integer exponents with rational nodes, diagonalizes the exact rational
+matrix.  A report reconciles whichever routes ran.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .types import (
     to_mpf,
 )
 
-# Bunch-Kaufman pivot constant: bounds element growth in the 2x2/1x1 choice.
-_BK_ALPHA = (1 + math.sqrt(17)) / 8
+# Bunch-Parlett pivot constant: bounds element growth in the 1x1/2x2 choice.
+_BP_ALPHA = (1 + math.sqrt(17)) / 8
 
 
 class EigenConvergenceError(RuntimeError):
@@ -126,12 +126,18 @@ def inertia_from_spectrum(s: Spectrum, scale, tol: ToleranceContext = DEFAULT_TO
 
 
 def inertia_ldl(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
-    """Inertia from a Bunch-Kaufman style block congruence elimination.
+    """Inertia from a Bunch-Parlett block congruence elimination.
 
-    Positive/negative 1x1 pivots count toward pos/neg; a 2x2 pivot with
-    negative determinant contributes one of each.  A trailing block whose
-    norm has fallen below zero_rel_tol times the original norm is declared
-    zero, which is how rank deficiency shows up in floating point.
+    Complete pivoting: each step takes the largest diagonal entry of the
+    trailing block as a 1x1 pivot when it is at least alpha times the
+    largest off-diagonal entry, and otherwise the 2x2 block on that
+    off-diagonal entry, whose determinant is then negative (one positive
+    and one negative eigenvalue).  A 1x1 pivot counts toward pos or neg by
+    its sign.  A trailing block whose norm has fallen below zero_rel_tol
+    times the original norm is declared zero, which is how rank deficiency
+    shows up in floating point; the same pass over the block finds the
+    pivot candidates.  The update touches the upper triangle and mirrors
+    it, so the block stays exactly symmetric.
     """
     n = A.order
     with tol.prec():
@@ -141,86 +147,55 @@ def inertia_ldl(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
         pos = neg = zero = 0
         k = 0
         while k < n:
-            trail = mp.sqrt(mp.fsum(M[i][j] ** 2 for i in range(k, n) for j in range(k, n)))
+            diag, off = [], []
+            dmax = omax = mpf(0)
+            di = oi = oj = k
+            for i in range(k, n):
+                row = M[i]
+                v = abs(row[i])
+                diag.append(v)
+                if v > dmax:
+                    dmax, di = v, i
+                for j in range(i + 1, n):
+                    v = abs(row[j])
+                    off.append(v)
+                    if v > omax:
+                        omax, oi, oj = v, i, j
+            trail = mp.sqrt(mp.fsum(diag, squared=True) + 2 * mp.fsum(off, squared=True))
             if trail <= negligible:
                 zero += n - k
                 break
-            absakk = abs(M[k][k])
-            imax, colmax = k, mpf(0)
-            for i in range(k + 1, n):
-                v = abs(M[i][k])
-                if v > colmax:
-                    imax, colmax = i, v
-            if absakk <= negligible and colmax <= negligible:
-                # decoupled near-zero row/column
-                zero += 1
-                k += 1
-                continue
-            use_two = False
-            piv = k
-            if absakk < _BK_ALPHA * colmax:
-                rowmax = mpf(0)
-                for j in range(k, n):
-                    if j != imax:
-                        v = abs(M[imax][j])
-                        if v > rowmax:
-                            rowmax = v
-                if absakk * rowmax >= _BK_ALPHA * colmax * colmax:
-                    piv = k
-                elif abs(M[imax][imax]) >= _BK_ALPHA * rowmax:
-                    piv = imax
-                else:
-                    use_two = True
-                    piv = imax
-            if not use_two:
-                if piv != k:
-                    _swap_sym(M, k, piv)
+            if dmax >= _BP_ALPHA * omax:
+                _swap_sym(M, k, di)
                 d = M[k][k]
                 if d > 0:
                     pos += 1
-                elif d < 0:
-                    neg += 1
                 else:
-                    zero += 1
-                    k += 1
-                    continue
-                col = [M[i][k] for i in range(n)]
+                    neg += 1
+                col = M[k]
                 for i in range(k + 1, n):
                     if col[i]:
                         fi = col[i] / d
-                        for j in range(k + 1, n):
-                            M[i][j] -= fi * col[j]
+                        row = M[i]
+                        for j in range(i, n):
+                            row[j] -= fi * col[j]
+                            M[j][i] = row[j]
                 k += 1
             else:
-                if piv != k + 1:
-                    _swap_sym(M, k + 1, piv)
+                _swap_sym(M, k, oi)
+                _swap_sym(M, k + 1, oj)
+                pos += 1
+                neg += 1
                 a, b, c = M[k][k], M[k][k + 1], M[k + 1][k + 1]
                 det = a * c - b * b
-                if det < 0:
-                    pos += 1
-                    neg += 1
-                elif det > 0:
-                    if a + c > 0:
-                        pos += 2
-                    else:
-                        neg += 2
-                else:
-                    zero += 1
-                    tr = a + c
-                    if tr > 0:
-                        pos += 1
-                    elif tr < 0:
-                        neg += 1
-                    else:
-                        zero += 1
-                if det != 0:
-                    u = [M[i][k] for i in range(n)]
-                    v = [M[i][k + 1] for i in range(n)]
-                    for i in range(k + 2, n):
-                        xi = (c * u[i] - b * v[i]) / det
-                        yi = (a * v[i] - b * u[i]) / det
-                        for j in range(k + 2, n):
-                            M[i][j] -= xi * u[j] + yi * v[j]
+                u, v = M[k], M[k + 1]
+                for i in range(k + 2, n):
+                    xi = (c * u[i] - b * v[i]) / det
+                    yi = (a * v[i] - b * u[i]) / det
+                    row = M[i]
+                    for j in range(i, n):
+                        row[j] -= xi * u[j] + yi * v[j]
+                        M[j][i] = row[j]
                 k += 2
         return Inertia(pos, zero, neg)
 
@@ -242,6 +217,18 @@ def inertia_exact_integer(config: PointConfig, r: int) -> Inertia:
         raise ValueError("exact route needs rational nodes")
     L = builders.loewner_matrix_exact(config, ex.integer_value)
     return exact.rational_inertia(L.entries)
+
+
+def exact_route_hint(config: PointConfig,
+                     exponent: Exponent) -> Optional[tuple[PointConfig, int]]:
+    """The ``exact_hint`` for the Loewner matrix of t^r at these nodes.
+
+    It is set for integer r >= 1, with float nodes promoted to the binary
+    rationals they already denote, and None for every other exponent.
+    """
+    if exponent.is_integer and exponent.integer_value >= 1:
+        return config.ensure_exact(), exponent.integer_value
+    return None
 
 
 def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,

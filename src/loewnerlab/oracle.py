@@ -6,14 +6,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
 
-from . import builders, exact
+from . import builders
 from .builders import LoewnerSpec
-from .inertia import consensus_inertia, inertia as inertia_report
+from .inertia import consensus_inertia, exact_route_hint, inertia as inertia_report
 from .types import (
     DEFAULT_TOL,
     Exponent,
@@ -88,21 +87,18 @@ def verify_instance(config: PointConfig, r: Scalar,
     """Compare predicted inertia against the engine's consensus.
 
     Integer exponents run the exact rational route alongside the float
-    routes (float nodes are promoted to the binary rationals they already
-    denote).  Near-integer exponents start at escalated precision, and any
-    disagreement or mismatch retries at higher precision before a
-    non-match is declared.
+    routes (see ``exact_route_hint``).  Near-integer exponents start at
+    escalated precision, and any disagreement or mismatch retries at higher
+    precision before a non-match is declared.
     """
     pred = predicted_inertia(config.n, r)
     ex = Exponent.of(r)
     near_integer = (not ex.is_integer) and abs(float(r) - round(float(r))) < 1e-6
     ctx = tol.escalated() if near_integer else tol
+    hint = exact_route_hint(config, ex)
     escalations = 0
     while True:
         L = builders.loewner_matrix(LoewnerSpec(config, ex), ctx)
-        hint = None
-        if ex.is_integer and ex.integer_value >= 1:
-            hint = (config.ensure_exact(), ex.integer_value)
         rep = inertia_report(L, ctx, exact_hint=hint)
         match = (not rep.disagreement) and rep.consensus == pred.inertia
         if match or escalations >= max_escalations:

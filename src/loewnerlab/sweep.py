@@ -23,6 +23,7 @@ from .inertia import (
     inertia_exact_integer,
 )
 from .types import (
+    DEFAULT_PRECISION_BITS,
     DEFAULT_ZERO_REL_TOL,
     Exponent,
     Inertia,
@@ -42,6 +43,7 @@ class SpectrumSweep:
     inertias: tuple      # per grid point: Inertia, or None on failure
     scaling: str = "none"
     failures: tuple = ()
+    precision_bits: int = DEFAULT_PRECISION_BITS
 
     @property
     def n(self) -> int:
@@ -55,6 +57,14 @@ def _exact_integer_inertia(config: PointConfig, m: int) -> Inertia:
     if m < 0:
         return inertia_exact_integer(cfg, -m).swapped()
     return inertia_exact_integer(cfg, m)
+
+
+def exponent_grid(r_min: float, r_max: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced exponents from r_min to r_max inclusive."""
+    a, b = float(r_min), float(r_max)
+    if steps == 1:
+        return [a]
+    return [a + (b - a) * i / (steps - 1) for i in range(steps)]
 
 
 def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: int,
@@ -71,11 +81,7 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
         raise ValueError("need r_min < r_max")
     if tol is None:
         tol = ToleranceContext.at_bits(256) if config.n >= 6 else ToleranceContext()
-    if steps == 1:
-        grid = [float(r_min)]
-    else:
-        span = float(r_max) - float(r_min)
-        grid = [float(r_min) + span * i / (steps - 1) for i in range(steps)]
+    grid = exponent_grid(r_min, r_max, steps)
 
     trajectories = []
     inertias = []
@@ -100,7 +106,7 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
             inertias.append(None)
             failures.append((idx, str(exc)))
     return SpectrumSweep(config, tuple(grid), tuple(trajectories), tuple(inertias),
-                         "none", tuple(failures))
+                         "none", tuple(failures), tol.precision_bits)
 
 
 @dataclass(frozen=True)
