@@ -21,6 +21,7 @@ from .types import (
     DEFAULT_TOL,
     Exponent,
     Inertia,
+    MP_ARITH,
     PointConfig,
     Scalar,
     SymMatrix,
@@ -48,24 +49,37 @@ class ComboFunction:
             raise ValueError("at least one coefficient must be nonzero")
 
 
-def _combo_value_bound(f: ComboFunction, x, pv, prv, r, m, eps):
+def _combo_terms(f: ComboFunction, ends, tol: ToleranceContext):
+    """What evaluating f needs: the arithmetic, r and m for the kernel, and a
+    (coefficient, kernel node) pair per nonzero coefficient.
+
+    The arithmetic is float at 53 bits when the coefficients, the nodes and
+    the evaluation range ``ends``, with the r-th powers of both, allow it
+    (``ToleranceContext.arith``).
+    """
+    ex = Exponent.of(f.r)
+    ar = tol.arith(f.config.values() + tuple(ends), ex.r)
+    if tol.arith(f.coeffs) is MP_ARITH:
+        ar = MP_ARITH
+    r, nodes = builders._kernel_nodes(f.config.values(), ex, ar)
+    terms = [(ar.num(c), node) for c, node in zip(f.coeffs, nodes) if c != 0]
+    return ar, r, ex.integer_value, terms
+
+
+def _combo_value_bound(x, terms, r, m, ar, bound_factor):
     """Combination value at x plus a roundoff bound for it.
 
     Each term comes from the divided-difference kernel, accurate to 16 eps
-    relative, and summing n terms adds at most n eps of each.
+    relative, and summing n terms adds at most n eps of each, so the bound
+    is ``bound_factor`` = (16+n)*eps times the sum of the term magnitudes.
     """
-    n = f.config.n
-    xr = x ** r
-    total = mpf(0)
-    bound = mpf(0)
-    for j in range(n):
-        c = to_mpf(f.coeffs[j])
-        if c == 0:
-            continue
-        term = c * builders._divided_difference(x, pv[j], xr, prv[j], r, m)
+    u = builders._kernel_node(x, r, m)
+    total = bound = 0
+    for c, v in terms:
+        term = c * builders._divided_difference(u, v, r, m, ar)
         total += term
         bound += abs(term)
-    return total, (16 + n) * eps * bound
+    return total, bound_factor * bound
 
 
 def combo_eval(f: ComboFunction, x: Scalar, tol: ToleranceContext = DEFAULT_TOL):
@@ -73,12 +87,9 @@ def combo_eval(f: ComboFunction, x: Scalar, tol: ToleranceContext = DEFAULT_TOL)
     if not x > 0:
         raise ValueError(f"argument must be positive, got {x!r}")
     with tol.prec():
-        pv = f.config.mp_points()
-        ex = Exponent.of(f.r)
-        r = to_mpf(ex.r)
-        prv = [p ** r for p in pv]
-        value, _ = _combo_value_bound(f, to_mpf(x), pv, prv, r, ex.integer_value, tol.eps())
-        return value
+        ar, r, m, terms = _combo_terms(f, (x,), tol)
+        value, _ = _combo_value_bound(ar.num(x), terms, r, m, ar, 0)
+        return mpf(value)
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,8 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
     refine_levels); whatever stays unresolved is reported as ambiguous
     rather than guessed.  Changes are only counted between strictly
     classified values, so the count never exceeds the true zero count.
+    At 53 bits the grid and the values are computed in Python floats when
+    the inputs allow it (see ``_combo_terms``).
     """
     scan = scan or ScanPolicy()
     with tol.prec():
@@ -117,30 +130,28 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
         if not 0 < a < b:
             raise ValueError("scan interval must satisfy 0 < x_min < x_max")
         N = scan.grid if scan.grid is not None else tol.grid_points
-        pv = f.config.mp_points()
-        ex = Exponent.of(f.r)
-        r = to_mpf(ex.r)
-        prv = [p ** r for p in pv]
-        eps = tol.eps()
+        ar, r, m, terms = _combo_terms(f, (a, b), tol)
+        a, b = ar.num(a), ar.num(b)
+        bound_factor = (16 + f.config.n) * ar.num(tol.eps())
 
         memo: dict = {}
 
         def classify(x):
             s = memo.get(x)
             if s is None:
-                v, bound = _combo_value_bound(f, x, pv, prv, r, ex.integer_value, eps)
+                v, bound = _combo_value_bound(x, terms, r, m, ar, bound_factor)
                 s = 0 if abs(v) <= bound else (1 if v > 0 else -1)
                 memo[x] = s
             return s
 
-        la, lb = mp.log(a), mp.log(b)
-        xs = [mp.exp(la + (lb - la) * i / (N - 1)) for i in range(N)]
+        la, lb = ar.log(a), ar.log(b)
+        xs = [ar.exp(la + (lb - la) * i / (N - 1)) for i in range(N)]
         unresolved = []
 
         def refine(lo, hi, level):
-            llo, lhi = mp.log(lo), mp.log(hi)
-            m = scan.refine_points
-            inner = [mp.exp(llo + (lhi - llo) * (i + 1) / (m + 1)) for i in range(m)]
+            llo, lhi = ar.log(lo), ar.log(hi)
+            k = scan.refine_points
+            inner = [ar.exp(llo + (lhi - llo) * (i + 1) / (k + 1)) for i in range(k)]
             cls = [(x, classify(x)) for x in inner]
             pts_loc = [lo] + inner + [hi]
             for idx, (x, s) in enumerate(cls):

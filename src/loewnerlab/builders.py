@@ -6,10 +6,13 @@ of positive nodes: entry (i,j) is the divided difference
 diagonal.  One kernel evaluates that divided difference without
 cancellation, within 16 eps relative error at any node gap and exponent,
 for the float Loewner matrix, the cross variant and the zero counter in
-``analysis``.  The remaining builders (sinh form, diagonal and all-ones
-factors, Vandermonde and antidiagonal factors, power-sum matrix, and the
-two-sequence cross variant) supply the congruences and factorizations the
-inertia analysis relies on.
+``analysis``.  It takes per-node power tables, so each node is raised to
+each power once, and runs on the arithmetic ``ToleranceContext.arith``
+picks: Python floats at 53 bits while every node, r and node^r lies in the
+window 2^-200 .. 2^200, mpmath otherwise.  The remaining builders (sinh
+form, diagonal and all-ones factors, Vandermonde and antidiagonal factors,
+power-sum matrix, and the two-sequence cross variant) supply the
+congruences and factorizations the inertia analysis relies on.
 """
 
 from __future__ import annotations
@@ -46,11 +49,24 @@ class LoewnerSpec:
 _POWER_SUM_MAX = 64
 
 
-def _divided_difference(x, y, xr, yr, r, m):
-    """(x^r - y^r)/(x - y) for x, y > 0 at working precision, free of cancellation.
+def _kernel_node(x, r, m):
+    """What the divided-difference kernel needs of the number x: the triple
+    (x, x^r, powers), computed once per node.
 
-    ``xr`` and ``yr`` are x^r and y^r; ``m`` is r as an int when r is an
-    integer, else None.  The relative error stays within 16 eps:
+    On the power-sum branch (``m`` the integer exponent, |m| <= 64) powers
+    holds x^0 .. x^|m| and x^r is not needed; otherwise powers is None.
+    """
+    if m is not None and abs(m) <= _POWER_SUM_MAX:
+        return x, None, [x ** a for a in range(abs(m) + 1)]
+    return x, x ** r, None
+
+
+def _divided_difference(u, v, r, m, ar):
+    """(x^r - y^r)/(x - y) for x, y > 0, free of cancellation.
+
+    ``u`` and ``v`` are the ``_kernel_node`` triples of x and y, ``m`` is r
+    as an int when r is an integer, else None, and ``ar`` the arithmetic
+    (see ``ToleranceContext.arith``).  The relative error stays within 16 eps:
 
     - integer m with |m| <= 64 sums x^a y^(|m|-1-a), terms of one sign
       (exact on small integer nodes, and the derivative when x == y); m < 0
@@ -60,34 +76,43 @@ def _divided_difference(x, y, xr, yr, r, m):
       and y^r lie within a factor 5/4 (|w| < 0.23); farther apart the
       subtraction x^r - y^r loses at most a factor 9 and is done directly.
     """
-    if m is not None and abs(m) <= _POWER_SUM_MAX:
+    x, xr, xp = u
+    y, yr, yp = v
+    if xp is not None:
         k = abs(m)
-        s = mp.fsum(x ** a * y ** (k - 1 - a) for a in range(k))
-        return s if m >= 0 else -s / (x ** k * y ** k)
+        s = ar.fsum(xp[a] * yp[k - 1 - a] for a in range(k))
+        return s if m >= 0 else -s / (xp[k] * yp[k])
     if x == y:
         return r * yr / y
     if 0.8 < float(xr / yr) < 1.25:
         if x < y:
             x, y, yr = y, x, xr
         d = x - y
-        return yr * mp.expm1(r * mp.log1p(d / y)) / d
+        return yr * ar.expm1(r * ar.log1p(d / y)) / d
     return (xr - yr) / (x - y)
+
+
+def _kernel_nodes(values, exponent: Exponent, ar):
+    """The exponent in ``ar`` and the kernel triple of every value."""
+    r = ar.num(exponent.r)
+    return r, [_kernel_node(ar.num(v), r, exponent.integer_value) for v in values]
 
 
 def loewner_matrix(spec: LoewnerSpec, tol: ToleranceContext = DEFAULT_TOL) -> SymMatrix:
     """Loewner matrix of t^r at the given nodes, at working precision.
 
     Every entry, the diagonal limit r*p^(r-1) included, comes from the
-    cancellation-free divided-difference kernel.
+    cancellation-free divided-difference kernel, in float arithmetic at 53
+    bits when the nodes and their powers allow it (``ToleranceContext.arith``);
+    the entries are mpf either way.
     """
-    cfg = spec.config
+    cfg, ex = spec.config, spec.exponent
     with tol.prec():
-        p = cfg.mp_points()
-        r = to_mpf(spec.exponent.r)
-        m = spec.exponent.integer_value
-        pr = [x ** r for x in p]
+        ar = tol.arith(cfg.values(), ex.r)
+        r, nodes = _kernel_nodes(cfg.values(), ex, ar)
+        m = ex.integer_value
         return SymMatrix.build(
-            cfg.n, lambda i, j: _divided_difference(p[i], p[j], pr[i], pr[j], r, m))
+            cfg.n, lambda i, j: mpf(_divided_difference(nodes[i], nodes[j], r, m, ar)))
 
 
 def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
@@ -199,14 +224,11 @@ def cross_loewner(p: PointConfig, q: PointConfig, r: Scalar,
     """
     if p.n != q.n:
         raise ValueError("point sequences must have equal length")
+    ex = Exponent.of(r)
     with tol.prec():
-        pv = p.mp_points()
-        qv = q.mp_points()
-        ex = Exponent.of(r)
-        rr = to_mpf(ex.r)
-        ppr = [x ** rr for x in pv]
-        qpr = [y ** rr for y in qv]
+        ar = tol.arith(p.values() + q.values(), ex.r)
+        rr, pn = _kernel_nodes(p.values(), ex, ar)
+        _, qn = _kernel_nodes(q.values(), ex, ar)
+        m = ex.integer_value
         return tuple(
-            tuple(_divided_difference(pv[i], qv[j], ppr[i], qpr[j], rr, ex.integer_value)
-                  for j in range(q.n))
-            for i in range(p.n))
+            tuple(mpf(_divided_difference(u, v, rr, m, ar)) for v in qn) for u in pn)

@@ -6,10 +6,18 @@ block congruence elimination with 1x1 and 2x2 pivots and counts pivot
 signs, which preserves inertia by Sylvester's law.  Route three, available
 for integer exponents with rational nodes, diagonalizes the exact rational
 matrix.  A report reconciles whichever routes ran.
+
+The two float routes are written once against ``ToleranceContext.arith``:
+at 53 bits they run on Python floats when every entry lies in the float
+window (2^-200 .. 2^200 or zero), with the same roundings as 53-bit mpf,
+and on mpmath otherwise.  A NaN or infinite entry raises ValueError.  The
+exact route's answer does not depend on precision, so an ``ExactHint``
+computes it once for all attempts of an escalation ladder.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -56,8 +64,16 @@ class InertiaReport:
     disagreement: bool
 
 
-def _offdiag_mass(A, n):
-    return mp.sqrt(mp.fsum(A[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+def _offdiag_mass(A, n, ar):
+    return ar.sqrt(ar.fsum(A[i][j] * A[i][j] for i in range(n) for j in range(n) if i != j))
+
+
+def _working_copy(A: SymMatrix, tol: ToleranceContext):
+    """The arithmetic for A (ValueError on a NaN or infinite entry), A's
+    entries in it, and its Frobenius norm."""
+    ar = tol.arith(e for row in A.entries for e in row)
+    M = [[ar.num(e) for e in row] for row in A.entries]
+    return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
 
 
 def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
@@ -68,19 +84,20 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
     off-diagonal Frobenius mass drops below residual_tol times the matrix
     norm.  Convergence is quadratic once the mass is small, so the sweep
     bound is generous; hitting it signals that the precision is too low
-    for the requested tolerance.
+    for the requested tolerance.  At 53 bits the rotations run on Python
+    floats when the entries allow it (``ToleranceContext.arith``), with the
+    same roundings as mpf; the eigenvalues are mpf either way.
     """
     n = A.order
     with tol.prec():
-        M = [[to_mpf(e) for e in row] for row in A.entries]
-        norm = mp.sqrt(mp.fsum(M[i][j] ** 2 for i in range(n) for j in range(n)))
-        thresh = to_mpf(tol.residual_tol) * norm
-        off = _offdiag_mass(M, n)
+        ar, M, norm = _working_copy(A, tol)
+        thresh = ar.num(tol.residual_tol) * norm
+        off = _offdiag_mass(M, n, ar)
         sweeps = 0
         while off > thresh:
             if sweeps >= max_sweeps:
                 raise EigenConvergenceError(
-                    f"off-diagonal mass {mp.nstr(off, 5)} above {mp.nstr(thresh, 5)} "
+                    f"off-diagonal mass {mp.nstr(mpf(off), 5)} above {mp.nstr(mpf(thresh), 5)} "
                     f"after {max_sweeps} sweeps (precision too low?)"
                 )
             skip = thresh / (2 * n)
@@ -90,10 +107,10 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                     if abs(apq) <= skip:
                         continue
                     theta = (M[q][q] - M[p][p]) / (2 * apq)
-                    t = 1 / (abs(theta) + mp.sqrt(1 + theta ** 2))
+                    t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
                     if theta < 0:
                         t = -t
-                    c = 1 / mp.sqrt(1 + t ** 2)
+                    c = 1 / ar.sqrt(1 + t * t)
                     s = t * c
                     for k in range(n):
                         akp = M[k][p]
@@ -106,8 +123,8 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                         M[p][k] = c * apk - s * aqk
                         M[q][k] = s * apk + c * aqk
             sweeps += 1
-            off = _offdiag_mass(M, n)
-        return Spectrum(tuple(sorted(M[i][i] for i in range(n))), off)
+            off = _offdiag_mass(M, n, ar)
+        return Spectrum(tuple(sorted(mpf(M[i][i]) for i in range(n))), mpf(off))
 
 
 def inertia_from_spectrum(s: Spectrum, scale, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
@@ -137,18 +154,18 @@ def inertia_ldl(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
     times the original norm is declared zero, which is how rank deficiency
     shows up in floating point; the same pass over the block finds the
     pivot candidates.  The update touches the upper triangle and mirrors
-    it, so the block stays exactly symmetric.
+    it, so the block stays exactly symmetric.  Like ``eig_sym`` it runs on
+    Python floats at 53 bits when the entries allow it.
     """
     n = A.order
     with tol.prec():
-        M = [[to_mpf(e) for e in row] for row in A.entries]
-        norm = mp.sqrt(mp.fsum(M[i][j] ** 2 for i in range(n) for j in range(n)))
-        negligible = to_mpf(tol.zero_rel_tol) * norm
+        ar, M, norm = _working_copy(A, tol)
+        negligible = ar.num(tol.zero_rel_tol) * norm
         pos = neg = zero = 0
         k = 0
         while k < n:
             diag, off = [], []
-            dmax = omax = mpf(0)
+            dmax = omax = ar.num(0)
             di = oi = oj = k
             for i in range(k, n):
                 row = M[i]
@@ -161,7 +178,7 @@ def inertia_ldl(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
                     off.append(v)
                     if v > omax:
                         omax, oi, oj = v, i, j
-            trail = mp.sqrt(mp.fsum(diag, squared=True) + 2 * mp.fsum(off, squared=True))
+            trail = ar.sqrt(ar.fsum(v * v for v in diag) + 2 * ar.fsum(v * v for v in off))
             if trail <= negligible:
                 zero += n - k
                 break
@@ -219,15 +236,36 @@ def inertia_exact_integer(config: PointConfig, r: int) -> Inertia:
     return exact.rational_inertia(L.entries)
 
 
-def exact_route_hint(config: PointConfig,
-                     exponent: Exponent) -> Optional[tuple[PointConfig, int]]:
+class ExactHint(tuple):
+    """The ``(config, r)`` pair of the exact route, which computes that route's
+    inertia at most once.
+
+    The exact inertia does not depend on the working precision, so every
+    attempt of an escalation ladder that passes the same hint reuses it.
+    """
+
+    def __new__(cls, config: PointConfig, r: int):
+        return super().__new__(cls, (config, r))
+
+    @functools.cached_property
+    def inertia(self) -> Inertia:
+        return inertia_exact_integer(*self)
+
+
+def _as_exact_hint(exact_hint) -> Optional[ExactHint]:
+    if exact_hint is None or isinstance(exact_hint, ExactHint):
+        return exact_hint
+    return ExactHint(*exact_hint)
+
+
+def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[ExactHint]:
     """The ``exact_hint`` for the Loewner matrix of t^r at these nodes.
 
     It is set for integer r >= 1, with float nodes promoted to the binary
     rationals they already denote, and None for every other exponent.
     """
     if exponent.is_integer and exponent.integer_value >= 1:
-        return config.ensure_exact(), exponent.integer_value
+        return ExactHint(config.ensure_exact(), exponent.integer_value)
     return None
 
 
@@ -237,16 +275,15 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
 
     Disagreement is data, not an error: the caller should raise precision.
     When routes disagree the consensus field holds the most trustworthy one
-    (exact if present, else the eigenvalue route).
+    (exact if present, else the eigenvalue route).  An ``ExactHint`` (as
+    ``exact_route_hint`` returns) runs the exact route only on its first use.
     """
     spec = eig_sym(A, tol)
     scale = spec.scale
     by_eigen = inertia_from_spectrum(spec, scale, tol)
     by_ldl = inertia_ldl(A, tol)
-    by_exact = None
-    if exact_hint is not None:
-        cfg, r = exact_hint
-        by_exact = inertia_exact_integer(cfg, r)
+    hint = _as_exact_hint(exact_hint)
+    by_exact = hint.inertia if hint is not None else None
     routes = [by_eigen, by_ldl] + ([by_exact] if by_exact is not None else [])
     agreed = all(x == routes[0] for x in routes)
     consensus = by_exact if by_exact is not None else by_eigen
@@ -256,7 +293,9 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
 def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                       exact_hint: Optional[tuple[PointConfig, int]] = None,
                       max_escalations: int = 2) -> InertiaReport:
-    """Inertia report, escalating precision until the routes agree."""
+    """Inertia report, escalating precision until the routes agree; the exact
+    route runs once, whatever the number of attempts."""
+    exact_hint = _as_exact_hint(exact_hint)
     rep = inertia(A, tol, exact_hint=exact_hint)
     while rep.disagreement and max_escalations > 0:
         tol = tol.escalated()

@@ -1,13 +1,22 @@
 """Shared value types: point configurations, exponents, symmetric matrices,
-inertia triples, and the working-precision policy."""
+inertia triples, and the working-precision policy.
+
+The policy includes the arithmetic the kernels run on.  At 53 bits a Python
+float has the same format as an mpf, and its + - * / and sqrt round exactly
+as mpmath's do, so ``ToleranceContext.arith`` hands a kernel the float
+namespace there whenever its inputs are finite and every nonzero magnitude
+lies in [2^-200, 2^200] (a product of five such values can neither
+overflow nor go subnormal); any other input, and any higher precision, gets
+mpmath.  Kernels are written once against that namespace and return mpf.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp, mpf
@@ -25,6 +34,55 @@ def to_mpf(x) -> mpf:
     if isinstance(x, Fraction):
         return mpmath.mpmathify(x)
     return mpf(x)
+
+
+@dataclass(frozen=True)
+class Arith:
+    """The scalar operations a kernel needs: conversion, sqrt, exact-then-rounded
+    sum, and the elementary functions of the divided-difference kernel."""
+
+    name: str
+    num: Callable = field(repr=False)
+    sqrt: Callable = field(repr=False)
+    fsum: Callable = field(repr=False)
+    log: Callable = field(repr=False)
+    exp: Callable = field(repr=False)
+    log1p: Callable = field(repr=False)
+    expm1: Callable = field(repr=False)
+
+
+FLOAT_ARITH = Arith("float", float, math.sqrt, math.fsum, math.log, math.exp,
+                    math.log1p, math.expm1)
+MP_ARITH = Arith("mp", to_mpf, mp.sqrt, mp.fsum, mp.log, mp.exp, mp.log1p, mp.expm1)
+
+# Nonzero float magnitudes the float tier accepts (see the module docstring).
+_FLOAT_MIN = 2.0 ** -200
+_FLOAT_MAX = 2.0 ** 200
+
+
+def _in_float_window(values) -> bool:
+    """True when every value converts to a float of magnitude 0 or within the
+    window; ValueError on a NaN or an infinity."""
+    fits = True
+    for v in values:
+        try:
+            a = abs(float(v))
+        except OverflowError:  # an int or Fraction beyond the float range
+            fits = False
+            continue
+        if not (_FLOAT_MIN <= a <= _FLOAT_MAX or v == 0):
+            if not mpmath.isfinite(v):
+                raise ValueError(f"non-finite value {v!r}")
+            fits = False
+    return fits
+
+
+def _powers_in_float_window(nodes, r) -> bool:
+    """True when every float node^r is nonzero and inside the window."""
+    try:
+        return all(_FLOAT_MIN <= float(x) ** float(r) <= _FLOAT_MAX for x in nodes)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -76,6 +134,22 @@ class ToleranceContext:
         """Unit roundoff of the working reals."""
         return mpf(2) ** (1 - self.precision_bits)
 
+    def arith(self, values, r=None) -> Arith:
+        """The arithmetic for a kernel over ``values`` at this precision.
+
+        ``FLOAT_ARITH`` at 53 bits when both thresholds and every value lie in
+        the float window, and, with an exponent ``r`` given (``values`` are
+        then positive nodes), r and every node^r too; ``MP_ARITH`` otherwise.
+        A NaN or infinite value raises ValueError at any precision.
+        """
+        values = list(values)
+        if (_in_float_window(values if r is None else values + [r])
+                and self.precision_bits == DEFAULT_PRECISION_BITS
+                and _in_float_window((self.zero_rel_tol, self.residual_tol))
+                and (r is None or _powers_in_float_window(values, r))):
+            return FLOAT_ARITH
+        return MP_ARITH
+
 
 DEFAULT_TOL = ToleranceContext()
 
@@ -124,6 +198,8 @@ class Exponent:
 
     @classmethod
     def of(cls, r: Scalar) -> "Exponent":
+        if not mpmath.isfinite(r):
+            raise ValueError(f"exponent must be finite, got {r!r}")
         if isinstance(r, Rational):
             if r.denominator == 1:
                 return cls(r, True, int(r))
@@ -145,11 +221,13 @@ class PointConfig:
     def n(self) -> int:
         return len(self.points)
 
+    def values(self) -> tuple:
+        """The nodes as given: the exact rationals when present, else the floats."""
+        return self.exact if self.exact is not None else self.points
+
     def mp_points(self) -> list[mpf]:
         """Node values at the current working precision."""
-        if self.exact is not None:
-            return [mpmath.mpmathify(q) for q in self.exact]
-        return [mpf(p) for p in self.points]
+        return [to_mpf(v) for v in self.values()]
 
     def ensure_exact(self) -> "PointConfig":
         """Promote float nodes to the exact binary rationals they already are."""
@@ -170,8 +248,9 @@ class PointConfig:
 def make_point_config(values: Sequence[Scalar]) -> PointConfig:
     """Validate and pack nodes; exact rationals are kept when every input is rational.
 
-    Rejects non-positive entries, duplicates, and out-of-order input: the
-    caller must intend the ordering, silently sorting would hide mistakes.
+    Rejects non-positive or infinite entries, duplicates, and out-of-order
+    input: the caller must intend the ordering, silently sorting would hide
+    mistakes.
     """
     vals = list(values)
     if not vals:
@@ -179,6 +258,8 @@ def make_point_config(values: Sequence[Scalar]) -> PointConfig:
     for v in vals:
         if not v > 0:
             raise ValueError(f"points must be strictly positive, got {v!r}")
+        if v == math.inf:
+            raise ValueError(f"points must be finite, got {v!r}")
     for a, b in zip(vals, vals[1:]):
         if a == b:
             raise ValueError(f"duplicate point {a!r}: points must be strictly increasing")
