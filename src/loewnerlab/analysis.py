@@ -191,9 +191,14 @@ MatrixLike = Union[SymMatrix, Sequence[Sequence]]
 
 
 def _as_rows(A: MatrixLike) -> tuple[tuple, ...]:
-    if isinstance(A, SymMatrix):
-        return A.entries
-    return tuple(tuple(row) for row in A)
+    """The rows of ``A``; ValueError on a NaN or infinite entry, which would
+    otherwise come out as a minor sign."""
+    rows = A.entries if isinstance(A, SymMatrix) else tuple(tuple(row) for row in A)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not (isinstance(v, Rational) or mpmath.isfinite(v)):
+                raise ValueError(f"entry ({i},{j}) is not finite: {v!r}")
+    return rows
 
 
 def _det_any(rows, tol: ToleranceContext):

@@ -284,6 +284,10 @@ class SymMatrix:
         for i in range(self.order):
             for j in range(i + 1, self.order):
                 if self.entries[i][j] != self.entries[j][i]:
+                    for a, b in ((i, j), (j, i)):  # a NaN never equals its mirror
+                        v = self.entries[a][b]
+                        if not mpmath.isfinite(v):
+                            raise ValueError(f"entry ({a},{b}) is not finite: {v!r}")
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
 
     @classmethod

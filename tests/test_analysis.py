@@ -95,6 +95,18 @@ def test_count_zeros_random_bound():
             assert count_zeros(f, FAST_SCAN).count <= n - 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), mpf("nan"), float("inf"), mpf("-inf")])
+def test_minor_scans_reject_non_finite_entries(bad):
+    # A NaN on the diagonal used to come out as per_k ('mixed', '-').
+    diagonal = SymMatrix.diagonal((mpf(2), bad), zero=mpf(1))
+    off_diagonal = [[mpf(2), bad], [bad, mpf(3)]]
+    for A, entry in ((diagonal, r"\(1,1\)"), (off_diagonal, r"\(0,1\)")):
+        with pytest.raises(ValueError, match=entry + " is not finite"):
+            ssr_scan(A)
+        with pytest.raises(ValueError, match=entry + " is not finite"):
+            compound_matrix(A, 1)
+
+
 def test_ssr_full_on_fractional_exponent():
     rep = ssr_scan(loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 0.5)))
     assert rep.ssr_class == "SSR"

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +187,39 @@ def test_complex_zeros(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["total_winding"] == 1
+
+
+# Exit code, stdout and stderr of each case, byte for byte: every README
+# example, extended precision, CSV, exact and float nodes, and usage errors.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["argv"] for c in GOLDEN])
+def test_output_is_pinned(capsys, case):
+    assert run(capsys, *case["argv"].split()) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_readme_examples_are_pinned():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    lines = re.findall(r"^loewnerlab (.*?)(?:\s+#.*)?$", readme, re.MULTILINE)
+    assert lines and set(lines) <= {c["argv"] for c in GOLDEN}
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --points 1,2,3 --r 2.5 --residual-tol 1e-30",
+    "dk --points 1,2,3 --r 0.5 --samples 3 --residual-tol 1e-30",
+])
+def test_unreachable_tolerance_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: off-diagonal mass") and err.count("\n") == 1
+
+
+def test_sweep_reports_each_dropped_point(capsys):
+    code, out, err = run(capsys, "sweep", "--points", "1,2,3", "--r-range", "0.5:2.5:3",
+                         "--residual-tol", "1e-30")
+    assert code == 2
+    assert out == "r,lambda_1,lambda_2,lambda_3,pos,zero,neg\r\n"
+    lines = err.splitlines()
+    assert [line.split(" dropped:")[0] for line in lines] == [
+        "error: r=0.5", "error: r=1.5", "error: r=2.5"]

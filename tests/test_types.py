@@ -113,6 +113,14 @@ def test_symmetry_enforced():
     assert M == SymMatrix.from_rows([[1, 2], [2, 1]])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), mpf("nan")])
+def test_off_diagonal_nan_is_named(bad):
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not finite"):
+        SymMatrix.from_rows([[1, bad], [bad, 1]])
+    with pytest.raises(ValueError, match=r"entry \(1,0\) is not finite"):
+        SymMatrix.from_rows([[1, 2], [bad, 1]])
+
+
 def test_build_mirrors_upper_triangle():
     M = SymMatrix.build(3, lambda i, j: 10 * i + j)
     assert M[2, 0] == M[0, 2] == 2
