@@ -237,9 +237,6 @@ class SsrReport:
     ssr_class: str
     k_max: int
 
-    def sign_for(self, k: int) -> str:
-        return self.per_k[k - 1]
-
 
 _SSR_MAX_ORDER = 7  # all-minors enumeration is C(n,k)^2 per size
 
@@ -387,10 +384,6 @@ class Rect:
     @property
     def center(self) -> complex:
         return complex((self.re_min + self.re_max) / 2, (self.im_min + self.im_max) / 2)
-
-    @property
-    def max_side(self) -> float:
-        return max(self.re_max - self.re_min, self.im_max - self.im_min)
 
     def corners(self) -> list[complex]:
         return [complex(self.re_min, self.im_min), complex(self.re_max, self.im_min),

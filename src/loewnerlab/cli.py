@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import analysis, builders, oracle, sweep as sweep_mod
 from .builders import LoewnerSpec
@@ -72,10 +72,11 @@ def parse_range(s: str) -> tuple[float, float, int]:
 
 
 def _decimal(x, bits: int) -> str:
-    """Full round-trip decimal text for CSV cells."""
+    """Full round-trip decimal text of an int, Fraction or mpf, at the mpf's
+    own precision."""
     if isinstance(x, (int, Fraction)):
         return str(x)
-    return mp.nstr(mpf(x), int(bits * 0.30103) + 3, strip_zeros=False)
+    return mp.nstr(x, int(bits * 0.30103) + 3, strip_zeros=False)
 
 
 def _json(x, bits: int):

@@ -5,14 +5,15 @@ eigenvalue signs.  Route two runs a completely pivoted (Bunch-Parlett)
 block congruence elimination with 1x1 and 2x2 pivots and counts pivot
 signs, which preserves inertia by Sylvester's law.  Route three, available
 for integer exponents with rational nodes, diagonalizes the exact rational
-matrix.  A report reconciles whichever routes ran.
+matrix.  A report reconciles whichever routes ran and keeps the spectrum
+its eigenvalue route classified.  ``_settle`` is the one precision ladder.
 
 The two float routes are written once against ``ToleranceContext.arith``:
 at 53 bits they run on Python floats when every entry lies in the float
 window (2^-200 .. 2^200 or zero), with the same roundings as 53-bit mpf,
 and on mpmath otherwise.  A NaN or infinite entry raises ValueError.  The
 exact route's answer does not depend on precision, so an ``ExactHint``
-computes it once for all attempts of an escalation ladder.
+computes it once for all rungs of the ladder.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from mpmath import mp, mpf
 
@@ -37,6 +38,9 @@ from .types import (
 
 # Bunch-Parlett pivot constant: bounds element growth in the 1x1/2x2 choice.
 _BP_ALPHA = (1 + math.sqrt(17)) / 8
+
+# Rungs above the starting precision that ``_settle`` tries before it gives up.
+MAX_ESCALATIONS = 2
 
 
 class EigenConvergenceError(RuntimeError):
@@ -62,6 +66,7 @@ class InertiaReport:
     by_exact: Optional[Inertia]
     consensus: Inertia
     disagreement: bool
+    spectrum: Spectrum
 
 
 def _offdiag_mass(A, n, ar):
@@ -287,18 +292,30 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
     routes = [by_eigen, by_ldl] + ([by_exact] if by_exact is not None else [])
     agreed = all(x == routes[0] for x in routes)
     consensus = by_exact if by_exact is not None else by_eigen
-    return InertiaReport(by_eigen, by_ldl, by_exact, consensus, not agreed)
+    return InertiaReport(by_eigen, by_ldl, by_exact, consensus, not agreed, spec)
+
+
+def _settle(build: Callable[[ToleranceContext], SymMatrix],
+            tol: ToleranceContext = DEFAULT_TOL,
+            exact_hint: Optional[tuple[PointConfig, int]] = None,
+            target: Optional[Inertia] = None) -> tuple[InertiaReport, ToleranceContext, int]:
+    """The precision ladder: (report, context, escalations) of the rung it
+    stopped at.  Each rung builds the matrix with ``build(ctx)`` and runs
+    ``inertia`` on it, until the routes agree on a consensus equal to
+    ``target`` (if given) or after ``MAX_ESCALATIONS`` escalations.  The
+    exact route runs once, whatever the number of rungs.  (Private, so that
+    perfbench's tracer sees each rung's ``inertia`` call under the caller.)"""
+    hint = _as_exact_hint(exact_hint)
+    ctx, escalations = tol, 0
+    while True:
+        rep = inertia(build(ctx), ctx, exact_hint=hint)
+        settled = not rep.disagreement and (target is None or rep.consensus == target)
+        if settled or escalations == MAX_ESCALATIONS:
+            return rep, ctx, escalations
+        ctx, escalations = ctx.escalated(), escalations + 1
 
 
 def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
-                      exact_hint: Optional[tuple[PointConfig, int]] = None,
-                      max_escalations: int = 2) -> InertiaReport:
-    """Inertia report, escalating precision until the routes agree; the exact
-    route runs once, whatever the number of attempts."""
-    exact_hint = _as_exact_hint(exact_hint)
-    rep = inertia(A, tol, exact_hint=exact_hint)
-    while rep.disagreement and max_escalations > 0:
-        tol = tol.escalated()
-        rep = inertia(A, tol, exact_hint=exact_hint)
-        max_escalations -= 1
-    return rep
+                      exact_hint: Optional[tuple[PointConfig, int]] = None) -> InertiaReport:
+    """Inertia report of A, escalating precision until the routes agree."""
+    return _settle(lambda ctx: A, tol, exact_hint)[0]

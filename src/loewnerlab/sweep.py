@@ -1,9 +1,9 @@
 """Eigenvalue trajectories of L_r over an exponent grid.
 
-The sweep records sorted eigenvalues and the inertia at every grid point;
-grid points that land on integers (within 1e-9) are snapped and routed
-through the exact rational inertia, so zero counts at integers are exact
-rather than threshold classifications.
+The sweep records sorted eigenvalues and the inertia at every grid point,
+solving each point's matrix once; grid points that land on integers (within
+1e-9) are snapped and routed through the exact rational inertia, so zero
+counts at integers are exact rather than threshold classifications.
 """
 
 from __future__ import annotations
@@ -92,15 +92,16 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
         ex = Exponent.of(m) if snapped else Exponent.of(r)
         try:
             L = builders.loewner_matrix(LoewnerSpec(config, ex), tol)
-            spec = eig_sym(L, tol)
-            trajectories.append(tuple(spec.eigenvalues))
             if snapped:
-                inertias.append(_exact_integer_inertia(config, int(m)))
+                spec = eig_sym(L, tol)
+                ine = _exact_integer_inertia(config, int(m))
             else:
                 rep = inertia_report(L, tol)
-                inertias.append(rep.consensus)
+                spec, ine = rep.spectrum, rep.consensus
                 if rep.disagreement:
                     failures.append((idx, "route disagreement"))
+            trajectories.append(tuple(spec.eigenvalues))
+            inertias.append(ine)
         except EigenConvergenceError as exc:
             trajectories.append(None)
             inertias.append(None)
@@ -175,33 +176,34 @@ def emit_figure1(s: SpectrumSweep, scaling: str = "signed-log",
     Under signed-log scaling y = sign(lambda) * log10(1 + |lambda|/tau),
     an odd strictly increasing map that keeps near-zero trajectories
     visible; tau defaults to the zero-threshold scale of the sweep.
-    Failed grid points are omitted.
+    Failed grid points are omitted; values keep the sweep's precision.
     """
     if scaling not in ("signed-log", "none"):
         raise ValueError(f"unknown scaling {scaling!r}")
-    n = s.n
-    header = ["r"] + [f"lambda_{i + 1}" for i in range(n)] + ["pos", "zero", "neg"]
-    if tau is None:
-        peak = mpf(0)
-        for traj in s.trajectories:
-            if traj is not None:
-                peak = max(peak, max(abs(to_mpf(v)) for v in traj))
-        tau = DEFAULT_ZERO_REL_TOL * n * peak if peak > 0 else mpf(1)
-    tau = to_mpf(tau)
+    with mp.workprec(s.precision_bits):
+        n = s.n
+        header = ["r"] + [f"lambda_{i + 1}" for i in range(n)] + ["pos", "zero", "neg"]
+        if tau is None:
+            peak = mpf(0)
+            for traj in s.trajectories:
+                if traj is not None:
+                    peak = max(peak, max(abs(to_mpf(v)) for v in traj))
+            tau = DEFAULT_ZERO_REL_TOL * n * peak if peak > 0 else mpf(1)
+        tau = to_mpf(tau)
 
-    def shape(lam):
-        lam = to_mpf(lam)
-        if scaling == "none":
-            return lam
-        if lam == 0:
-            return mpf(0)
-        mag = mp.log10(1 + abs(lam) / tau)
-        return mag if lam > 0 else -mag
+        def shape(lam):
+            lam = to_mpf(lam)
+            if scaling == "none":
+                return lam
+            if lam == 0:
+                return mpf(0)
+            mag = mp.log10(1 + abs(lam) / tau)
+            return mag if lam > 0 else -mag
 
-    rows = []
-    for idx, (traj, ine) in enumerate(zip(s.trajectories, s.inertias)):
-        if traj is None or ine is None:
-            continue
-        rows.append((s.grid[idx],) + tuple(shape(v) for v in traj)
-                    + (ine.pos, ine.zero, ine.neg))
-    return header, rows
+        rows = []
+        for idx, (traj, ine) in enumerate(zip(s.trajectories, s.inertias)):
+            if traj is None or ine is None:
+                continue
+            rows.append((s.grid[idx],) + tuple(shape(v) for v in traj)
+                        + (ine.pos, ine.zero, ine.neg))
+        return header, rows

@@ -320,18 +320,3 @@ class SymMatrix:
     def rows(self) -> list[list]:
         """Mutable copy of the entries."""
         return [list(row) for row in self.entries]
-
-    def is_exact(self) -> bool:
-        """True when every entry is a rational number (int or Fraction)."""
-        return all(isinstance(e, Rational) for row in self.entries for e in row)
-
-    def max_abs(self):
-        return max(abs(e) for row in self.entries for e in row)
-
-    def to_mp(self) -> mpmath.matrix:
-        """mpmath matrix of the entries at the current working precision."""
-        M = mpmath.matrix(self.order, self.order)
-        for i in range(self.order):
-            for j in range(self.order):
-                M[i, j] = to_mpf(self.entries[i][j])
-        return M

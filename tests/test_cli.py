@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from loewnerlab.cli import main, parse_range, parse_scalar
 from fractions import Fraction
@@ -64,6 +65,16 @@ def test_build_high_precision_entries_are_strings(capsys):
     payload = json.loads(out)
     assert payload["precision_bits"] == 128
     assert isinstance(payload["matrix"][0][0], str)
+
+
+def test_build_high_precision_entries_carry_every_bit(capsys):
+    code, out, _ = run(capsys, "build", "--points", "1,2", "--r", "0.5",
+                       "--precision-bits", "128")
+    assert code == 0
+    with mp.workprec(128):
+        entry = mpf(json.loads(out)["matrix"][0][1])
+        # the kernel's 16 eps, plus rounding of the printed decimal
+        assert abs(entry - (mp.sqrt(2) - 1)) <= 32 * mp.eps
 
 
 def test_build_rejects_bad_points(capsys):

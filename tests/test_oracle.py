@@ -207,3 +207,21 @@ def test_nonzero_eigenvalues_simple():
         nonzero = [e for e in spec.eigenvalues if abs(e) > thresh]
         gaps = [abs(a - b) for a, b in zip(nonzero, nonzero[1:])]
         assert all(g > thresh for g in gaps)
+
+
+# The precision ladder's outcome on instances that stop at each rung, as
+# (precision_bits, escalations, match, disagreement, computed).
+@pytest.mark.parametrize("points, r, outcome", [
+    ((1, 2, 3), 2.5, (53, 0, True, False, (2, 0, 1))),
+    ((1, 2, 3), 2 + 1e-8, (256, 0, True, False, (2, 0, 1))),  # near-integer: starts one up
+    (tuple(range(1, 9)), 7, (256, 1, True, False, (4, 1, 3))),
+    (tuple(range(1, 7)), 3.5, (256, 1, True, False, (2, 0, 4))),
+    # The ladder runs out: the routes agree at 512 bits on an inertia the
+    # theorem does not predict (the smallest eigenvalue stays under the
+    # zero threshold at every rung).
+    ((1.0, 1.01, 1.02), 80000.5, (512, 2, False, False, (1, 1, 1))),
+])
+def test_ladder_outcomes(points, r, outcome):
+    rep = verify_instance(make_point_config(points), r)
+    assert (rep.precision_bits, rep.escalations, rep.match, rep.disagreement,
+            rep.computed.as_tuple()) == outcome

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -13,6 +14,9 @@ from loewnerlab import (
     make_point_config,
     sign_change_report,
 )
+
+inertia_mod = importlib.import_module("loewnerlab.inertia")
+sweep_mod = importlib.import_module("loewnerlab.sweep")
 
 
 def test_two_point_sweep_inertia_sequence():
@@ -123,3 +127,26 @@ def test_six_point_sweep_uses_extended_precision_and_exact_integers():
     assert s.failures == ()
     assert s.inertias[1].as_tuple() == (2, 3, 1)  # exact route at r=3
     assert s.inertias[0] != s.inertias[2]
+
+
+def test_sweep_solves_each_grid_point_once(monkeypatch):
+    calls = []
+    original = inertia_mod.eig_sym
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inertia_mod, "eig_sym", counted)
+    monkeypatch.setattr(sweep_mod, "eig_sym", counted)
+    s = eigen_trajectories(make_point_config((1, 2, 3, 4)), 1.0, 3.0, 9)
+    assert sum(r == round(r) for r in s.grid) == 3  # integer and non-integer points
+    assert s.failures == () and None not in s.trajectories
+    assert len(calls) == len(s.grid)
+
+
+def test_emit_keeps_the_sweep_precision():
+    s = eigen_trajectories(make_point_config((1, 2, 3)), 0.5, 1.5, 3,
+                           ToleranceContext.at_bits(256))
+    _, rows = emit_figure1(s, scaling="none")
+    assert [row[1:4] for row in rows] == [traj for traj in s.trajectories]
