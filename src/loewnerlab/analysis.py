@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from . import builders
 from .builders import LoewnerSpec
@@ -19,6 +20,7 @@ from .exact import det_fraction
 from .inertia import InertiaReport, consensus_inertia, eig_sym, exact_route_hint
 from .types import (
     DEFAULT_TOL,
+    FLOAT_ARITH,
     Exponent,
     Inertia,
     MP_ARITH,
@@ -36,7 +38,7 @@ from .types import (
 
 @dataclass(frozen=True)
 class ComboFunction:
-    """f(x) = sum_j c_j (x^r - p_j^r)/(x - p_j) on (0, inf)."""
+    """f(x) = sum_j c_j (x^r - p_j^r)/(x - p_j) on (0, inf), not identically 0."""
 
     config: PointConfig
     coeffs: tuple
@@ -47,6 +49,28 @@ class ComboFunction:
             raise ValueError("one coefficient per point is required")
         if all(c == 0 for c in self.coeffs):
             raise ValueError("at least one coefficient must be nonzero")
+        if _vanishes_identically(self.config, self.coeffs, Exponent.of(self.r)):
+            raise ValueError(f"the combination is identically zero at r = {self.r!r}")
+
+
+def _vanishes_identically(config: PointConfig, coeffs, ex: Exponent) -> bool:
+    """True when the combination is 0 at every x, checked exactly.
+
+    Only an integer r = m can do this.  For m >= 1 each term is the
+    polynomial sum_a x^a p_j^(m-1-a), so f vanishes exactly when the moments
+    sum_j c_j p_j^k are 0 for k = 0..m-1; for m <= -1 the same holds for
+    k = -1..m, and m = 0 makes every term 0.  Any n consecutive moments of
+    n distinct nodes determine the coefficients (a Vandermonde system), so
+    with |m| >= n the combination cannot vanish.
+    """
+    m = ex.integer_value
+    if m is None or abs(m) >= config.n:
+        return False
+    c = [Fraction(*libmp.to_rational(v._mpf_)) if isinstance(v, mpf) else Fraction(v)
+         for v in coeffs]
+    p = config.ensure_exact().exact
+    ks = range(m) if m >= 0 else range(-1, m - 1, -1)
+    return all(sum(cj * pj ** k for cj, pj in zip(c, p)) == 0 for k in ks)
 
 
 def _combo_terms(f: ComboFunction, ends, tol: ToleranceContext):
@@ -59,7 +83,7 @@ def _combo_terms(f: ComboFunction, ends, tol: ToleranceContext):
     """
     ex = Exponent.of(f.r)
     ar = tol.arith(f.config.values() + tuple(ends), ex.r)
-    if tol.arith(f.coeffs) is MP_ARITH:
+    if tol.arith(f.coeffs) is not FLOAT_ARITH:
         ar = MP_ARITH
     r, nodes = builders._kernel_nodes(f.config.values(), ex, ar)
     terms = [(ar.num(c), node) for c, node in zip(f.coeffs, nodes) if c != 0]

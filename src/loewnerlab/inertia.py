@@ -8,11 +8,21 @@ for integer exponents with rational nodes, diagonalizes the exact rational
 matrix.  A report reconciles whichever routes ran and keeps the spectrum
 its eigenvalue route classified.  ``_settle`` is the one precision ladder.
 
-The two float routes are written once against ``ToleranceContext.arith``:
-at 53 bits they run on Python floats when every entry lies in the float
-window (2^-200 .. 2^200 or zero), with the same roundings as 53-bit mpf,
-and on mpmath otherwise.  A NaN or infinite entry raises ValueError.  The
-exact route's answer does not depend on precision, so an ``ExactHint``
+The two float routes are written once against ``ToleranceContext.arith``
+and take whichever arithmetic it picks, unchanged:
+
+- at 53 bits, Python floats when every entry lies in the float window
+  (2^-200 .. 2^200 or zero), with the same roundings as 53-bit mpf, and
+  mpmath otherwise;
+- above 53 bits, the C ``decimal`` module with at least as many digits as
+  the bits ask for, so every threshold keeps its meaning.  Its roundings are
+  decimal ones, so eigenvalues sit within a few units of roundoff of
+  mpmath's, not on the same bits.
+
+Entries are converted into the arithmetic once per route, and eigenvalues
+and residuals back to mpf once, for the ``Spectrum``.  A NaN or infinite
+entry raises ValueError.  The exact route (Fractions) shares nothing with
+them, and its answer does not depend on precision, so an ``ExactHint``
 computes it once for all rungs of the ladder.
 """
 
@@ -23,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import builders, exact
 from .types import (
@@ -89,9 +99,9 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
     off-diagonal Frobenius mass drops below residual_tol times the matrix
     norm.  Convergence is quadratic once the mass is small, so the sweep
     bound is generous; hitting it signals that the precision is too low
-    for the requested tolerance.  At 53 bits the rotations run on Python
-    floats when the entries allow it (``ToleranceContext.arith``), with the
-    same roundings as mpf; the eigenvalues are mpf either way.
+    for the requested tolerance.  The rotations run on the arithmetic
+    ``ToleranceContext.arith`` picks (floats at 53 bits when the entries
+    allow it, ``decimal`` above 53 bits); the eigenvalues are mpf either way.
     """
     n = A.order
     with tol.prec():
@@ -102,8 +112,8 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
         while off > thresh:
             if sweeps >= max_sweeps:
                 raise EigenConvergenceError(
-                    f"off-diagonal mass {mp.nstr(mpf(off), 5)} above {mp.nstr(mpf(thresh), 5)} "
-                    f"after {max_sweeps} sweeps (precision too low?)"
+                    f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
+                    f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (precision too low?)"
                 )
             skip = thresh / (2 * n)
             for p in range(n - 1):
@@ -129,7 +139,7 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                         M[q][k] = s * apk + c * aqk
             sweeps += 1
             off = _offdiag_mass(M, n, ar)
-        return Spectrum(tuple(sorted(mpf(M[i][i]) for i in range(n))), mpf(off))
+        return Spectrum(tuple(sorted(ar.out(M[i][i]) for i in range(n))), ar.out(off))
 
 
 def inertia_from_spectrum(s: Spectrum, scale, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
@@ -160,12 +170,13 @@ def inertia_ldl(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
     shows up in floating point; the same pass over the block finds the
     pivot candidates.  The update touches the upper triangle and mirrors
     it, so the block stays exactly symmetric.  Like ``eig_sym`` it runs on
-    Python floats at 53 bits when the entries allow it.
+    the arithmetic ``ToleranceContext.arith`` picks.
     """
     n = A.order
     with tol.prec():
         ar, M, norm = _working_copy(A, tol)
         negligible = ar.num(tol.zero_rel_tol) * norm
+        alpha = ar.num(_BP_ALPHA)
         pos = neg = zero = 0
         k = 0
         while k < n:
@@ -187,7 +198,7 @@ def inertia_ldl(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
             if trail <= negligible:
                 zero += n - k
                 break
-            if dmax >= _BP_ALPHA * omax:
+            if dmax >= alpha * omax:
                 _swap_sym(M, k, di)
                 d = M[k][k]
                 if d > 0:

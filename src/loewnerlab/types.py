@@ -1,17 +1,31 @@
 """Shared value types: point configurations, exponents, symmetric matrices,
 inertia triples, and the working-precision policy.
 
-The policy includes the arithmetic the kernels run on.  At 53 bits a Python
-float has the same format as an mpf, and its + - * / and sqrt round exactly
-as mpmath's do, so ``ToleranceContext.arith`` hands a kernel the float
-namespace there whenever its inputs are finite and every nonzero magnitude
-lies in [2^-200, 2^200] (a product of five such values can neither
-overflow nor go subnormal); any other input, and any higher precision, gets
-mpmath.  Kernels are written once against that namespace and return mpf.
+The policy includes the arithmetic the kernels run on, one of three:
+
+- at 53 bits a Python float has the same format as an mpf, and its
+  + - * / and sqrt round exactly as mpmath's do, so ``ToleranceContext.arith``
+  hands a kernel the float namespace there whenever its inputs are finite
+  and every nonzero magnitude lies in [2^-200, 2^200] (a product of five
+  such values can neither overflow nor go subnormal);
+- above 53 bits a kernel without an exponent (the Jacobi and LDL routes)
+  gets the stdlib ``decimal`` module (libmpdec, C code) with
+  ceil(bits*log10 2) + 2 digits, so its unit roundoff stays at or below
+  2^(1-bits) and every threshold keeps its meaning.  Its exponent range is
+  the widest there is, and an invalid operation, a division by zero or an
+  overflow raises, so no NaN or infinity comes out silently.  Decimal rounds
+  in base 10, so its results are close to mpmath's, not bit-identical;
+- everything else gets mpmath: the divided-difference kernel above 53 bits
+  (it needs log1p and expm1, which ``decimal`` lacks) and any 53-bit input
+  outside the float window.
+
+Kernels are written once against that namespace and return mpf.
 """
 
 from __future__ import annotations
 
+import contextlib
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +33,7 @@ from numbers import Rational
 from typing import Callable, Optional, Sequence, Union
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 Scalar = Union[int, float, Fraction]
 
@@ -38,11 +52,13 @@ def to_mpf(x) -> mpf:
 
 @dataclass(frozen=True)
 class Arith:
-    """The scalar operations a kernel needs: conversion, sqrt, exact-then-rounded
-    sum, and the elementary functions of the divided-difference kernel."""
+    """The scalar operations a kernel needs: conversion in (``num``) and back
+    to mpf (``out``), sqrt, a sum rounded once, and the elementary functions
+    of the divided-difference kernel."""
 
     name: str
     num: Callable = field(repr=False)
+    out: Callable = field(repr=False)
     sqrt: Callable = field(repr=False)
     fsum: Callable = field(repr=False)
     log: Callable = field(repr=False)
@@ -51,9 +67,69 @@ class Arith:
     expm1: Callable = field(repr=False)
 
 
-FLOAT_ARITH = Arith("float", float, math.sqrt, math.fsum, math.log, math.exp,
+@contextlib.contextmanager
+def _extended_precision(bits: int):
+    """``mp.workprec(bits)`` and the ``decimal`` context of ``bits`` (see the
+    module docstring), entered together."""
+    dec = decimal.Context(
+        prec=math.ceil(bits * math.log10(2)) + 2,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
+    with mp.workprec(bits), decimal.localcontext(dec):
+        yield
+
+
+def _to_decimal(x) -> decimal.Decimal:
+    """x (int, float, Fraction, Decimal, or an mpf or mpmath constant) rounded
+    once to the current decimal context."""
+    ctx = decimal.getcontext()
+    raw = getattr(x, "_mpf_", None)
+    if raw is not None:
+        sign, man, exp, _ = raw  # man is unsigned: mpf.man_exp drops the sign
+        if sign:
+            man = -man
+        if exp >= 0:
+            return ctx.create_decimal(man << exp)
+        return ctx.divide(decimal.Decimal(man), decimal.Decimal(1 << -exp))  # ints convert exactly
+    if isinstance(x, Fraction):
+        return ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    if isinstance(x, float):
+        return ctx.create_decimal_from_float(x)
+    return ctx.create_decimal(x)
+
+
+def _mpf_from_decimal(d: decimal.Decimal) -> mpf:
+    """d rounded once to the current mpmath precision."""
+    p, q = d.as_integer_ratio()
+    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+
+
+def _decimal_fsum(terms) -> decimal.Decimal:
+    """Sum at twice the working digits, rounded once to the working context
+    (mpmath's fsum likewise drops what lies over 2*prec bits below the sum)."""
+    ctx = decimal.getcontext()
+    wide = ctx.copy()
+    wide.prec = 2 * ctx.prec
+    total = decimal.Decimal(0)
+    for t in terms:
+        total = wide.add(total, t)
+    return ctx.plus(total)
+
+
+def _not_in_decimal(x):
+    raise NotImplementedError("decimal has no log1p or expm1; a kernel with an exponent "
+                              "runs on mpmath")
+
+
+FLOAT_ARITH = Arith("float", float, mpf, math.sqrt, math.fsum, math.log, math.exp,
                     math.log1p, math.expm1)
-MP_ARITH = Arith("mp", to_mpf, mp.sqrt, mp.fsum, mp.log, mp.exp, mp.log1p, mp.expm1)
+DEC_ARITH = Arith("decimal", _to_decimal, _mpf_from_decimal, decimal.Decimal.sqrt,
+                  _decimal_fsum, decimal.Decimal.ln, decimal.Decimal.exp,
+                  _not_in_decimal, _not_in_decimal)
+MP_ARITH = Arith("mp", to_mpf, mpf, mp.sqrt, mp.fsum, mp.log, mp.exp, mp.log1p, mp.expm1)
 
 # Nonzero float magnitudes the float tier accepts (see the module docstring).
 _FLOAT_MIN = 2.0 ** -200
@@ -127,8 +203,11 @@ class ToleranceContext:
         return ToleranceContext.at_bits(max(2 * self.precision_bits, 256), self.grid_points)
 
     def prec(self):
-        """``mp.workprec`` context manager for this precision."""
-        return mp.workprec(self.precision_bits)
+        """Context manager for this precision: ``mp.workprec``, and above 53
+        bits also the matching ``decimal`` context that ``DEC_ARITH`` uses."""
+        if self.precision_bits == DEFAULT_PRECISION_BITS:
+            return mp.workprec(self.precision_bits)
+        return _extended_precision(self.precision_bits)
 
     def eps(self) -> mpf:
         """Unit roundoff of the working reals."""
@@ -139,13 +218,15 @@ class ToleranceContext:
 
         ``FLOAT_ARITH`` at 53 bits when both thresholds and every value lie in
         the float window, and, with an exponent ``r`` given (``values`` are
-        then positive nodes), r and every node^r too; ``MP_ARITH`` otherwise.
-        A NaN or infinite value raises ValueError at any precision.
+        then positive nodes), r and every node^r too; ``DEC_ARITH`` above 53
+        bits when no exponent is given; ``MP_ARITH`` otherwise.  A NaN or
+        infinite value raises ValueError at any precision.
         """
         values = list(values)
-        if (_in_float_window(values if r is None else values + [r])
-                and self.precision_bits == DEFAULT_PRECISION_BITS
-                and _in_float_window((self.zero_rel_tol, self.residual_tol))
+        fits = _in_float_window(values if r is None else values + [r])
+        if self.precision_bits > DEFAULT_PRECISION_BITS:
+            return MP_ARITH if r is not None else DEC_ARITH
+        if (fits and _in_float_window((self.zero_rel_tol, self.residual_tol))
                 and (r is None or _powers_in_float_window(values, r))):
             return FLOAT_ARITH
         return MP_ARITH

@@ -62,6 +62,36 @@ def test_combo_rejects_zero_coefficients():
         ComboFunction(make_point_config((1, 2)), (0, 0), 2)
 
 
+@pytest.mark.parametrize("points, coeffs, r", [
+    ((1, 2, 3), (1, -2, 1), 2),
+    ((1, 2, 3), (1, -2, 1), 0),
+    ((1, 2), (3, 5), 0),
+    ((1, 2), (1, -1), 1),
+    ((0.5, 1.25, 3), (2.5, -3, 0.5), 1),
+    ((1, 2, 3), (1, -8, 9), -2),
+    ((1, 2, 3), (1, -8, 9), -1),
+])
+def test_combo_rejects_an_identically_zero_combination(points, coeffs, r):
+    cfg = make_point_config(points)
+    for x in (Fraction(1, 7), Fraction(5, 2), Fraction(11)):  # zero, checked by hand
+        assert sum(Fraction(c) * (x ** r - Fraction(p) ** r) / (x - Fraction(p))
+                   for c, p in zip(coeffs, points)) == 0
+    with pytest.raises(ValueError, match="identically zero"):
+        ComboFunction(cfg, coeffs, r)
+
+
+@pytest.mark.parametrize("points, coeffs, r", [
+    ((1, 2), (1, -1), 2),              # the constant -1
+    ((1, 2, 3), (1, -2, 1), 3),        # the constant 2
+    ((1, 2, 3), (1, -2, 1), 2.5),
+    ((1, 2, 3), (1, -2, 1.000001), 2),
+    ((1, 2, 3), (1, -8, 9), -3),
+])
+def test_combo_accepts_a_combination_that_is_not_zero(points, coeffs, r):
+    f = ComboFunction(make_point_config(points), coeffs, r)
+    assert combo_eval(f, 1.7) != 0
+
+
 def test_count_zeros_single_node_is_zero_free():
     f = ComboFunction(make_point_config((2,)), (1,), 0.5)
     assert count_zeros(f, FAST_SCAN).count == 0

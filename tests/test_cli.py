@@ -226,6 +226,14 @@ def test_unreachable_tolerance_is_a_usage_error(capsys, argv):
     assert err.startswith("error: off-diagonal mass") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r", ["2", "0"])
+def test_zeros_rejects_an_identically_zero_combination(capsys, r):
+    code, out, err = run(capsys, "zeros", "--points", "1,2,3", "--coeffs", "1,-2,1", "--r", r,
+                         "--grid", "501", "--x-min", "0.5", "--x-max", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: the combination is identically zero at r = {r}\n"
+
+
 def test_sweep_reports_each_dropped_point(capsys):
     code, out, err = run(capsys, "sweep", "--points", "1,2,3", "--r-range", "0.5:2.5:3",
                          "--residual-tol", "1e-30")

@@ -32,7 +32,7 @@ from loewnerlab import (
     verify_instance,
 )
 from loewnerlab import cli
-from loewnerlab.types import FLOAT_ARITH, MP_ARITH
+from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MP_ARITH
 
 # the package re-exports a function named ``inertia`` that hides the module
 inertia_mod = importlib.import_module("loewnerlab.inertia")
@@ -99,8 +99,12 @@ def test_float_tier_is_taken_at_53_bits_only(chosen):
     assert chosen and all(ar is FLOAT_ARITH for ar in chosen)
     chosen.clear()
     ctx = ToleranceContext.at_bits(256)
-    eig_sym(loewner_matrix(LoewnerSpec.of(cfg, r), ctx), ctx)
-    assert chosen and all(ar is MP_ARITH for ar in chosen)
+    L = loewner_matrix(LoewnerSpec.of(cfg, r), ctx)
+    assert chosen == [MP_ARITH]
+    chosen.clear()
+    eig_sym(L, ctx)
+    inertia_ldl(L, ctx)
+    assert chosen == [DEC_ARITH, DEC_ARITH]
 
 
 def test_outputs_stay_mpf():
