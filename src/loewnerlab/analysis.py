@@ -1,9 +1,24 @@
 """Zero counting for divided-difference combinations, sign-regularity scans,
 compound matrices, determinant identities, complex determinant zeros, the
-derivative action of matrix powers, and the power-sum comparison."""
+derivative action of matrix powers, and the power-sum comparison.
+
+Determinants of non-rational matrices come from one LU with partial
+pivoting (``_lu_factor``), written once for floats, complex, mpf and mpc.
+The complex determinant ``complex_det`` runs it on Python ``complex`` at 53
+bits when the nodes, z and every |p^z| lie in the float window
+(``ToleranceContext.complex_arith``), and on mpc otherwise, and pairs each
+value with a first-order bound on its error: the backward error of the
+factorisation plus the rounding of the entries (``_lu_relative_bound``).
+A value inside its bound is retried one rung up the precision ladder, at
+most ``inertia.MAX_ESCALATIONS`` times, and comes out as 0 when no rung
+resolves it; the argument-principle scan reads a 0 as a zero on its
+contour and re-grids.
+"""
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +32,7 @@ from mpmath import libmp, mp, mpc, mpf
 from . import builders
 from .builders import LoewnerSpec
 from .exact import det_fraction
-from .inertia import InertiaReport, consensus_inertia, eig_sym, exact_route_hint
+from .inertia import MAX_ESCALATIONS, InertiaReport, consensus_inertia, eig_sym, exact_route_hint
 from .types import (
     DEFAULT_TOL,
     FLOAT_ARITH,
@@ -208,6 +223,112 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
 
 
 # ---------------------------------------------------------------------------
+# LU factorisation with partial pivoting, on any of the arithmetics
+
+
+def _lu_factor(A) -> tuple[list, int]:
+    """Factor the square matrix A (row lists, entries all of one arithmetic:
+    float, complex, mpf or mpc) in place as P A = L U, with partial pivoting.
+
+    A ends holding U on and above the diagonal and the multipliers of the
+    unit lower triangle L below it, its rows in pivot order, so det A is
+    sign * prod U_kk.  Returns the original index of each row and the sign
+    of P, or a sign of 0 when a whole pivot column is zero (A is singular
+    and the factorisation stops there).
+    """
+    n = len(A)
+    order = list(range(n))
+    sign = 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        if not A[p][k]:
+            return order, 0
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            order[k], order[p] = order[p], order[k]
+            sign = -sign
+        top = A[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = A[i]
+            m = row[k] / pivot
+            row[k] = m
+            if m:
+                for j in range(k + 1, n):
+                    row[j] -= m * top[j]
+    return order, sign
+
+
+# A float product outside these magnitudes has overflowed or lost digits to
+# underflow; it is then taken again in mpmath, which has no exponent limit.
+_DET_FLOAT_MIN = 2.0 ** -1000
+_DET_FLOAT_MAX = 2.0 ** 1000
+
+
+def _pivot_product(F, sign):
+    """det A = sign * prod U_kk from a finished factorisation: a float or
+    complex when it lies in the float range, else an mpf or mpc at the
+    working precision."""
+    if not sign:
+        return 0
+    pivots = [F[k][k] for k in range(len(F))]
+    det = math.prod(pivots, start=sign)
+    if isinstance(det, (float, complex)) and not _DET_FLOAT_MIN <= abs(det) <= _DET_FLOAT_MAX:
+        det = math.prod(map(mp.mpmathify, pivots), start=sign)
+    return det
+
+
+def _lu_inverse_columns(F) -> list:
+    """The columns of (P A)^-1 = U^-1 L^-1, from a finished factorisation."""
+    n = len(F)
+    cols = []
+    for c in range(n):
+        y = [0] * n
+        y[c] = 1
+        for i in range(c + 1, n):
+            row, s = F[i], 0
+            for k in range(c, i):
+                s -= row[k] * y[k]
+            y[i] = s
+        for i in range(n - 1, -1, -1):
+            row, s = F[i], y[i]
+            for k in range(i + 1, n):
+                s -= row[k] * y[k]
+            y[i] = s / row[i]
+        cols.append(y)
+    return cols
+
+
+def _lu_relative_bound(F, order, entry_err, eps):
+    """First-order bound on |computed det - det A| / |det A| (Higham, ch. 9).
+
+    The computed factors are exact for P A + dA with |dA| <= gamma |L||U|,
+    gamma = 4n eps / (1 - 4n eps) (complex products and quotients cost a
+    few roundings each), and the entries of A carry errors up to
+    ``entry_err`` (indexed like A).  A perturbation E moves det by
+    det * tr(A^-1 E) to first order, so the relative error is at most
+    sum_ij |(PA)^-1_ji| (gamma (|L||U|)_ij + entry_err_(order i) j), plus n
+    eps for the product of the pivots.  The result is doubled for the
+    neglected higher-order terms: a value outside its bound has a relative
+    error under 1/2.
+    """
+    n = len(F)
+    cols = _lu_inverse_columns(F)
+    a = [[abs(v) for v in row] for row in F]
+    gamma = 4 * n * eps / (1 - 4 * n * eps)
+    rel = n * eps
+    for i in range(n):
+        ai, err, xi = a[i], entry_err[order[i]], cols[i]
+        for j in range(n):
+            # (|L||U|)_ij, L unit lower triangular
+            lu = ai[j] if i <= j else ai[j] * a[j][j]
+            for k in range(min(i, j)):
+                lu += ai[k] * a[k][j]
+            rel += abs(xi[j]) * (gamma * lu + err[j])
+    return 2 * rel
+
+
+# ---------------------------------------------------------------------------
 # Minors: sign-regularity scans and compound matrices
 
 
@@ -226,16 +347,18 @@ def _as_rows(A: MatrixLike) -> tuple[tuple, ...]:
 
 
 def _det_any(rows, tol: ToleranceContext):
-    """Determinant of a small matrix: exact for rational entries, LU otherwise."""
+    """Determinant of a small matrix: exact for rational entries, LU otherwise.
+
+    The LU runs on floats at 53 bits when the entries allow it and on mpf
+    otherwise (not on ``decimal``: ``det-id`` prints these values in full,
+    and decimal rounds them differently)."""
     if all(isinstance(e, Rational) for row in rows for e in row):
         return det_fraction(rows)
     with tol.prec():
-        n = len(rows)
-        M = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = rows[i][j]
-        return mp.det(M)
+        ar = FLOAT_ARITH if tol.arith(e for row in rows for e in row) is FLOAT_ARITH else MP_ARITH
+        A = [[ar.num(e) for e in row] for row in rows]
+        _, sign = _lu_factor(A)
+        return mpf(_pivot_product(A, sign))
 
 
 def _minor_sign(rows, tol: ToleranceContext) -> int:
@@ -372,26 +495,65 @@ def det_closed_form_L4(config: PointConfig):
 # The determinant as a function of a complex exponent
 
 
+def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext):
+    """det L_z at one precision and a bound on its error, both in the
+    arithmetic ``ToleranceContext.complex_arith`` picks.
+
+    Entry errors: p^z = exp(z log p) is off by about eps |p^z| (1 + |z log p|)
+    (the rounding of z log p is magnified by the exponential), so an
+    off-diagonal entry carries 4 eps ((|p_i^z| (1 + |z log p_i|) + |p_j^z|
+    (1 + |z log p_j|)) / |p_i - p_j| + |entry|), and a diagonal entry
+    z p^(z-1) carries 4 eps |entry| (1 + |(z-1) log p|).  The nodes are
+    taken as held at working precision.
+    """
+    with tol.prec():
+        ar = tol.complex_arith(config.values(), z)
+        eps = ar.num(tol.eps())
+        p = [ar.num(v) for v in config.values()]
+        zz = ar.cnum(z)
+        n = config.n
+        logs = [ar.log(x) for x in p]
+        w = [zz * lg for lg in logs]
+        pz = [ar.cexp(v) for v in w]
+        spread = [abs(v) * (1 + abs(u)) for v, u in zip(pz, w)]
+        A = [[0] * n for _ in range(n)]
+        err = [[0] * n for _ in range(n)]
+        for i in range(n):
+            u = (zz - 1) * logs[i]
+            d = zz * ar.cexp(u)
+            A[i][i] = d
+            err[i][i] = 4 * eps * abs(d) * (1 + abs(u))
+            for j in range(i + 1, n):
+                gap = p[i] - p[j]
+                v = (pz[i] - pz[j]) / gap
+                A[i][j] = A[j][i] = v
+                err[i][j] = err[j][i] = 4 * eps * ((spread[i] + spread[j]) / abs(gap) + abs(v))
+        order, sign = _lu_factor(A)
+        if not sign:
+            return 0, 0
+        det = _pivot_product(A, sign)
+        return det, abs(det) * _lu_relative_bound(A, order, err, eps)
+
+
 def complex_det(config: PointConfig, z, tol: ToleranceContext = DEFAULT_TOL) -> mpc:
     """det [(p_i^z - p_j^z)/(p_i - p_j)] with principal-branch powers.
 
-    Diagonal entries take the limit z*p_i^(z-1); the determinant comes from
-    complex LU with partial pivoting.
+    Diagonal entries take the limit z*p_i^(z-1).  The determinant comes
+    from complex LU with partial pivoting and a first-order bound on its
+    error (``_complex_det_rung``), on Python ``complex`` at 53 bits when
+    ``ToleranceContext.complex_arith`` allows it and on mpc otherwise.  The
+    value of the first rung of the precision ladder (``escalated``, at most
+    ``MAX_ESCALATIONS`` times) that lies outside its bound is returned as an
+    mpc; when no rung resolves it the result is 0, which the zero scan reads
+    as a zero on its contour.  A non-finite z raises ValueError.
     """
-    with tol.prec():
-        p = config.mp_points()
-        zz = mpc(z)
-        n = config.n
-        logs = [mp.log(x) for x in p]
-        pz = [mp.exp(zz * l) for l in logs]
-        M = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    M[i, j] = zz * mp.exp((zz - 1) * logs[i])
-                else:
-                    M[i, j] = (pz[i] - pz[j]) / (p[i] - p[j])
-        return mp.det(M)
+    ctx = tol
+    for _ in range(MAX_ESCALATIONS + 1):
+        value, bound = _complex_det_rung(config, z, ctx)
+        if abs(value) > bound:
+            return value if isinstance(value, mpc) else mpc(value)  # mpc(mpc) rounds
+        ctx = ctx.escalated()
+    return mpc(0)
 
 
 @dataclass(frozen=True)
@@ -402,6 +564,9 @@ class Rect:
     im_max: float
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError(f"rectangle bounds must be finite, got {bounds}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("rectangle must have positive extent")
 
@@ -451,8 +616,22 @@ class _BoundaryZero(Exception):
     """A zero sits on (or too close to) the contour being integrated."""
 
 
-def _arg_step(f, z0, v0, z1, v1, depth):
-    d = mp.arg(v1 / v0)
+def _phase(v) -> float:
+    """arg v in (-pi, pi], through Python complex when v's magnitude fits."""
+    c = complex(v)
+    if _DET_FLOAT_MIN <= abs(c) <= _DET_FLOAT_MAX:
+        return cmath.phase(c)
+    return float(mp.arg(v))
+
+
+def _arg_step(f, z0, a0, z1, a1, depth):
+    """Change of arg f from z0 to z1, whose phases are a0 and a1, bisecting
+    until each step turns by at most 2 radians."""
+    d = a1 - a0
+    if d > math.pi:
+        d -= 2 * math.pi
+    elif d <= -math.pi:
+        d += 2 * math.pi
     if abs(d) <= 2.0:
         return d
     if depth >= 24:
@@ -461,7 +640,8 @@ def _arg_step(f, z0, v0, z1, v1, depth):
     vm = f(zm)
     if vm == 0:
         raise _BoundaryZero
-    return _arg_step(f, z0, v0, zm, vm, depth + 1) + _arg_step(f, zm, vm, z1, v1, depth + 1)
+    am = _phase(vm)
+    return _arg_step(f, z0, a0, zm, am, depth + 1) + _arg_step(f, zm, am, z1, a1, depth + 1)
 
 
 def _winding(f, rect: Rect, samples: int) -> int:
@@ -474,12 +654,13 @@ def _winding(f, rect: Rect, samples: int) -> int:
     vals = [f(z) for z in zs]
     if any(v == 0 for v in vals):
         raise _BoundaryZero
-    total = mpf(0)
+    phases = [_phase(v) for v in vals]
+    total = 0.0
     m = len(zs)
     for i in range(m):
-        total += _arg_step(f, zs[i], vals[i], zs[(i + 1) % m], vals[(i + 1) % m], 0)
-    w = total / (2 * mp.pi)
-    k = int(mpmath.nint(w))
+        total += _arg_step(f, zs[i], phases[i], zs[(i + 1) % m], phases[(i + 1) % m], 0)
+    w = total / (2 * math.pi)
+    k = round(w)
     if abs(w - k) > 0.25:
         raise _BoundaryZero
     return k

@@ -19,11 +19,19 @@ The policy includes the arithmetic the kernels run on, one of three:
   (it needs log1p and expm1, which ``decimal`` lacks) and any 53-bit input
   outside the float window.
 
-Kernels are written once against that namespace and return mpf.
+The complex determinant picks between two of them with
+``ToleranceContext.complex_arith``: at 53 bits Python ``complex`` and
+``cmath`` when the nodes, both parts of the exponent z and every
+|p^z| = p^(Re z) lie in the float window, and ``mpc`` at the context's
+precision otherwise.
+
+Kernels are written once against that namespace and return mpf (mpc for
+the complex determinant).
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import decimal
 import math
@@ -33,7 +41,7 @@ from numbers import Rational
 from typing import Callable, Optional, Sequence, Union
 
 import mpmath
-from mpmath import libmp, mp, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 Scalar = Union[int, float, Fraction]
 
@@ -53,8 +61,9 @@ def to_mpf(x) -> mpf:
 @dataclass(frozen=True)
 class Arith:
     """The scalar operations a kernel needs: conversion in (``num``) and back
-    to mpf (``out``), sqrt, a sum rounded once, and the elementary functions
-    of the divided-difference kernel."""
+    to mpf (``out``), sqrt, a sum rounded once, the elementary functions of
+    the divided-difference kernel, and complex conversion in (``cnum``) and
+    the complex exponential for the complex determinant."""
 
     name: str
     num: Callable = field(repr=False)
@@ -65,6 +74,8 @@ class Arith:
     exp: Callable = field(repr=False)
     log1p: Callable = field(repr=False)
     expm1: Callable = field(repr=False)
+    cnum: Callable = field(repr=False)
+    cexp: Callable = field(repr=False)
 
 
 @contextlib.contextmanager
@@ -120,16 +131,17 @@ def _decimal_fsum(terms) -> decimal.Decimal:
 
 
 def _not_in_decimal(x):
-    raise NotImplementedError("decimal has no log1p or expm1; a kernel with an exponent "
-                              "runs on mpmath")
+    raise NotImplementedError("decimal has no log1p, expm1 or complex numbers; a kernel "
+                              "with an exponent runs on mpmath")
 
 
 FLOAT_ARITH = Arith("float", float, mpf, math.sqrt, math.fsum, math.log, math.exp,
-                    math.log1p, math.expm1)
+                    math.log1p, math.expm1, complex, cmath.exp)
 DEC_ARITH = Arith("decimal", _to_decimal, _mpf_from_decimal, decimal.Decimal.sqrt,
                   _decimal_fsum, decimal.Decimal.ln, decimal.Decimal.exp,
-                  _not_in_decimal, _not_in_decimal)
-MP_ARITH = Arith("mp", to_mpf, mpf, mp.sqrt, mp.fsum, mp.log, mp.exp, mp.log1p, mp.expm1)
+                  _not_in_decimal, _not_in_decimal, _not_in_decimal, _not_in_decimal)
+MP_ARITH = Arith("mp", to_mpf, mpf, mp.sqrt, mp.fsum, mp.log, mp.exp, mp.log1p, mp.expm1,
+                 mpc, mp.exp)
 
 # Nonzero float magnitudes the float tier accepts (see the module docstring).
 _FLOAT_MIN = 2.0 ** -200
@@ -228,6 +240,20 @@ class ToleranceContext:
             return MP_ARITH if r is not None else DEC_ARITH
         if (fits and _in_float_window((self.zero_rel_tol, self.residual_tol))
                 and (r is None or _powers_in_float_window(values, r))):
+            return FLOAT_ARITH
+        return MP_ARITH
+
+    def complex_arith(self, nodes, z) -> Arith:
+        """The arithmetic for the complex determinant at the exponent z.
+
+        ``FLOAT_ARITH`` (Python ``complex`` and ``cmath``) when ``arith``
+        gives it for the nodes with r = Re z, so at 53 bits with the nodes,
+        Re z and every |p^z| = p^(Re z) in the float window, and Im z is in
+        the window too; ``MP_ARITH`` (``mpc``) otherwise.  A NaN or
+        infinite part of z raises ValueError at any precision.
+        """
+        imag_fits = _in_float_window((z.imag,))
+        if self.arith(nodes, z.real) is FLOAT_ARITH and imag_fits:
             return FLOAT_ARITH
         return MP_ARITH
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from loewnerlab import (
     ComboFunction,
@@ -28,7 +28,9 @@ from loewnerlab import (
     pr_compare,
     ssr_scan,
 )
+from loewnerlab import analysis
 from loewnerlab.exact import det_fraction
+from loewnerlab.types import FLOAT_ARITH, MP_ARITH
 
 from helpers import nonintegral, perm_det, random_config, random_rational_config
 
@@ -365,3 +367,210 @@ def test_ssr_implies_perron_simplicity():
             eigs = [abs(e) for e in eig_sym(comp, ctx).eigenvalues]
             eigs.sort(reverse=True)
             assert eigs[0] > eigs[1] * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The complex determinant: LU with an error bound on the arithmetic seam
+
+
+def _reference_det(cfg, z, bits=512):
+    """det L_z by mpmath's own LU at ``bits``, an oracle independent of the
+    package's LU."""
+    with mp.workprec(bits):
+        p = cfg.mp_points()
+        zz = mpc(z)
+        M = mp.matrix(cfg.n, cfg.n)
+        for i in range(cfg.n):
+            for j in range(cfg.n):
+                M[i, j] = (zz * p[i] ** (zz - 1) if i == j
+                           else (p[i] ** zz - p[j] ** zz) / (p[i] - p[j]))
+        return mp.det(M)
+
+
+@pytest.fixture
+def complex_tiers(monkeypatch):
+    """Record the arithmetic each complex-determinant rung is given."""
+    seen = []
+    original = ToleranceContext.complex_arith
+
+    def spy(self, nodes, z):
+        ar = original(self, nodes, z)
+        seen.append((self.precision_bits, ar))
+        return ar
+
+    monkeypatch.setattr(ToleranceContext, "complex_arith", spy)
+    return seen
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_complex_det_bound_holds_against_512_bits(bits):
+    tol = ToleranceContext.at_bits(bits)
+    rng = random.Random(707)
+    resolved = {}
+    for n in range(3, 11):
+        resolved[n] = 0
+        for _ in range(6):
+            cfg = random_config(rng, n, lo=0.5, hi=6.0, min_gap=0.3)
+            z = complex(rng.uniform(-1.0, n + 1.0), rng.uniform(-2.0, 2.0))
+            value, bound = analysis._complex_det_rung(cfg, z, tol)
+            if abs(value) <= bound:
+                continue
+            resolved[n] += 1
+            assert complex_det(cfg, z, tol) == value
+            with mp.workprec(512):
+                assert abs(value - _reference_det(cfg, z)) <= bound
+    assert all(resolved[n] == 6 for n in (3, 4, 5)), resolved
+
+
+def test_complex_det_climbs_for_a_sample_53_bits_cannot_resolve(complex_tiers):
+    # nodes 1..10 at 1.3+0.2i: the 53-bit LU has no correct digit
+    cfg = make_point_config(range(1, 11))
+    z = complex(1.3, 0.2)
+    value, bound = analysis._complex_det_rung(cfg, z, ToleranceContext())
+    assert abs(value) <= bound
+    d = complex_det(cfg, z)
+    assert [bits for bits, _ in complex_tiers][-2:] == [53, 256]
+    value, bound = analysis._complex_det_rung(cfg, z, ToleranceContext.at_bits(256))
+    assert d == value and abs(value) > bound
+    with mp.workprec(512):
+        ref = _reference_det(cfg, z)
+        assert abs(d - ref) <= min(bound, 1e-12 * abs(ref))
+
+
+def test_complex_det_far_right_is_not_a_zero():
+    # |det| is about 1.6e1006 while mpmath's eps*||A|| singularity test reads 0 up to 256 bits
+    cfg = make_point_config((1, 2, 3))
+    d = complex_det(cfg, 800)
+    with mp.workprec(512):
+        ref = _reference_det(cfg, 800)
+        assert ref.real < mpf("-1e1006")
+        assert abs(d - ref) <= 1e-10 * abs(ref)
+
+
+def test_complex_det_exact_zero_exhausts_the_ladder(complex_tiers):
+    d = complex_det(make_point_config((1, 2, 3)), 1)
+    assert d == 0 and type(d) is mpc
+    assert [bits for bits, _ in complex_tiers] == [53, 256, 512]
+
+
+def test_complex_float_tier_only_at_53_bits_inside_the_window(complex_tiers):
+    cfg = make_point_config((1, 2, 3))
+    complex_det(cfg, complex(1.5, 0.5))
+    complex_det(cfg, complex(1.5, 0.5), ToleranceContext.at_bits(256))
+    complex_det(cfg, 800)            # 3^800 is far above 2^200
+    complex_det(cfg, complex(1.5, 1e70))  # Im z above the window: unresolved
+    complex_det(cfg, complex(1.5, 1e-70))  # Im z below the window, nonzero
+    assert complex_tiers[0] == (53, FLOAT_ARITH)
+    assert complex_tiers[1] == (256, MP_ARITH)
+    assert all(ar is MP_ARITH for _, ar in complex_tiers[2:])
+
+
+def test_complex_det_outputs_stay_mpc():
+    cfg = make_point_config((1, 2, 3))
+    for z, tol in ((complex(1.5, 0.5), ToleranceContext()),
+                   (complex(1.5, 0.5), ToleranceContext.at_bits(256)),
+                   (800, ToleranceContext()), (1, ToleranceContext())):
+        assert type(complex_det(cfg, z, tol)) is mpc
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(1, math.inf), math.inf,
+                               mpc(mpf("nan"), 0)])
+def test_complex_det_rejects_non_finite_exponents(z):
+    with pytest.raises(ValueError, match="non-finite"):
+        complex_det(make_point_config((1, 2, 3)), z)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, math.inf, -1, 1), (0, 1, -1, math.nan),
+                                    (0, 1, -math.inf, 1)])
+def test_rect_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Rect(*bounds)
+
+
+def test_det_any_matches_mpmath_lu():
+    rng = random.Random(709)
+    for bits in (53, 128):
+        tol = ToleranceContext.at_bits(bits)
+        for n in (2, 3, 4, 5):
+            rows = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
+            with mp.workprec(bits + 64):
+                ref = mp.det(mp.matrix(rows))
+            with mp.workprec(bits):
+                d = analysis._det_any(rows, tol)
+                assert type(d) is mpf
+                assert abs(d - ref) <= 64 * n * 2.0 ** -bits * mp.fsum(
+                    abs(v) for v in rows[0]) ** n
+    with mp.workprec(53):
+        assert analysis._det_any([[1.5, 1.5], [1.5, 1.5]], ToleranceContext()) == 0
+
+
+@pytest.mark.parametrize("scale", [1e-50, 1e50])
+def test_det_any_keeps_the_range_beyond_floats(scale):
+    # float entries, determinant near 1e-350 or 1e350: beyond the float range
+    rng = random.Random(711)
+    rows = [[rng.uniform(1, 2) * scale for _ in range(7)] for _ in range(7)]
+    with mp.workprec(53):
+        d = analysis._det_any(rows, ToleranceContext())
+    with mp.workprec(128):
+        ref = mp.det(mp.matrix(rows))
+        assert abs(d - ref) <= 1e-10 * abs(ref)
+    assert ssr_scan(rows).per_k[-1] == ('+' if ref > 0 else '-')
+
+
+def test_complex_det_beyond_the_float_range_keeps_the_float_tier(complex_tiers):
+    # entries inside the float window, their product of pivots above 2^1000
+    cfg = make_point_config(range(1, 9))
+    d = complex_det(cfg, 60)
+    assert complex_tiers == [(53, FLOAT_ARITH)]
+    value, bound = analysis._complex_det_rung(cfg, 60, ToleranceContext())
+    with mp.workprec(512):
+        ref = _reference_det(cfg, 60)
+        assert abs(ref) > mpf(2) ** 1200
+        assert abs(d - ref) <= bound
+
+
+def test_complex_det_bound_covers_the_rounding_of_z_log_p():
+    # |z log p| ~ 1e6: each p^z is off by about 1e6 eps, far above the LU's own error
+    cfg = make_point_config((1, 2, 3))
+    z = complex(0.5, 1e6)
+    value, bound = analysis._complex_det_rung(cfg, z, ToleranceContext())
+    assert abs(value) > bound
+    with mp.workprec(512):
+        err = abs(value - _reference_det(cfg, z))
+    assert 1e4 * 2.0 ** -52 * abs(value) < err <= bound
+
+
+@pytest.mark.parametrize("nodes, z", [
+    ((1, 1.000001, 2), complex(2.5, 0.5)),      # p_i^z - p_j^z cancels over a gap of 1e-6
+    ((0.7, 0.70000005, 2), complex(-0.75, 4500)),  # and the rounding of z log p is divided by it
+])
+def test_complex_det_bound_covers_close_nodes(nodes, z):
+    # the 53-bit value is off by 100% and 9% here: only the off-diagonal entry
+    # errors, which grow as 1/|p_i - p_j|, keep it from counting as resolved
+    cfg = make_point_config(nodes)
+    value, bound = analysis._complex_det_rung(cfg, z, ToleranceContext())
+    assert abs(value) <= bound
+    d = complex_det(cfg, z)
+    with mp.workprec(512):
+        ref = _reference_det(cfg, z)
+        assert abs(value - ref) > 0.05 * abs(ref)
+        assert abs(d - ref) <= 1e-30 * abs(ref)
+
+
+def test_lu_bound_covers_the_factorisation_error():
+    # exact float entries (no entry error): the backward error alone must cover det
+    for n in (4, 6, 8):
+        rows = [[1.0 / (i + j + 1) for j in range(n)] for i in range(n)]
+        exact = det_fraction([[Fraction(v) for v in row] for row in rows])
+        F = [row[:] for row in rows]
+        order, sign = analysis._lu_factor(F)
+        det = math.prod((F[k][k] for k in range(n)), start=sign)
+        rel = analysis._lu_relative_bound(F, order, [[0.0] * n for _ in range(n)], 2.0 ** -52)
+        err = abs(Fraction(det) - exact) / abs(exact)
+        assert 2 * n * 2.0 ** -52 < err <= rel
+
+
+def test_phase_keeps_the_range_of_mpc():
+    for v in (mpc(-3, 4), mpc(mpf("-1.6e1006"), mpf("1e1005")),
+              mpc(mpf("1e-400"), mpf("-2e-400")), mpc(mpf("1e-400"), 1)):
+        assert analysis._phase(v) == pytest.approx(float(mp.arg(v)), abs=1e-15)

@@ -242,3 +242,27 @@ def test_sweep_reports_each_dropped_point(capsys):
     lines = err.splitlines()
     assert [line.split(" dropped:")[0] for line in lines] == [
         "error: r=0.5", "error: r=1.5", "error: r=2.5"]
+
+
+def test_complex_zeros_far_right_has_no_zero(capsys):
+    # no zero here, but each |det| is near 1e1006: a singularity test relative to
+    # eps*||A|| would report zeros on the contour (exit 1)
+    code, out, _ = run(capsys, "complex-zeros", "--points", "1,2,3",
+                       "--region", "799:801:-1:1", "--grid", "4")
+    assert code == 0
+    assert json.loads(out)["total_winding"] == 0
+
+
+def test_complex_zeros_ten_nodes_resolves_or_is_a_usage_error(capsys):
+    # 53 bits has no correct digit of det here: the samples must climb the ladder
+    # rather than read as zeros on the contour (exit 1)
+    code, out, _ = run(capsys, "complex-zeros", "--points", "1,2,3,4,5,6,7,8,9,10",
+                       "--region", "1.45:1.55:-0.05:0.05")
+    assert code == 2 or (code == 0 and json.loads(out)["total_winding"] == 0)
+
+
+def test_complex_zeros_rejects_a_non_finite_region(capsys):
+    code, out, err = run(capsys, "complex-zeros", "--points", "1,2,3",
+                         "--region=-inf:inf:-1:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rectangle bounds must be finite")
