@@ -9,8 +9,8 @@ bits when the nodes, z and every |p^z| lie in the float window
 (``ToleranceContext.complex_arith``), and on mpc otherwise, and pairs each
 value with a first-order bound on its error: the backward error of the
 factorisation plus the rounding of the entries (``_lu_relative_bound``).
-A value inside its bound is retried one rung up the precision ladder, at
-most ``inertia.MAX_ESCALATIONS`` times, and comes out as 0 when no rung
+A value inside its bound is retried on the next rung of the precision
+ladder (``ToleranceContext.rungs``) and comes out as 0 when no rung
 resolves it; the argument-principle scan reads a 0 as a zero on its
 contour and re-grids.
 """
@@ -32,7 +32,7 @@ from mpmath import libmp, mp, mpc, mpf
 from . import builders
 from .builders import LoewnerSpec
 from .exact import det_fraction
-from .inertia import MAX_ESCALATIONS, InertiaReport, consensus_inertia, eig_sym, exact_route_hint
+from .inertia import InertiaReport, _settle, eig_sym, exact_route_hint
 from .types import (
     DEFAULT_TOL,
     FLOAT_ARITH,
@@ -133,13 +133,22 @@ def combo_eval(f: ComboFunction, x: Scalar, tol: ToleranceContext = DEFAULT_TOL)
 
 @dataclass(frozen=True)
 class ScanPolicy:
-    """Interval and grid policy for the sign scan (None fields use defaults)."""
+    """Interval and grid of the sign scan; a None end of the interval
+    defaults to the smallest node / 100 or the largest * 100."""
 
     x_min: Optional[float] = None
     x_max: Optional[float] = None
-    grid: Optional[int] = None
-    refine_levels: int = 3
-    refine_points: int = 8
+    grid: int = 100_000
+
+    def __post_init__(self):
+        if not self.grid >= 2:
+            raise ValueError(f"the scan grid needs at least 2 points, got {self.grid!r}")
+
+
+# Local refinement of a grid value within its roundoff bound: nested levels,
+# each with this many interior points.
+_REFINE_LEVELS = 3
+_REFINE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,8 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
     """Count strict sign changes of the combination on a geometric grid.
 
     Values within their own roundoff bound are refined locally (up to
-    refine_levels); whatever stays unresolved is reported as ambiguous
-    rather than guessed.  Changes are only counted between strictly
+    ``_REFINE_LEVELS`` nested levels); whatever stays unresolved is reported
+    as ambiguous rather than guessed.  Changes are only counted between strictly
     classified values, so the count never exceeds the true zero count.
     At 53 bits the grid and the values are computed in Python floats when
     the inputs allow it (see ``_combo_terms``).
@@ -168,7 +177,7 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
         b = mpf(scan.x_max) if scan.x_max is not None else mpf(max(pts)) * 100
         if not 0 < a < b:
             raise ValueError("scan interval must satisfy 0 < x_min < x_max")
-        N = scan.grid if scan.grid is not None else tol.grid_points
+        N = scan.grid
         ar, r, m, terms = _combo_terms(f, (a, b), tol)
         a, b = ar.num(a), ar.num(b)
         bound_factor = (16 + f.config.n) * ar.num(tol.eps())
@@ -189,13 +198,13 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
 
         def refine(lo, hi, level):
             llo, lhi = ar.log(lo), ar.log(hi)
-            k = scan.refine_points
+            k = _REFINE_POINTS
             inner = [ar.exp(llo + (lhi - llo) * (i + 1) / (k + 1)) for i in range(k)]
             cls = [(x, classify(x)) for x in inner]
             pts_loc = [lo] + inner + [hi]
             for idx, (x, s) in enumerate(cls):
                 if s == 0:
-                    if level >= scan.refine_levels:
+                    if level >= _REFINE_LEVELS:
                         unresolved.append(x)
                     else:
                         refine(pts_loc[idx], pts_loc[idx + 2], level + 1)
@@ -542,17 +551,15 @@ def complex_det(config: PointConfig, z, tol: ToleranceContext = DEFAULT_TOL) -> 
     from complex LU with partial pivoting and a first-order bound on its
     error (``_complex_det_rung``), on Python ``complex`` at 53 bits when
     ``ToleranceContext.complex_arith`` allows it and on mpc otherwise.  The
-    value of the first rung of the precision ladder (``escalated``, at most
-    ``MAX_ESCALATIONS`` times) that lies outside its bound is returned as an
-    mpc; when no rung resolves it the result is 0, which the zero scan reads
-    as a zero on its contour.  A non-finite z raises ValueError.
+    value of the first rung of ``tol.rungs()`` that lies outside its bound
+    is returned as an mpc; when no rung resolves it the result is 0, which
+    the zero scan reads as a zero on its contour.  A non-finite z raises
+    ValueError.
     """
-    ctx = tol
-    for _ in range(MAX_ESCALATIONS + 1):
+    for ctx in tol.rungs():
         value, bound = _complex_det_rung(config, z, ctx)
         if abs(value) > bound:
             return value if isinstance(value, mpc) else mpc(value)  # mpc(mpc) rounds
-        ctx = ctx.escalated()
     return mpc(0)
 
 
@@ -644,12 +651,16 @@ def _arg_step(f, z0, a0, z1, a1, depth):
     return _arg_step(f, z0, a0, zm, am, depth + 1) + _arg_step(f, zm, am, z1, a1, depth + 1)
 
 
-def _winding(f, rect: Rect, samples: int) -> int:
+# Samples on each side of a contour before the adaptive bisection of ``_arg_step``.
+_SAMPLES_PER_SIDE = 48
+
+
+def _winding(f, rect: Rect) -> int:
     corners = rect.corners()
     zs = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        for i in range(samples):
-            t = i / samples
+        for i in range(_SAMPLES_PER_SIDE):
+            t = i / _SAMPLES_PER_SIDE
             zs.append(a + (b - a) * t)
     vals = [f(z) for z in zs]
     if any(v == 0 for v in vals):
@@ -666,7 +677,7 @@ def _winding(f, rect: Rect, samples: int) -> int:
     return k
 
 
-def _subdivide(f, rect: Rect, winding: int, depth: int, samples: int) -> list[ZeroCell]:
+def _subdivide(f, rect: Rect, winding: int, depth: int) -> list[ZeroCell]:
     if winding == 0:
         return []
     if depth <= 0:
@@ -674,12 +685,12 @@ def _subdivide(f, rect: Rect, winding: int, depth: int, samples: int) -> list[Ze
     for ratio in (0.5, 0.537, 0.463, 0.519):
         try:
             children = rect.split(ratio)
-            ws = [_winding(f, ch, samples) for ch in children]
+            ws = [_winding(f, ch) for ch in children]
             if sum(ws) != winding:
                 continue
             out = []
             for ch, w in zip(children, ws):
-                out.extend(_subdivide(f, ch, w, depth - 1, samples))
+                out.extend(_subdivide(f, ch, w, depth - 1))
             return out
         except _BoundaryZero:
             continue
@@ -687,8 +698,7 @@ def _subdivide(f, rect: Rect, winding: int, depth: int, samples: int) -> list[Ze
 
 
 def complex_zero_scan(config: PointConfig, region, grid: int = 32,
-                      tol: ToleranceContext = DEFAULT_TOL,
-                      samples_per_side: int = 48) -> ComplexScanReport:
+                      tol: ToleranceContext = DEFAULT_TOL) -> ComplexScanReport:
     """Locate zeros of the complex determinant by argument-principle winding.
 
     The region is subdivided until cells shrink to ~1/grid of the region;
@@ -696,24 +706,22 @@ def complex_zero_scan(config: PointConfig, region, grid: int = 32,
     number of zeros inside, with multiplicity).  Boundary zeros trigger
     bounded re-gridding.  Absence of reported cells is evidence, not proof.
     """
+    if not grid >= 1:
+        raise ValueError(f"the scan grid must be at least 1, got {grid!r}")
     rect = region if isinstance(region, Rect) else Rect(*region)
-    depth = max(1, int(mpmath.ceil(mp.log(grid, 2))))
+    depth = max(1, (math.ceil(grid) - 1).bit_length())  # ceil(log2 grid)
 
     def f(z):
         return complex_det(config, z, tol)
 
-    regrids = 0
-    last = None
-    for attempt in range(4):
+    for regrids in range(4):
         try:
-            total = _winding(f, rect, samples_per_side)
-            cells = _subdivide(f, rect, total, depth, samples_per_side)
+            total = _winding(f, rect)
+            cells = _subdivide(f, rect, total, depth)
             return ComplexScanReport(rect, total, tuple(cells), regrids)
-        except _BoundaryZero as exc:
-            last = exc
-            rect = rect.inflated(1.0 + 0.017 * (attempt + 1))
-            regrids += 1
-    raise ArithmeticError("a determinant zero stayed on the contour after re-gridding") from last
+        except _BoundaryZero:
+            rect = rect.inflated(1.0 + 0.017 * (regrids + 1))
+    raise ArithmeticError("a determinant zero stayed on the contour after re-gridding")
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +831,12 @@ class PrCompareReport:
 
 def pr_compare(config: PointConfig, r: Scalar,
                tol: ToleranceContext = DEFAULT_TOL) -> PrCompareReport:
-    """Compare the inertia of [(p_i+p_j)^r] with that of L_{r+1}."""
+    """Compare the inertia of [(p_i+p_j)^r] with that of L_{r+1}, each matrix
+    rebuilt at every rung of the ladder."""
     if not r > 0:
         raise ValueError(f"exponent must be positive, got {r!r}")
-    P = builders.power_sum_matrix(config, r, tol)
-    p_rep = consensus_inertia(P, tol)
-    ex = Exponent.of(r + 1)
-    L = builders.loewner_matrix(LoewnerSpec(config, ex), tol)
-    l_rep = consensus_inertia(L, tol, exact_hint=exact_route_hint(config, ex))
+    p_rep, _, _ = _settle(lambda ctx: builders.power_sum_matrix(config, r, ctx), tol)
+    spec = LoewnerSpec(config, Exponent.of(r + 1))
+    l_rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(spec, ctx), tol,
+                          exact_route_hint(config, spec.exponent))
     return PrCompareReport(p_rep, l_rep, p_rep.consensus == l_rep.consensus)

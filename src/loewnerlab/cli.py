@@ -1,8 +1,9 @@
 """Command-line surface: build matrices, verify predicted inertia, sweep
 eigenvalue trajectories, and run the analysis probes.
 
-Exit codes: 0 success / property holds, 1 property violation, 2 usage error
-(a tolerance or precision the eigensolver cannot reach included).
+Exit codes: 0 success / property holds, 1 property violation (a false ``ok``
+or ``match`` in the payload), 2 usage error or a computation that could not
+finish (an unreachable tolerance, an exhausted ladder, an arithmetic trap).
 Points written as integers or fractions (``3``, ``7/2``) parse as exact
 rationals and propagate exactness to the integer-exponent paths; decimal
 notation parses as floats.
@@ -18,7 +19,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -37,7 +37,6 @@ from .types import (
 )
 
 SCHEMA_VERSION = 1
-PRECISION_ENV = "LOEWNERLAB_PRECISION_BITS"
 
 
 def parse_scalar(tok: str):
@@ -103,9 +102,7 @@ def _csv(rows) -> str:
 
 
 def _context(args) -> ToleranceContext:
-    bits = args.precision_bits
-    if bits is None:
-        bits = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS))
+    bits = DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
     overrides = {"zero_rel_tol": args.zero_rel_tol, "residual_tol": args.residual_tol}
     return dataclasses.replace(ToleranceContext.at_bits(bits),
                                **{k: v for k, v in overrides.items() if v is not None})
@@ -157,7 +154,7 @@ def cmd_sweep(args, ctx, values):
     a, b, steps = parse_range(args.r_range)
     cfg = make_point_config(values)
     explicit = (args.precision_bits is not None or args.zero_rel_tol is not None
-                or args.residual_tol is not None or PRECISION_ENV in os.environ)
+                or args.residual_tol is not None)
     # Without an explicit precision the sweep picks its own.
     s = sweep_mod.eigen_trajectories(cfg, a, b, steps, ctx if explicit else None)
     header, rows = sweep_mod.emit_figure1(s, scaling=args.scale)
@@ -270,7 +267,7 @@ def _opt(flag: str, **kwargs):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int, default=None,
-                        help=f"working precision in mantissa bits (env {PRECISION_ENV}, default 53)")
+                        help=f"working precision in mantissa bits (default {DEFAULT_PRECISION_BITS})")
     common.add_argument("--zero-rel-tol", type=float, default=None)
     common.add_argument("--residual-tol", type=float, default=None)
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
@@ -301,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
             _opt("--scale", choices=["signed-log", "none"], default="signed-log"))
     command("zeros", cmd_zeros, "count sign changes of a divided-difference combination",
             _opt("--coeffs", required=True), r, _opt("--x-min", type=float, default=None),
-            _opt("--x-max", type=float, default=None), _opt("--grid", type=int, default=None))
+            _opt("--x-max", type=float, default=None),
+            _opt("--grid", type=int, default=analysis.ScanPolicy.grid))
     command("ssr", cmd_ssr, "scan all minors for sign regularity", r,
             _opt("--k-max", type=int, default=None))
     command("det-id", cmd_det_id, "check the three-point determinant closed forms")
@@ -328,12 +326,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(out)
         return code
-    except (ValueError, EigenConvergenceError) as exc:
+    except (ValueError, ArithmeticError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry():

@@ -6,7 +6,8 @@ block congruence elimination with 1x1 and 2x2 pivots and counts pivot
 signs, which preserves inertia by Sylvester's law.  Route three, available
 for integer exponents with rational nodes, diagonalizes the exact rational
 matrix.  A report reconciles whichever routes ran and keeps the spectrum
-its eigenvalue route classified.  ``_settle`` is the one precision ladder.
+its eigenvalue route classified.  ``_settle`` climbs the one precision
+ladder, ``ToleranceContext.rungs``.
 
 The two float routes are written once against ``ToleranceContext.arith``
 and take whichever arithmetic it picks, unchanged:
@@ -48,9 +49,6 @@ from .types import (
 
 # Bunch-Parlett pivot constant: bounds element growth in the 1x1/2x2 choice.
 _BP_ALPHA = (1 + math.sqrt(17)) / 8
-
-# Rungs above the starting precision that ``_settle`` tries before it gives up.
-MAX_ESCALATIONS = 2
 
 
 class EigenConvergenceError(RuntimeError):
@@ -311,22 +309,21 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
             exact_hint: Optional[tuple[PointConfig, int]] = None,
             target: Optional[Inertia] = None) -> tuple[InertiaReport, ToleranceContext, int]:
     """The precision ladder: (report, context, escalations) of the rung it
-    stopped at.  Each rung builds the matrix with ``build(ctx)`` and runs
-    ``inertia`` on it, until the routes agree on a consensus equal to
-    ``target`` (if given) or after ``MAX_ESCALATIONS`` escalations.  The
+    stopped at.  Each rung of ``tol.rungs()`` builds the matrix with
+    ``build(ctx)`` and runs ``inertia`` on it, until the routes agree on a
+    consensus equal to ``target`` (if given) or the rungs run out.  The
     exact route runs once, whatever the number of rungs.  (Private, so that
     perfbench's tracer sees each rung's ``inertia`` call under the caller.)"""
     hint = _as_exact_hint(exact_hint)
-    ctx, escalations = tol, 0
-    while True:
+    for escalations, ctx in enumerate(tol.rungs()):
         rep = inertia(build(ctx), ctx, exact_hint=hint)
-        settled = not rep.disagreement and (target is None or rep.consensus == target)
-        if settled or escalations == MAX_ESCALATIONS:
-            return rep, ctx, escalations
-        ctx, escalations = ctx.escalated(), escalations + 1
+        if not rep.disagreement and (target is None or rep.consensus == target):
+            break
+    return rep, ctx, escalations
 
 
 def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                       exact_hint: Optional[tuple[PointConfig, int]] = None) -> InertiaReport:
-    """Inertia report of A, escalating precision until the routes agree."""
+    """Inertia report of the already built A, escalating the routes' precision
+    (not A's) until they agree; ``_settle`` rebuilds a matrix per rung."""
     return _settle(lambda ctx: A, tol, exact_hint)[0]

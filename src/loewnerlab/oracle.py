@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 from . import builders
 from .builders import LoewnerSpec
 # perfbench's tracer test looks up ``inertia_report`` here.
-from .inertia import _settle, consensus_inertia, exact_route_hint, inertia as inertia_report
+from .inertia import _settle, exact_route_hint, inertia as inertia_report
 from .types import (
     DEFAULT_TOL,
     Exponent,
@@ -104,10 +104,6 @@ def verify_instance(config: PointConfig, r: Scalar,
                         ctx.precision_bits, escalations)
 
 
-def _moment_rows(p, k):
-    return [[x ** j for x in p] for j in range(k)]
-
-
 def subspace_basis(config: PointConfig, k: int,
                    tol: ToleranceContext = DEFAULT_TOL) -> tuple[tuple, ...]:
     """Orthonormal basis of H_k = {x : sum p_i^j x_i = 0 for j < k} as n x (n-k) rows.
@@ -115,21 +111,17 @@ def subspace_basis(config: PointConfig, k: int,
     Computed from an orthogonal factorization of the transposed k x n moment
     matrix; the trailing columns of the orthogonal factor span its null
     space.  Inertia under compression is basis-independent by Sylvester's
-    law, so only orthonormality and the moment residual matter here.
+    law, so only orthonormality and the moment residual matter here.  It
+    climbs ``tol.rungs()`` until the residual is within tolerance, else
+    raises ArithmeticError.
     """
     n = config.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    ctx = tol
-    for attempt in range(2):
+    for ctx in tol.rungs():
         with ctx.prec():
-            p = config.mp_points()
-            moments = _moment_rows(p, k)
-            Mt = mpmath.matrix(n, k)
-            for i in range(n):
-                for j in range(k):
-                    Mt[i, j] = moments[j][i]
-            Q, _ = mp.qr(Mt, mode='full')
+            moments = [[x ** j for x in config.mp_points()] for j in range(k)]
+            Q, _ = mp.qr(mpmath.matrix(moments).T, mode='full')
             basis = tuple(tuple(Q[i, c] for c in range(k, n)) for i in range(n))
             worst = mpf(0)
             for j in range(k):
@@ -139,7 +131,6 @@ def subspace_basis(config: PointConfig, k: int,
                     worst = max(worst, res / row_norm)
             if worst <= to_mpf(ctx.residual_tol):
                 return basis
-        ctx = ctx.escalated()
     raise ArithmeticError(
         f"moment residual {mp.nstr(worst, 5)} exceeds tolerance even after escalation"
     )
@@ -147,18 +138,21 @@ def subspace_basis(config: PointConfig, k: int,
 
 def conditional_inertia(config: PointConfig, r: Scalar, k: int,
                         tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
-    """Inertia of the compression of L_r onto H_k."""
-    n = config.n
-    Q = subspace_basis(config, k, tol)
-    with tol.prec():
-        L = builders.loewner_matrix(LoewnerSpec.of(config, r), tol)
-        m = n - k
-        LQ = [[mp.fsum(to_mpf(L.entries[i][t]) * Q[t][c] for t in range(n))
-               for c in range(m)] for i in range(n)]
-        B = [[mp.fsum(Q[i][a] * LQ[i][c] for i in range(n))
-              for c in range(m)] for a in range(m)]
-        Bs = SymMatrix.build(m, lambda a, c: (B[a][c] + B[c][a]) / 2)
-    return consensus_inertia(Bs, tol).consensus
+    """Inertia of the compression of L_r onto H_k; the basis, L_r and the
+    compression are rebuilt at each rung of the ladder."""
+    n, m = config.n, config.n - k
+
+    def build(ctx):
+        Q = subspace_basis(config, k, ctx)
+        with ctx.prec():
+            L = builders.loewner_matrix(LoewnerSpec.of(config, r), ctx)
+            LQ = [[mp.fsum(to_mpf(L.entries[i][t]) * Q[t][c] for t in range(n))
+                   for c in range(m)] for i in range(n)]
+            B = [[mp.fsum(Q[i][a] * LQ[i][c] for i in range(n))
+                  for c in range(m)] for a in range(m)]
+            return SymMatrix.build(m, lambda a, c: (B[a][c] + B[c][a]) / 2)
+
+    return _settle(build, tol)[0].consensus
 
 
 def prop21_check(config: PointConfig, r: Scalar,
@@ -168,8 +162,7 @@ def prop21_check(config: PointConfig, r: Scalar,
         raise ValueError(f"exponent must exceed 1, got {r!r}")
     if config.n < 2:
         raise ValueError("need at least two points")
-    rep = consensus_inertia(
-        builders.loewner_matrix(LoewnerSpec.of(config, r), tol), tol)
+    rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(LoewnerSpec.of(config, r), ctx), tol)
     return rep.consensus.neg >= 1
 
 

@@ -41,7 +41,6 @@ class SpectrumSweep:
     grid: tuple[float, ...]
     trajectories: tuple  # per grid point: ascending eigenvalue tuple, or None on failure
     inertias: tuple      # per grid point: Inertia, or None on failure
-    scaling: str = "none"
     failures: tuple = ()
     precision_bits: int = DEFAULT_PRECISION_BITS
 
@@ -107,7 +106,7 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
             inertias.append(None)
             failures.append((idx, str(exc)))
     return SpectrumSweep(config, tuple(grid), tuple(trajectories), tuple(inertias),
-                         "none", tuple(failures), tol.precision_bits)
+                         tuple(failures), tol.precision_bits)
 
 
 @dataclass(frozen=True)

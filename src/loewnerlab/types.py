@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
@@ -48,7 +48,9 @@ Scalar = Union[int, float, Fraction]
 DEFAULT_PRECISION_BITS = 53
 DEFAULT_ZERO_REL_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-12
-DEFAULT_GRID_POINTS = 100_000
+
+# Rungs above the starting precision that ``ToleranceContext.rungs`` yields.
+MAX_ESCALATIONS = 2
 
 
 def to_mpf(x) -> mpf:
@@ -187,7 +189,6 @@ class ToleranceContext:
     precision_bits: int = DEFAULT_PRECISION_BITS
     zero_rel_tol: Union[float, mpf] = DEFAULT_ZERO_REL_TOL
     residual_tol: Union[float, mpf] = DEFAULT_RESIDUAL_TOL
-    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
         if self.precision_bits < 53:
@@ -196,23 +197,29 @@ class ToleranceContext:
             raise ValueError("zero_rel_tol must be positive")
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
 
     @classmethod
-    def at_bits(cls, bits: int, grid_points: int = DEFAULT_GRID_POINTS) -> "ToleranceContext":
+    def at_bits(cls, bits: int) -> "ToleranceContext":
         """Context at ``bits`` of precision with proportionally scaled thresholds."""
         scale = mpf(2) ** (DEFAULT_PRECISION_BITS - bits)
         return cls(
             precision_bits=bits,
             zero_rel_tol=DEFAULT_ZERO_REL_TOL * scale,
             residual_tol=DEFAULT_RESIDUAL_TOL * scale,
-            grid_points=grid_points,
         )
 
     def escalated(self) -> "ToleranceContext":
         """Next context in the escalation ladder (at least 256 bits, else doubled)."""
-        return ToleranceContext.at_bits(max(2 * self.precision_bits, 256), self.grid_points)
+        return ToleranceContext.at_bits(max(2 * self.precision_bits, 256))
+
+    def rungs(self) -> Iterator["ToleranceContext"]:
+        """The precision ladder: this context, then ``MAX_ESCALATIONS``
+        successive ``escalated`` ones (53 -> 256 -> 512 bits from the default)."""
+        ctx = self
+        yield ctx
+        for _ in range(MAX_ESCALATIONS):
+            ctx = ctx.escalated()
+            yield ctx
 
     def prec(self):
         """Context manager for this precision: ``mp.workprec``, and above 53

@@ -26,6 +26,7 @@ from loewnerlab import (
     loewner_matrix_exact,
     make_point_config,
     pr_compare,
+    predicted_inertia,
     ssr_scan,
 )
 from loewnerlab import analysis
@@ -336,6 +337,30 @@ def test_pr_compare_examples():
     assert rep.match and rep.inertia_power_sum.as_tuple() == (1, 0, 2)
     rep = pr_compare(cfg, 2)
     assert rep.match and rep.inertia_power_sum.as_tuple() == (2, 0, 1)
+
+
+@pytest.mark.parametrize("n, r, expected", [
+    (9, 1.5, (8, 0, 1)),   # L_2.5 built once at 53 bits reads (7, 0, 2), match False
+    (11, 4.5, (3, 0, 8)),  # both built once at 53 bits read (4, 0, 7), match True
+])
+def test_pr_compare_rebuilds_both_matrices_per_rung(n, r, expected):
+    # the theorem's inertia of L_{r+1}, on both sides of the comparison
+    rep = pr_compare(make_point_config(range(1, n + 1)), r)
+    assert rep.inertia_power_sum.as_tuple() == rep.inertia_loewner.as_tuple() == expected
+    assert rep.match and rep.inertia_loewner == predicted_inertia(n, r + 1).inertia
+
+
+@pytest.mark.parametrize("grid", [1, 0, -5])
+def test_scan_policy_rejects_a_grid_under_two_points(grid):
+    with pytest.raises(ValueError, match="at least 2 points"):
+        ScanPolicy(grid=grid)
+    assert ScanPolicy().grid == 100_000
+
+
+@pytest.mark.parametrize("grid", [0, -1])
+def test_complex_zero_scan_rejects_a_grid_under_one(grid):
+    with pytest.raises(ValueError, match="at least 1"):
+        complex_zero_scan(make_point_config((1, 2, 3)), (0.6, 1.4, -0.4, 0.4), grid=grid)
 
 
 def test_loewner_nonsingular_away_from_integers():

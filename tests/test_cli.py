@@ -1,10 +1,15 @@
+import decimal
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from loewnerlab import analysis
 from loewnerlab.cli import main, parse_range, parse_scalar
 from fractions import Fraction
 
@@ -266,3 +271,61 @@ def test_complex_zeros_rejects_a_non_finite_region(capsys):
                          "--region=-inf:inf:-1:1")
     assert (code, out) == (2, "")
     assert err.startswith("error: rectangle bounds must be finite")
+
+
+GRID_ERRORS = [
+    ("zeros --points 1,2 --coeffs 1,-1 --r 0.5 --grid 1",
+     "error: the scan grid needs at least 2 points, got 1\n"),
+    ("zeros --points 1,2 --coeffs 1,-1 --r 0.5 --grid 0",
+     "error: the scan grid needs at least 2 points, got 0\n"),
+    ("zeros --points 1,2 --coeffs 1,-1 --r 0.5 --grid -5",
+     "error: the scan grid needs at least 2 points, got -5\n"),
+    ("complex-zeros --points 1,2,3 --region 0.6:1.4:-0.4:0.4 --grid=-1",
+     "error: the scan grid must be at least 1, got -1\n"),
+    ("complex-zeros --points 1,2,3 --region 0.6:1.4:-0.4:0.4 --grid 0",
+     "error: the scan grid must be at least 1, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", GRID_ERRORS, ids=[argv for argv, _ in GRID_ERRORS])
+def test_a_grid_under_its_minimum_is_a_usage_error(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
+
+
+@pytest.mark.parametrize("exc", [
+    ArithmeticError("a determinant zero stayed on the contour after re-gridding"),
+    ZeroDivisionError("float division by zero"),
+    decimal.DivisionByZero("division by zero"),
+])
+def test_an_arithmetic_shortfall_is_exit_2_not_a_violation(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(analysis, "count_zeros", fail)
+    code, out, err = run(capsys, "zeros", "--points", "1,2", "--coeffs", "1,-1", "--r", "0.5")
+    assert (code, out, err) == (2, "", f"error: {exc}\n")
+
+
+# The smallest value each count option takes, in a cheap command around it.
+COUNT_OPTIONS = {
+    "zeros --grid": (2, "zeros --points 1,2 --coeffs 1,-1 --r 0.5 --grid {}"),
+    "complex-zeros --grid": (1, "complex-zeros --points 1,2 --region 2.6:3.4:-0.4:0.4 --grid {}"),
+    "dk --samples": (1, "dk --points 1,2 --r 0.5 --samples {}"),
+    "ssr --k-max": (1, "ssr --points 1,2,3 --r 0.5 --k-max {}"),
+    "verify steps": (1, "verify --points 1,2 --r-range 0.5:1.5:{}"),
+    "sweep steps": (1, "sweep --points 1,2 --r-range 0.5:1.5:{}"),
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(option=st.sampled_from(sorted(COUNT_OPTIONS)), value=st.integers(-3, 3))
+def test_a_count_under_its_minimum_exits_2_with_one_error_line(option, value):
+    minimum, argv = COUNT_OPTIONS[option]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv.format(value).split())  # nothing escapes main
+    if value < minimum:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1, 2)

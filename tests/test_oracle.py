@@ -225,3 +225,26 @@ def test_ladder_outcomes(points, r, outcome):
     rep = verify_instance(make_point_config(points), r)
     assert (rep.precision_bits, rep.escalations, rep.match, rep.disagreement,
             rep.computed.as_tuple()) == outcome
+
+
+def test_conditional_inertia_rebuilds_the_compression_per_rung():
+    # the compression built once at 53 bits reads (1, 0, 8)
+    assert conditional_inertia(make_point_config(range(1, 11)), 1.5, 1) == Inertia(0, 0, 9)
+
+
+def test_subspace_basis_climbs_every_rung_then_raises(monkeypatch):
+    precs = []
+    qr = mp.qr
+
+    def off_by_1e5(A, mode):  # a factorization that never meets the residual tolerance
+        precs.append(mp.prec)
+        Q, R = qr(A, mode=mode)
+        for i in range(Q.rows):
+            for j in range(Q.cols):
+                Q[i, j] += mpf("1e-5")
+        return Q, R
+
+    monkeypatch.setattr(mp, "qr", off_by_1e5)
+    with pytest.raises(ArithmeticError, match="moment residual"):
+        subspace_basis(make_point_config((1, 2, 3)), 1)
+    assert precs == [53, 256, 512]

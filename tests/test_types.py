@@ -105,6 +105,15 @@ def test_escalation_ladder():
     assert ToleranceContext.at_bits(256).escalated().precision_bits == 512
 
 
+def test_rungs_are_the_one_ladder():
+    assert [c.precision_bits for c in ToleranceContext().rungs()] == [53, 256, 512]
+    assert [c.precision_bits for c in ToleranceContext.at_bits(256).rungs()] == [256, 512, 1024]
+    start = ToleranceContext(residual_tol=1e-3)
+    first, *rest = start.rungs()
+    assert first is start  # the caller's own context, overrides and all, comes first
+    assert rest == [ToleranceContext.at_bits(256), ToleranceContext.at_bits(512)]
+
+
 def test_symmetry_enforced():
     with pytest.raises(ValueError, match="differ"):
         SymMatrix.from_rows([[1, 2], [3, 4]])
