@@ -145,12 +145,6 @@ class ScanPolicy:
             raise ValueError(f"the scan grid needs at least 2 points, got {self.grid!r}")
 
 
-# Local refinement of a grid value within its roundoff bound: nested levels,
-# each with this many interior points.
-_REFINE_LEVELS = 3
-_REFINE_POINTS = 8
-
-
 @dataclass(frozen=True)
 class ZeroCountReport:
     count: int
@@ -163,12 +157,12 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
                 tol: ToleranceContext = DEFAULT_TOL) -> ZeroCountReport:
     """Count strict sign changes of the combination on a geometric grid.
 
-    Values within their own roundoff bound are refined locally (up to
-    ``_REFINE_LEVELS`` nested levels); whatever stays unresolved is reported
-    as ambiguous rather than guessed.  Changes are only counted between strictly
-    classified values, so the count never exceeds the true zero count.
-    At 53 bits the grid and the values are computed in Python floats when
-    the inputs allow it (see ``_combo_terms``).
+    Each grid value is computed once, with its roundoff bound.  A value
+    within its bound is listed in ``ambiguous`` and skipped rather than
+    guessed.  Changes are only counted between strictly classified values,
+    so the count never exceeds the true zero count.  At 53 bits the grid
+    and the values are computed in Python floats when the inputs allow it
+    (see ``_combo_terms``).
     """
     scan = scan or ScanPolicy()
     with tol.prec():
@@ -181,54 +175,21 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
         ar, r, m, terms = _combo_terms(f, (a, b), tol)
         a, b = ar.num(a), ar.num(b)
         bound_factor = (16 + f.config.n) * ar.num(tol.eps())
-
-        memo: dict = {}
-
-        def classify(x):
-            s = memo.get(x)
-            if s is None:
-                v, bound = _combo_value_bound(x, terms, r, m, ar, bound_factor)
-                s = 0 if abs(v) <= bound else (1 if v > 0 else -1)
-                memo[x] = s
-            return s
-
         la, lb = ar.log(a), ar.log(b)
-        xs = [ar.exp(la + (lb - la) * i / (N - 1)) for i in range(N)]
-        unresolved = []
-
-        def refine(lo, hi, level):
-            llo, lhi = ar.log(lo), ar.log(hi)
-            k = _REFINE_POINTS
-            inner = [ar.exp(llo + (lhi - llo) * (i + 1) / (k + 1)) for i in range(k)]
-            cls = [(x, classify(x)) for x in inner]
-            pts_loc = [lo] + inner + [hi]
-            for idx, (x, s) in enumerate(cls):
-                if s == 0:
-                    if level >= _REFINE_LEVELS:
-                        unresolved.append(x)
-                    else:
-                        refine(pts_loc[idx], pts_loc[idx + 2], level + 1)
-
-        for i, x in enumerate(xs):
-            if classify(x) == 0:
-                lo = xs[i - 1] if i > 0 else xs[0]
-                hi = xs[i + 1] if i < N - 1 else xs[N - 1]
-                if lo < hi:
-                    refine(lo, hi, 1)
-                else:
-                    unresolved.append(x)
-
-        strict = sorted((x, s) for x, s in memo.items() if s != 0)
-        count = 0
         brackets = []
+        ambiguous = []
         prev_x = prev_s = None
-        for x, s in strict:
+        for i in range(N):
+            x = ar.exp(la + (lb - la) * i / (N - 1))
+            v, bound = _combo_value_bound(x, terms, r, m, ar, bound_factor)
+            if abs(v) <= bound:
+                ambiguous.append(float(x))
+                continue
+            s = 1 if v > 0 else -1
             if prev_s is not None and s != prev_s:
-                count += 1
                 brackets.append((float(prev_x), float(x)))
             prev_x, prev_s = x, s
-        amb = tuple(sorted({float(x) for x in unresolved}))
-        return ZeroCountReport(count, tuple(brackets), amb, N)
+        return ZeroCountReport(len(brackets), tuple(brackets), tuple(ambiguous), N)
 
 
 # ---------------------------------------------------------------------------

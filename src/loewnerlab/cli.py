@@ -71,10 +71,7 @@ def parse_range(s: str) -> tuple[float, float, int]:
 
 
 def _decimal(x, bits: int) -> str:
-    """Full round-trip decimal text of an int, Fraction or mpf, at the mpf's
-    own precision."""
-    if isinstance(x, (int, Fraction)):
-        return str(x)
+    """Full round-trip decimal text of an mpf at ``bits`` of precision."""
     return mp.nstr(x, int(bits * 0.30103) + 3, strip_zeros=False)
 
 
@@ -160,11 +157,12 @@ def cmd_sweep(args, ctx, values):
     header, rows = sweep_mod.emit_figure1(s, scaling=args.scale)
     cells = [[repr(float(r))] + [_decimal(y, s.precision_bits) for y in ys[:cfg.n]]
              + list(ys[cfg.n:]) for r, *ys in rows]
-    # A point whose eigensolve failed has no row; say so rather than exit 0.
-    dropped = [(idx, msg) for idx, msg in s.failures if s.inertias[idx] is None]
-    for idx, msg in dropped:
-        print(f"error: r={s.grid[idx]!r} dropped: {msg}", file=sys.stderr)
-    return _csv([header] + cells), 2 if dropped else 0
+    # A point whose eigensolve failed has no row, and a point whose routes
+    # disagree keeps an unsettled row; say so rather than exit 0.
+    for idx, msg in s.failures:
+        fate = "dropped" if s.inertias[idx] is None else "kept"
+        print(f"error: r={s.grid[idx]!r} {fate}: {msg}", file=sys.stderr)
+    return _csv([header] + cells), 2 if s.failures else 0
 
 
 def cmd_zeros(args, ctx, values):

@@ -14,14 +14,9 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from . import builders
+from . import builders, exact
 from .builders import LoewnerSpec
-from .inertia import (
-    EigenConvergenceError,
-    eig_sym,
-    inertia as inertia_report,
-    inertia_exact_integer,
-)
+from .inertia import EigenConvergenceError, eig_sym, inertia as inertia_report
 from .types import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_ZERO_REL_TOL,
@@ -49,15 +44,6 @@ class SpectrumSweep:
         return self.config.n
 
 
-def _exact_integer_inertia(config: PointConfig, m: int) -> Inertia:
-    cfg = config.ensure_exact()
-    if m == 0:
-        return Inertia(0, config.n, 0)
-    if m < 0:
-        return inertia_exact_integer(cfg, -m).swapped()
-    return inertia_exact_integer(cfg, m)
-
-
 def exponent_grid(r_min: float, r_max: float, steps: int) -> list[float]:
     """``steps`` evenly spaced exponents from r_min to r_max inclusive."""
     a, b = float(r_min), float(r_max)
@@ -72,7 +58,8 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
 
     Precision defaults to 256 bits for n >= 6 because the smallest nonzero
     eigenvalues between integers shrink rapidly with the order.  Eigensolver
-    failures are recorded per point and the sweep continues.
+    failures (the point has no row) and route disagreements (the point keeps
+    an unsettled row) are recorded in ``failures`` and the sweep continues.
     """
     if steps < 1 or (steps == 1 and r_min != r_max):
         raise ValueError("need steps >= 2, or steps == 1 with r_min == r_max")
@@ -93,7 +80,8 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
             L = builders.loewner_matrix(LoewnerSpec(config, ex), tol)
             if snapped:
                 spec = eig_sym(L, tol)
-                ine = _exact_integer_inertia(config, int(m))
+                ine = exact.rational_inertia(
+                    builders.loewner_matrix_exact(config.ensure_exact(), m).entries)
             else:
                 rep = inertia_report(L, tol)
                 spec, ine = rep.spectrum, rep.consensus

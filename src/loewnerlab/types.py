@@ -430,7 +430,3 @@ class SymMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def rows(self) -> list[list]:
-        """Mutable copy of the entries."""
-        return [list(row) for row in self.entries]

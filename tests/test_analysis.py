@@ -128,6 +128,68 @@ def test_count_zeros_random_bound():
             assert count_zeros(f, FAST_SCAN).count <= n - 1
 
 
+# f(x) = 2^-52 (x + 3): no zero, and every value lies under its roundoff bound
+NEAR_VANISHING = ((1, 2, 3), (1, -2, 1.0000000000000002), 2)
+
+
+def _count_combo_values(monkeypatch) -> list:
+    """Record the argument of every combination value count_zeros computes."""
+    calls = []
+    original = analysis._combo_value_bound
+
+    def counted(x, *rest):
+        calls.append(x)
+        return original(x, *rest)
+
+    monkeypatch.setattr(analysis, "_combo_value_bound", counted)
+    return calls
+
+
+def test_count_zeros_computes_each_ambiguous_grid_value_once(monkeypatch):
+    calls = _count_combo_values(monkeypatch)
+    points, coeffs, r = NEAR_VANISHING
+    rep = count_zeros(ComboFunction(make_point_config(points), coeffs, r), ScanPolicy(grid=501))
+    assert len(calls) == 501
+    assert (rep.count, rep.brackets) == (0, ())
+    assert len(rep.ambiguous) == 501
+    assert all(a < b for a, b in zip(rep.ambiguous, rep.ambiguous[1:]))
+
+
+@pytest.mark.parametrize("points, coeffs, r, grid, bits", [
+    ((2,), (1,), 0.5, 2, 53),
+    ((1, 2), (1, -0.8), 3, 64, 53),
+    ((1, 2, 3), (1, 1, -2), 2.5, 300, 53),
+    ((1, 2), (1, -1), 0.5, 50, 128),
+    NEAR_VANISHING + (2, 53),
+    NEAR_VANISHING + (77, 53),
+], ids=["one-node", "quadratic", "three-nodes", "128-bits", "near-vanishing-2",
+        "near-vanishing-77"])
+def test_count_zeros_computes_exactly_grid_values(monkeypatch, points, coeffs, r, grid, bits):
+    calls = _count_combo_values(monkeypatch)
+    f = ComboFunction(make_point_config(points), coeffs, r)
+    rep = count_zeros(f, ScanPolicy(grid=grid), ToleranceContext.at_bits(bits))
+    assert len(calls) == grid == rep.grid
+    assert len(rep.ambiguous) <= grid
+    assert rep.count == len(rep.brackets)
+
+
+def test_count_zeros_brackets_a_crossing_across_an_ambiguous_value(monkeypatch):
+    # values +1, ambiguous, -1, +2: the strict neighbours of the ambiguous
+    # value bracket the first change
+    script = iter([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (2.0, 0.0)])
+    xs = []
+
+    def scripted(x, *rest):
+        xs.append(x)
+        return next(script)
+
+    monkeypatch.setattr(analysis, "_combo_value_bound", scripted)
+    rep = count_zeros(ComboFunction(make_point_config((1, 2)), (1, -1), 0.5), ScanPolicy(grid=4))
+    assert rep.ambiguous == (xs[1],)
+    assert rep.brackets == ((xs[0], xs[2]), (xs[2], xs[3]))
+    assert rep.count == 2
+
+
 @pytest.mark.parametrize("bad", [float("nan"), mpf("nan"), float("inf"), mpf("-inf")])
 def test_minor_scans_reject_non_finite_entries(bad):
     # A NaN on the diagonal used to come out as per_k ('mixed', '-').
@@ -144,6 +206,15 @@ def test_ssr_full_on_fractional_exponent():
     rep = ssr_scan(loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 0.5)))
     assert rep.ssr_class == "SSR"
     assert rep.per_k == ("+", "+", "+")
+
+
+def test_ssr_float_minor_under_the_hadamard_threshold_is_zero():
+    # L_2 has rank 2; its float determinant is roundoff, not an exact 0
+    L = loewner_matrix(LoewnerSpec.of(make_point_config((0.5, 1.25, 3.0)), 2))
+    assert analysis._det_any(L.entries, ToleranceContext()) != 0
+    rep = ssr_scan(L)
+    assert rep.per_k == ("+", "-", "zero")
+    assert rep.ssr_class == "SSR_2"
 
 
 def test_ssr_all_ones_is_ssr1():
@@ -262,6 +333,36 @@ def test_complex_scan_empty_window():
 def test_complex_scan_multiplicity_at_zero():
     rep = complex_zero_scan(make_point_config((1, 2, 3)), Rect(-0.45, 0.45, -0.45, 0.45), grid=8)
     assert rep.total_winding == 3
+
+
+def test_complex_scan_regrids_when_a_zero_sits_on_the_contour(monkeypatch):
+    # the double zero at z = 1 lies on the bottom edge
+    inflated = []
+    original = Rect.inflated
+
+    def counted(self, factor):
+        inflated.append(factor)
+        return original(self, factor)
+
+    monkeypatch.setattr(Rect, "inflated", counted)
+    rep = complex_zero_scan(make_point_config((1, 2, 3)), (0.5, 1.5, 0.0, 1.0), grid=4)
+    assert (rep.regrids, rep.total_winding) == (1, 2)
+    assert len(inflated) == 1
+
+
+def test_complex_scan_bisects_a_contour_close_to_a_zero(monkeypatch):
+    # the left edge passes 5e-4 from the double zero at z = 1
+    depths = []
+    original = analysis._arg_step
+
+    def counted(f, z0, a0, z1, a1, depth):
+        depths.append(depth)
+        return original(f, z0, a0, z1, a1, depth)
+
+    monkeypatch.setattr(analysis, "_arg_step", counted)
+    rep = complex_zero_scan(make_point_config((1, 2, 3)), (1.0005, 1.6, -0.2, 0.2), grid=4)
+    assert (rep.total_winding, rep.cells, rep.regrids) == (0, (), 0)
+    assert max(depths) >= 1
 
 
 def test_dk_apply_examples():

@@ -249,6 +249,16 @@ def test_sweep_reports_each_dropped_point(capsys):
         "error: r=0.5", "error: r=1.5", "error: r=2.5"]
 
 
+def test_sweep_reports_each_route_disagreement(capsys):
+    # at 53 bits the routes disagree at r = 3.5 and 4.5; the rows stay, unsettled
+    code, out, err = run(capsys, "sweep", "--points", "1,2,3,4,5,6", "--r-range", "0.5:6.5:13",
+                         "--precision-bits", "53")
+    assert code == 2
+    assert len(out.splitlines()) == 14
+    assert err.splitlines() == ["error: r=3.5 kept: route disagreement",
+                                "error: r=4.5 kept: route disagreement"]
+
+
 def test_complex_zeros_far_right_has_no_zero(capsys):
     # no zero here, but each |det| is near 1e1006: a singularity test relative to
     # eps*||A|| would report zeros on the contour (exit 1)

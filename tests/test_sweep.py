@@ -12,6 +12,7 @@ from loewnerlab import (
     emit_figure1,
     flag_jumps,
     make_point_config,
+    predicted_inertia,
     sign_change_report,
 )
 
@@ -43,6 +44,14 @@ def test_integer_snapping_gives_exact_zero_counts():
     assert by_r[1.0].as_tuple() == (1, 3, 0)
     assert by_r[2.0].as_tuple() == (1, 2, 1)
     assert by_r[3.0].as_tuple() == (2, 1, 1)
+
+
+@pytest.mark.parametrize("points", [(1, 2, 3, 4), (0.5, 1.25, 3.0, 4.5)])
+def test_integer_snapping_at_zero_and_negative_exponents(points):
+    s = eigen_trajectories(make_point_config(points), -3.0, 1.0, 5)
+    got = [i.as_tuple() for i in s.inertias]
+    assert got == [(1, 1, 2), (1, 2, 1), (0, 3, 1), (0, 4, 0), (1, 3, 0)]
+    assert got == [predicted_inertia(4, r).inertia.as_tuple() for r in s.grid]
 
 
 def test_inertia_constant_on_open_intervals():
