@@ -13,6 +13,8 @@ import argparse
 import csv
 import sys
 
+from mpmath import mp
+
 from loewnerlab import (
     eigen_trajectories,
     emit_figure1,
@@ -33,7 +35,8 @@ def main() -> int:
     sweep = eigen_trajectories(config, step, args.r_max, args.steps)
     header, rows = emit_figure1(sweep, scaling="signed-log")
 
-    with open(args.out, "w", newline="") as fh:
+    # str(mpf) prints at the working precision: keep the sweep's.
+    with open(args.out, "w", newline="") as fh, mp.workprec(sweep.precision_bits):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -18,6 +18,7 @@ contour and re-grids.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -592,9 +593,9 @@ def _phase(v) -> float:
     return float(mp.arg(v))
 
 
-def _arg_step(f, z0, a0, z1, a1, depth):
+def _arg_step(phase, z0, a0, z1, a1, depth):
     """Change of arg f from z0 to z1, whose phases are a0 and a1, bisecting
-    until each step turns by at most 2 radians."""
+    until each step turns by at most 2 radians; ``phase(z)`` is arg f(z)."""
     d = a1 - a0
     if d > math.pi:
         d -= 2 * math.pi
@@ -605,32 +606,26 @@ def _arg_step(f, z0, a0, z1, a1, depth):
     if depth >= 24:
         raise _BoundaryZero
     zm = (z0 + z1) / 2
-    vm = f(zm)
-    if vm == 0:
-        raise _BoundaryZero
-    am = _phase(vm)
-    return _arg_step(f, z0, a0, zm, am, depth + 1) + _arg_step(f, zm, am, z1, a1, depth + 1)
+    am = phase(zm)
+    return _arg_step(phase, z0, a0, zm, am, depth + 1) + _arg_step(phase, zm, am, z1, a1, depth + 1)
 
 
 # Samples on each side of a contour before the adaptive bisection of ``_arg_step``.
 _SAMPLES_PER_SIDE = 48
 
 
-def _winding(f, rect: Rect) -> int:
+def _winding(phase, rect: Rect) -> int:
     corners = rect.corners()
     zs = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
         for i in range(_SAMPLES_PER_SIDE):
             t = i / _SAMPLES_PER_SIDE
             zs.append(a + (b - a) * t)
-    vals = [f(z) for z in zs]
-    if any(v == 0 for v in vals):
-        raise _BoundaryZero
-    phases = [_phase(v) for v in vals]
+    phases = [phase(z) for z in zs]
     total = 0.0
     m = len(zs)
     for i in range(m):
-        total += _arg_step(f, zs[i], phases[i], zs[(i + 1) % m], phases[(i + 1) % m], 0)
+        total += _arg_step(phase, zs[i], phases[i], zs[(i + 1) % m], phases[(i + 1) % m], 0)
     w = total / (2 * math.pi)
     k = round(w)
     if abs(w - k) > 0.25:
@@ -638,7 +633,7 @@ def _winding(f, rect: Rect) -> int:
     return k
 
 
-def _subdivide(f, rect: Rect, winding: int, depth: int) -> list[ZeroCell]:
+def _subdivide(phase, rect: Rect, winding: int, depth: int) -> list[ZeroCell]:
     if winding == 0:
         return []
     if depth <= 0:
@@ -646,12 +641,12 @@ def _subdivide(f, rect: Rect, winding: int, depth: int) -> list[ZeroCell]:
     for ratio in (0.5, 0.537, 0.463, 0.519):
         try:
             children = rect.split(ratio)
-            ws = [_winding(f, ch) for ch in children]
+            ws = [_winding(phase, ch) for ch in children]
             if sum(ws) != winding:
                 continue
             out = []
             for ch, w in zip(children, ws):
-                out.extend(_subdivide(f, ch, w, depth - 1))
+                out.extend(_subdivide(phase, ch, w, depth - 1))
             return out
         except _BoundaryZero:
             continue
@@ -666,19 +661,25 @@ def complex_zero_scan(config: PointConfig, region, grid: int = 32,
     cells with nonzero winding are reported with their winding count (the
     number of zeros inside, with multiplicity).  Boundary zeros trigger
     bounded re-gridding.  Absence of reported cells is evidence, not proof.
+    Each contour point is evaluated at most once per scan: child contours
+    reuse the phases they share with their parent and siblings.
     """
     if not grid >= 1:
         raise ValueError(f"the scan grid must be at least 1, got {grid!r}")
     rect = region if isinstance(region, Rect) else Rect(*region)
     depth = max(1, (math.ceil(grid) - 1).bit_length())  # ceil(log2 grid)
 
-    def f(z):
-        return complex_det(config, z, tol)
+    @functools.cache
+    def phase(z):
+        value = complex_det(config, z, tol)
+        if value == 0:
+            raise _BoundaryZero
+        return _phase(value)
 
     for regrids in range(4):
         try:
-            total = _winding(f, rect)
-            cells = _subdivide(f, rect, total, depth)
+            total = _winding(phase, rect)
+            cells = _subdivide(phase, rect, total, depth)
             return ComplexScanReport(rect, total, tuple(cells), regrids)
         except _BoundaryZero:
             rect = rect.inflated(1.0 + 0.017 * (regrids + 1))

@@ -118,10 +118,9 @@ def loewner_matrix(spec: LoewnerSpec, tol: ToleranceContext = DEFAULT_TOL) -> Sy
 def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
     """Loewner matrix for integer r over the rationals, exactly.
 
-    For r >= 1 the divided difference is expanded into the power sum
-    p_i^(r-1) + p_i^(r-2) p_j + ... + p_j^(r-1), which avoids the
-    subtraction entirely; negative integer r uses the plain quotient,
-    harmless in exact arithmetic.
+    Every entry is the plain quotient (p_i^r - p_j^r)/(p_i - p_j), with the
+    limit r p_i^(r-1) on the diagonal: over the rationals nothing cancels,
+    and r = 0 gives the zero matrix by the same formula.
     """
     if config.exact is None:
         raise ValueError("exact Loewner matrix needs rational nodes")
@@ -133,11 +132,7 @@ def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
 
     def entry(i, j):
         if i == j:
-            return m * p[i] ** (m - 1) if m != 0 else Fraction(0)
-        if m == 0:
-            return Fraction(0)
-        if m >= 1:
-            return sum(p[i] ** a * p[j] ** (m - 1 - a) for a in range(m))
+            return m * p[i] ** (m - 1)
         return (p[i] ** m - p[j] ** m) / (p[i] - p[j])
 
     return SymMatrix.build(config.n, entry)

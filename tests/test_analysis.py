@@ -230,6 +230,12 @@ def test_ssr_exact_integer_rank():
     assert rep.per_k == ("+", "-", "zero", "zero")
 
 
+def test_ssr_mixed_first_order_and_zero_determinant():
+    rep = ssr_scan([[1, -1], [-1, 1]])
+    assert rep.per_k == ("mixed", "zero")
+    assert rep.ssr_class == "none"
+
+
 def test_ssr_order_cap():
     with pytest.raises(ValueError):
         ssr_scan([[1] * 8 for _ in range(8)])
@@ -238,6 +244,10 @@ def test_ssr_order_cap():
 def test_compound_identity():
     C = compound_matrix(SymMatrix.diagonal([1, 1, 1]), 2)
     assert C.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_compound_of_plain_rows():
+    assert compound_matrix([[1, 2], [3, 4]], 2) == ((-2,),)
 
 
 def test_compound_diagonal_products():
@@ -363,6 +373,21 @@ def test_complex_scan_bisects_a_contour_close_to_a_zero(monkeypatch):
     rep = complex_zero_scan(make_point_config((1, 2, 3)), (1.0005, 1.6, -0.2, 0.2), grid=4)
     assert (rep.total_winding, rep.cells, rep.regrids) == (0, (), 0)
     assert max(depths) >= 1
+
+
+def test_complex_scan_evaluates_each_contour_point_once(monkeypatch):
+    # child contours share sides and corners with their parent and siblings
+    seen = []
+    original = analysis.complex_det
+
+    def spy(config, z, tol):
+        seen.append(z)
+        return original(config, z, tol)
+
+    monkeypatch.setattr(analysis, "complex_det", spy)
+    rep = complex_zero_scan(make_point_config((1, 2, 3)), (0.7, 1.45, -0.3, 0.4), grid=4)
+    assert rep.total_winding == 2
+    assert len(seen) == len(set(seen))
 
 
 def test_dk_apply_examples():

@@ -125,6 +125,14 @@ def test_vandermonde_examples():
         vandermonde_W(cfg, 2.5)
 
 
+def test_float_nodes_give_mpf_factors():
+    cfg = make_point_config((0.5, 2.0))
+    assert diag_D(cfg).entries == ((mpf(0.5), 0), (0, mpf(2)))
+    assert vandermonde_W(cfg, 2) == ((1, 1), (mpf(0.5), mpf(2)))
+    entries = [e for row in diag_D(cfg).entries + vandermonde_W(cfg, 2) for e in row]
+    assert all(type(e) is mpf for e in entries)
+
+
 def test_vandermonde_rank_is_min_r_n():
     rng = random.Random(11)
     for _ in range(5):

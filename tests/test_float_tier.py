@@ -167,6 +167,11 @@ def test_nodes_or_powers_outside_the_window_take_mpmath(points, r):
     assert rep.match and rep.computed == predicted_inertia(3, r).inertia
 
 
+def test_integer_beyond_the_float_range_takes_mpmath():
+    # float(10**400) raises OverflowError; the seam must answer, not raise
+    assert TOL.arith([10**400]) is MP_ARITH
+
+
 def test_power_tables_keep_entries_bit_identical():
     cfg = make_point_config((Fraction(1, 3), 0.7, 2.5, 9.75))
     ctx = ToleranceContext.at_bits(256)

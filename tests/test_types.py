@@ -149,6 +149,10 @@ def test_inertia_basics():
         Inertia(-1, 0, 0)
 
 
+def test_scaling_keeps_exact_nodes():
+    assert make_point_config((1, 2)).scaled(Fraction(1, 2)).exact == (Fraction(1, 2), Fraction(1))
+
+
 def test_config_is_value_like():
     a = make_point_config((1, 2))
     b = make_point_config((1, 2))
