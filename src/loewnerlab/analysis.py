@@ -2,8 +2,9 @@
 compound matrices, determinant identities, complex determinant zeros, the
 derivative action of matrix powers, and the power-sum comparison.
 
-Determinants of non-rational matrices come from one LU with partial
-pivoting (``_lu_factor``), written once for floats, complex, mpf and mpc.
+Every determinant other than the closed forms comes from one LU with
+partial pivoting (``exact._lu_factor``), written once for floats, complex,
+mpf, mpc and Fractions.
 The complex determinant ``complex_det`` runs it on Python ``complex`` at 53
 bits when the nodes, z and every |p^z| lie in the float window
 (``ToleranceContext.complex_arith``), and on mpc otherwise, and pairs each
@@ -32,7 +33,7 @@ from mpmath import libmp, mp, mpc, mpf
 
 from . import builders
 from .builders import LoewnerSpec
-from .exact import det_fraction
+from .exact import _DET_FLOAT_MAX, _DET_FLOAT_MIN, _lu_factor, _pivot_product, det_fraction
 from .inertia import InertiaReport, _settle, eig_sym, exact_route_hint
 from .types import (
     DEFAULT_TOL,
@@ -194,112 +195,6 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
 
 
 # ---------------------------------------------------------------------------
-# LU factorisation with partial pivoting, on any of the arithmetics
-
-
-def _lu_factor(A) -> tuple[list, int]:
-    """Factor the square matrix A (row lists, entries all of one arithmetic:
-    float, complex, mpf or mpc) in place as P A = L U, with partial pivoting.
-
-    A ends holding U on and above the diagonal and the multipliers of the
-    unit lower triangle L below it, its rows in pivot order, so det A is
-    sign * prod U_kk.  Returns the original index of each row and the sign
-    of P, or a sign of 0 when a whole pivot column is zero (A is singular
-    and the factorisation stops there).
-    """
-    n = len(A)
-    order = list(range(n))
-    sign = 1
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(A[i][k]))
-        if not A[p][k]:
-            return order, 0
-        if p != k:
-            A[k], A[p] = A[p], A[k]
-            order[k], order[p] = order[p], order[k]
-            sign = -sign
-        top = A[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = A[i]
-            m = row[k] / pivot
-            row[k] = m
-            if m:
-                for j in range(k + 1, n):
-                    row[j] -= m * top[j]
-    return order, sign
-
-
-# A float product outside these magnitudes has overflowed or lost digits to
-# underflow; it is then taken again in mpmath, which has no exponent limit.
-_DET_FLOAT_MIN = 2.0 ** -1000
-_DET_FLOAT_MAX = 2.0 ** 1000
-
-
-def _pivot_product(F, sign):
-    """det A = sign * prod U_kk from a finished factorisation: a float or
-    complex when it lies in the float range, else an mpf or mpc at the
-    working precision."""
-    if not sign:
-        return 0
-    pivots = [F[k][k] for k in range(len(F))]
-    det = math.prod(pivots, start=sign)
-    if isinstance(det, (float, complex)) and not _DET_FLOAT_MIN <= abs(det) <= _DET_FLOAT_MAX:
-        det = math.prod(map(mp.mpmathify, pivots), start=sign)
-    return det
-
-
-def _lu_inverse_columns(F) -> list:
-    """The columns of (P A)^-1 = U^-1 L^-1, from a finished factorisation."""
-    n = len(F)
-    cols = []
-    for c in range(n):
-        y = [0] * n
-        y[c] = 1
-        for i in range(c + 1, n):
-            row, s = F[i], 0
-            for k in range(c, i):
-                s -= row[k] * y[k]
-            y[i] = s
-        for i in range(n - 1, -1, -1):
-            row, s = F[i], y[i]
-            for k in range(i + 1, n):
-                s -= row[k] * y[k]
-            y[i] = s / row[i]
-        cols.append(y)
-    return cols
-
-
-def _lu_relative_bound(F, order, entry_err, eps):
-    """First-order bound on |computed det - det A| / |det A| (Higham, ch. 9).
-
-    The computed factors are exact for P A + dA with |dA| <= gamma |L||U|,
-    gamma = 4n eps / (1 - 4n eps) (complex products and quotients cost a
-    few roundings each), and the entries of A carry errors up to
-    ``entry_err`` (indexed like A).  A perturbation E moves det by
-    det * tr(A^-1 E) to first order, so the relative error is at most
-    sum_ij |(PA)^-1_ji| (gamma (|L||U|)_ij + entry_err_(order i) j), plus n
-    eps for the product of the pivots.  The result is doubled for the
-    neglected higher-order terms: a value outside its bound has a relative
-    error under 1/2.
-    """
-    n = len(F)
-    cols = _lu_inverse_columns(F)
-    a = [[abs(v) for v in row] for row in F]
-    gamma = 4 * n * eps / (1 - 4 * n * eps)
-    rel = n * eps
-    for i in range(n):
-        ai, err, xi = a[i], entry_err[order[i]], cols[i]
-        for j in range(n):
-            # (|L||U|)_ij, L unit lower triangular
-            lu = ai[j] if i <= j else ai[j] * a[j][j]
-            for k in range(min(i, j)):
-                lu += ai[k] * a[k][j]
-            rel += abs(xi[j]) * (gamma * lu + err[j])
-    return 2 * rel
-
-
-# ---------------------------------------------------------------------------
 # Minors: sign-regularity scans and compound matrices
 
 
@@ -307,9 +202,11 @@ MatrixLike = Union[SymMatrix, Sequence[Sequence]]
 
 
 def _as_rows(A: MatrixLike) -> tuple[tuple, ...]:
-    """The rows of ``A``; ValueError on a NaN or infinite entry, which would
-    otherwise come out as a minor sign."""
+    """The rows of the square matrix ``A``; ValueError when it is not square
+    or has a NaN or infinite entry, which would otherwise be a minor sign."""
     rows = A.entries if isinstance(A, SymMatrix) else tuple(tuple(row) for row in A)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("minors need a square matrix")
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if not (isinstance(v, Rational) or mpmath.isfinite(v)):
@@ -318,11 +215,10 @@ def _as_rows(A: MatrixLike) -> tuple[tuple, ...]:
 
 
 def _det_any(rows, tol: ToleranceContext):
-    """Determinant of a small matrix: exact for rational entries, LU otherwise.
-
-    The LU runs on floats at 53 bits when the entries allow it and on mpf
-    otherwise (not on ``decimal``: ``det-id`` prints these values in full,
-    and decimal rounds them differently)."""
+    """Determinant of a small matrix from the shared LU: exact on Fractions
+    for rational entries, else on floats at 53 bits when the entries allow
+    it and on mpf otherwise (not on ``decimal``: ``det-id`` prints these
+    values in full, and decimal rounds them differently)."""
     if all(isinstance(e, Rational) for row in rows for e in row):
         return det_fraction(rows)
     with tol.prec():
@@ -368,8 +264,6 @@ def ssr_scan(A: MatrixLike, k_max: Optional[int] = None,
     """
     rows = _as_rows(A)
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("sign-regularity scan needs a square matrix")
     if n > _SSR_MAX_ORDER:
         raise ValueError(f"order {n} too large for exhaustive minor scan (max {_SSR_MAX_ORDER})")
     k_max = n if k_max is None else k_max
@@ -464,6 +358,56 @@ def det_closed_form_L4(config: PointConfig):
 
 # ---------------------------------------------------------------------------
 # The determinant as a function of a complex exponent
+
+
+def _lu_inverse_columns(F) -> list:
+    """The columns of (P A)^-1 = U^-1 L^-1, from a finished factorisation."""
+    n = len(F)
+    cols = []
+    for c in range(n):
+        y = [0] * n
+        y[c] = 1
+        for i in range(c + 1, n):
+            row, s = F[i], 0
+            for k in range(c, i):
+                s -= row[k] * y[k]
+            y[i] = s
+        for i in range(n - 1, -1, -1):
+            row, s = F[i], y[i]
+            for k in range(i + 1, n):
+                s -= row[k] * y[k]
+            y[i] = s / row[i]
+        cols.append(y)
+    return cols
+
+
+def _lu_relative_bound(F, order, entry_err, eps):
+    """First-order bound on |computed det - det A| / |det A| (Higham, ch. 9).
+
+    The computed factors are exact for P A + dA with |dA| <= gamma |L||U|,
+    gamma = 4n eps / (1 - 4n eps) (complex products and quotients cost a
+    few roundings each), and the entries of A carry errors up to
+    ``entry_err`` (indexed like A).  A perturbation E moves det by
+    det * tr(A^-1 E) to first order, so the relative error is at most
+    sum_ij |(PA)^-1_ji| (gamma (|L||U|)_ij + entry_err_(order i) j), plus n
+    eps for the product of the pivots.  The result is doubled for the
+    neglected higher-order terms: a value outside its bound has a relative
+    error under 1/2.
+    """
+    n = len(F)
+    cols = _lu_inverse_columns(F)
+    a = [[abs(v) for v in row] for row in F]
+    gamma = 4 * n * eps / (1 - 4 * n * eps)
+    rel = n * eps
+    for i in range(n):
+        ai, err, xi = a[i], entry_err[order[i]], cols[i]
+        for j in range(n):
+            # (|L||U|)_ij, L unit lower triangular
+            lu = ai[j] if i <= j else ai[j] * a[j][j]
+            for k in range(min(i, j)):
+                lu += ai[k] * a[k][j]
+            rel += abs(xi[j]) * (gamma * lu + err[j])
+    return 2 * rel
 
 
 def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext):

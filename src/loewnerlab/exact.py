@@ -1,14 +1,18 @@
-"""Exact rational linear algebra on small dense matrices.
-
-Everything here works over ``fractions.Fraction``, so results carry no
-rounding error: determinants and ranks are exact, and the congruence
-diagonalization yields exact inertia counts.
+"""Exact linear algebra on small dense matrices, and the one LU that every
+determinant in the package comes from (``_lu_factor``, partial pivoting on
+float, complex, mpf, mpc or ``fractions.Fraction`` entries; exact on
+Fractions).  Inertia comes from one fraction-free symmetric congruence over
+Python ints, and the rank of A is the positive count of the positive
+semidefinite A A^T.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
+
+from mpmath import mp
 
 from .types import Inertia
 
@@ -25,52 +29,82 @@ def as_fraction_rows(rows) -> list[list[Fraction]]:
     return out
 
 
-def det_fraction(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination with nonzero pivoting."""
-    A = as_fraction_rows(rows)
+def _integer_rows(F) -> list[list[int]]:
+    """The Fraction rows F times the lcm of their denominators, as ints: a
+    positive multiple, with the rank and inertia of F."""
+    scale = math.lcm(*(e.denominator for row in F for e in row))
+    return [[e.numerator * (scale // e.denominator) for e in row] for row in F]
+
+
+def _lu_factor(A) -> tuple[list, int]:
+    """Factor the square matrix A (row lists, entries all of one arithmetic:
+    float, complex, mpf, mpc or Fraction) in place as P A = L U, pivoting.
+
+    A ends holding U on and above the diagonal and the multipliers of the
+    unit lower triangle L below it, its rows in pivot order, so det A is
+    sign * prod U_kk.  Returns the original index of each row and the sign
+    of P, or a sign of 0 when a whole pivot column is zero (A is singular
+    and the factorisation stops there).
+    """
     n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
+    order = list(range(n))
+    sign = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        det *= A[k][k]
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        if not A[p][k]:
+            return order, 0
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            order[k], order[p] = order[p], order[k]
+            sign = -sign
+        top = A[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            if A[i][k]:
-                f = A[i][k] / A[k][k]
+            row = A[i]
+            m = row[k] / pivot
+            row[k] = m
+            if m:
                 for j in range(k + 1, n):
-                    A[i][j] -= f * A[k][j]
+                    row[j] -= m * top[j]
+    return order, sign
+
+
+# A float product outside these magnitudes has overflowed or lost digits to
+# underflow; it is then taken again in mpmath, which has no exponent limit.
+_DET_FLOAT_MIN = 2.0 ** -1000
+_DET_FLOAT_MAX = 2.0 ** 1000
+
+
+def _pivot_product(F, sign):
+    """det A = sign * prod U_kk from a finished factorisation: a float or
+    complex when it lies in the float range, else an mpf or mpc at the
+    working precision (a Fraction for Fraction entries)."""
+    if not sign:
+        return 0
+    pivots = [F[k][k] for k in range(len(F))]
+    det = math.prod(pivots, start=sign)
+    if isinstance(det, (float, complex)) and not _DET_FLOAT_MIN <= abs(det) <= _DET_FLOAT_MAX:
+        det = math.prod(map(mp.mpmathify, pivots), start=sign)
     return det
 
 
-def rank_fraction(rows) -> int:
-    """Exact rank by row reduction; accepts rectangular input."""
+def det_fraction(rows) -> Fraction:
+    """Exact determinant: the shared LU run on Fractions."""
     A = as_fraction_rows(rows)
-    if not A:
-        return 0
-    nrows, ncols = len(A), len(A[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        for i in range(row + 1, nrows):
-            if A[i][col]:
-                f = A[i][col] / A[row][col]
-                for j in range(col, ncols):
-                    A[i][j] -= f * A[row][j]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("determinant needs a square matrix")
+    _, sign = _lu_factor(A)
+    return Fraction(_pivot_product(A, sign))
+
+
+def rank_fraction(rows) -> int:
+    """Exact rank; accepts rectangular input.  A A^T is positive
+    semidefinite with the rank of A, so the rank is its positive count."""
+    A = _integer_rows(as_fraction_rows(rows))
+    if any(len(row) != len(A[0]) for row in A):
+        raise ValueError("rank needs rows of one length")
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in A] for a in A]
+    return rational_inertia(gram).pos
 
 
 def rational_inertia(rows) -> Inertia:
@@ -79,20 +113,23 @@ def rational_inertia(rows) -> Inertia:
     Pivots on a nonzero diagonal entry when one exists.  When the whole
     trailing diagonal vanishes but some off-diagonal entry A[i][j] does not,
     adding row/column j into row/column i is a congruence that makes
-    A[i][i] = 2*A[i][j] != 0, so elimination can continue.  Rational
-    arithmetic has no stability concerns, so no magnitude pivoting is done.
+    A[i][i] = 2*A[i][j] != 0, so elimination can continue.  The matrix is
+    scaled by the lcm of its denominators (positive, so the inertia stays)
+    and eliminated over ints with Bareiss's update (Math. Comp. 22 (1968)
+    565-578) a_ij <- (d a_ij - a_ik a_kj) // prev, exact because each entry
+    is a minor; pivot d is then a leading principal minor, so the rational
+    pivot d / prev has the sign sign(d) * sign(prev).
     """
-    A = as_fraction_rows(rows)
-    n = len(A)
-    if any(len(row) != n for row in A):
+    F = as_fraction_rows(rows)
+    n = len(F)
+    if any(len(row) != n for row in F):
         raise ValueError("inertia needs a square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i][j] != A[j][i]:
-                raise ValueError("inertia needs a symmetric matrix")
+    if any(F[i][j] != F[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("inertia needs a symmetric matrix")
+    A = _integer_rows(F)
     pos = neg = zero = 0
-    k = 0
-    while k < n:
+    prev = 1
+    for k in range(n):
         piv = next((j for j in range(k, n) if A[j][j] != 0), None)
         if piv is None:
             pair = next(
@@ -112,16 +149,15 @@ def rational_inertia(rows) -> Inertia:
             A[k], A[piv] = A[piv], A[k]
             for t in range(n):
                 A[t][k], A[t][piv] = A[t][piv], A[t][k]
-        d = A[k][k]
-        if d > 0:
+        top = A[k]
+        d = top[k]
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        col = [A[i][k] for i in range(n)]
-        for i in range(k + 1, n):
-            if col[i]:
-                fi = col[i] / d
-                for j in range(k + 1, n):
-                    A[i][j] -= fi * col[j]
-        k += 1
+        for row in A[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (d * row[j] - c * top[j]) // prev
+        prev = d
     return Inertia(pos, zero, neg)

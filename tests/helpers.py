@@ -71,3 +71,31 @@ def mat_mul(A, B):
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
+
+
+def charpoly_inertia(rows):
+    """(pos, zero, neg) of a symmetric rational matrix from its characteristic
+    polynomial: independent of any elimination code.
+
+    Faddeev-LeVerrier gives the coefficients over Fractions; a symmetric
+    matrix has only real eigenvalues, so Descartes' rule of signs counts the
+    positive roots exactly, and on p(-x) the negative ones.
+    """
+    A = [[Fraction(v) for v in row] for row in rows]
+    n = len(A)
+    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0 of det(x I - A)
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += coeffs[-1]
+        AM = [[sum(A[i][t] * M[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(AM[i][i] for i in range(n)) / k)
+        M = AM
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    flipped = [c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), zero, sign_changes(flipped)

@@ -250,6 +250,14 @@ def test_compound_of_plain_rows():
     assert compound_matrix([[1, 2], [3, 4]], 2) == ((-2,),)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]])
+def test_minor_scans_reject_a_non_square_matrix(rows):
+    with pytest.raises(ValueError, match="square"):
+        compound_matrix(rows, 2)
+    with pytest.raises(ValueError, match="square"):
+        ssr_scan(rows)
+
+
 def test_compound_diagonal_products():
     C = compound_matrix(SymMatrix.diagonal([1, 2, 3]), 2)
     assert C.entries[0][0] == 2 and C.entries[1][1] == 3 and C.entries[2][2] == 6
@@ -388,6 +396,19 @@ def test_complex_scan_evaluates_each_contour_point_once(monkeypatch):
     rep = complex_zero_scan(make_point_config((1, 2, 3)), (0.7, 1.45, -0.3, 0.4), grid=4)
     assert rep.total_winding == 2
     assert len(seen) == len(set(seen))
+
+
+def test_complex_scan_gives_up_after_four_regrids(monkeypatch):
+    calls = []
+
+    def vanishing(config, z, tol):
+        calls.append(z)
+        return mpc(0)
+
+    monkeypatch.setattr(analysis, "complex_det", vanishing)
+    with pytest.raises(ArithmeticError, match="re-gridding"):
+        complex_zero_scan(make_point_config((1, 2, 3)), (0.5, 1.5, -0.5, 0.5), grid=4)
+    assert len(calls) == 4
 
 
 def test_dk_apply_examples():

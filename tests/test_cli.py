@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from loewnerlab import analysis
 from loewnerlab.cli import main, parse_range, parse_scalar
@@ -274,6 +274,15 @@ def test_complex_zeros_ten_nodes_resolves_or_is_a_usage_error(capsys):
     code, out, _ = run(capsys, "complex-zeros", "--points", "1,2,3,4,5,6,7,8,9,10",
                        "--region", "1.45:1.55:-0.05:0.05")
     assert code == 2 or (code == 0 and json.loads(out)["total_winding"] == 0)
+
+
+def test_complex_zeros_exhausted_scan_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "complex_det", lambda config, z, tol: mpc(0))
+    code, out, err = run(capsys, "complex-zeros", "--points", "1,2,3",
+                         "--region", "0.5:1.5:-0.5:0.5", "--grid", "4")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_complex_zeros_rejects_a_non_finite_region(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from loewnerlab.exact import det_fraction, rank_fraction, rational_inertia
 
-from helpers import mat_mul, perm_det, random_symmetric_int, transpose
+from helpers import charpoly_inertia, mat_mul, perm_det, random_symmetric_int, transpose
 
 
 def test_det_matches_permutation_expansion():
@@ -25,6 +25,19 @@ def test_rank_cases():
     assert rank_fraction([[1, 1], [1, 1]]) == 1
     assert rank_fraction([[0, 0], [0, 0]]) == 0
     assert rank_fraction([[1, 0, 2], [0, 1, 3]]) == 2
+
+
+def test_rank_of_rectangular_input():
+    assert rank_fraction([[1, 2, 3], [2, 4, 6]]) == 1
+    assert rank_fraction([[1, 2, 3], [Fraction(1, 3), 0, -1]]) == 2
+    assert rank_fraction([[1, 2], [3, 4], [4, 6]]) == 2
+    assert rank_fraction([[1, 2], [2, 4], [-3, -6]]) == 1
+
+
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]], [[1, 2], []]])
+def test_rank_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError):
+        rank_fraction(rows)
 
 
 def test_inertia_diagonal():
@@ -53,3 +66,19 @@ def test_inertia_congruence_invariant():
                 break
         B = mat_mul(mat_mul(transpose(X), A), X)
         assert rational_inertia(B) == rational_inertia(A)
+
+
+def test_inertia_matches_the_characteristic_polynomial():
+    # Descartes' rule on the Faddeev-LeVerrier coefficients shares no code
+    # with the elimination; a zero diagonal forces the row/column trick
+    rng = random.Random(11)
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j and trial % 3 == 0:
+                    continue
+                v = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 64, 1024)))
+                rows[i][j] = rows[j][i] = v
+        assert rational_inertia(rows).as_tuple() == charpoly_inertia(rows)

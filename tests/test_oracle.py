@@ -68,6 +68,15 @@ def test_predicted_matches_exact_route():
             assert predicted_inertia(n, r).inertia == inertia_exact_integer(cfg, r)
 
 
+def test_predicted_matches_exact_route_on_promoted_float_nodes():
+    # float nodes are binary rationals with 2^52-sized denominators
+    rng = random.Random(43)
+    for n in range(8, 13):
+        cfg = random_config(rng, n).ensure_exact()
+        for m in range(1, n + 1):
+            assert predicted_inertia(n, m).inertia == inertia_exact_integer(cfg, m)
+
+
 def test_verify_instance_examples():
     rep = verify_instance(make_point_config((1, 2, 3, 4, 5, 6)), 2.5)
     assert rep.match and rep.computed.as_tuple() == (5, 0, 1)
