@@ -335,25 +335,23 @@ def compound_matrix(A: MatrixLike, k: int,
 def _three_nodes(config: PointConfig):
     if config.n != 3:
         raise ValueError(f"closed form needs exactly 3 points, got {config.n}")
-    if config.exact is not None:
-        return config.exact, True
-    return config.points, False
+    return config.ensure_exact().exact
 
 
 def det_closed_form_L3(config: PointConfig):
-    """det L_3 for three nodes: -(p1-p2)^2 (p1-p3)^2 (p2-p3)^2."""
-    (p1, p2, p3), is_exact = _three_nodes(config)
+    """det L_3 for three nodes: -(p1-p2)^2 (p1-p3)^2 (p2-p3)^2, rounded once for float nodes."""
+    p1, p2, p3 = _three_nodes(config)
     v = -((p1 - p2) * (p1 - p3) * (p2 - p3)) ** 2
-    return v if is_exact else mpf(v)
+    return v if config.exact is not None else to_mpf(v)
 
 
 def det_closed_form_L4(config: PointConfig):
     """det L_4 for three nodes: -2 prod (p_i-p_j)^2 {(sum p)(sum pp) + p1 p2 p3}."""
-    (p1, p2, p3), is_exact = _three_nodes(config)
+    p1, p2, p3 = _three_nodes(config)
     gaps = ((p1 - p2) * (p1 - p3) * (p2 - p3)) ** 2
     sym = (p1 + p2 + p3) * (p1 * p2 + p1 * p3 + p2 * p3) + p1 * p2 * p3
     v = -2 * gaps * sym
-    return v if is_exact else mpf(v)
+    return v if config.exact is not None else to_mpf(v)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +722,10 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
 class PrCompareReport:
     power_sum: InertiaReport
     loewner: InertiaReport
-    match: bool
+
+    @property
+    def match(self) -> bool:
+        return self.power_sum.consensus == self.loewner.consensus
 
     @property
     def inertia_power_sum(self) -> Inertia:
@@ -745,4 +746,4 @@ def pr_compare(config: PointConfig, r: Scalar,
     spec = LoewnerSpec(config, Exponent.of(r + 1))
     l_rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(spec, ctx), tol,
                           exact_route_hint(config, spec.exponent))
-    return PrCompareReport(p_rep, l_rep, p_rep.consensus == l_rep.consensus)
+    return PrCompareReport(p_rep, l_rep)

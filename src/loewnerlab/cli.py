@@ -26,7 +26,6 @@ from mpmath import mp
 
 from . import analysis, builders, oracle, sweep as sweep_mod
 from .builders import LoewnerSpec
-from .exact import det_fraction
 from .inertia import EigenConvergenceError
 from .types import (
     DEFAULT_PRECISION_BITS,
@@ -59,14 +58,8 @@ def parse_range(s: str) -> tuple[float, float, int]:
     parts = s.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be a:b:steps, got {s!r}")
-    a, b = float(parts[0]), float(parts[1])
-    steps = int(parts[2])
-    if steps < 1:
-        raise ValueError("range needs at least one step")
-    if steps == 1 and a != b:
-        raise ValueError("a single-step range needs a == b")
-    if steps > 1 and not a < b:
-        raise ValueError("empty range: need a < b")
+    a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    sweep_mod._check_range(a, b, steps)
     return a, b, steps
 
 
@@ -203,18 +196,17 @@ def cmd_ssr(args, ctx, values):
 
 def cmd_det_id(args, ctx, values):
     cfg = make_point_config(values)
-    closed = {3: analysis.det_closed_form_L3(cfg), 4: analysis.det_closed_form_L4(cfg)}
-    payload = {"exact": cfg.exact is not None}
-    for m in (3, 4):
-        if cfg.exact is not None:
-            det = det_fraction(builders.loewner_matrix_exact(cfg, m).entries)
-            match = det == closed[m]
-        else:
-            with ctx.prec():
-                det = analysis._det_any(
-                    builders.loewner_matrix(LoewnerSpec.of(cfg, m), ctx).entries, ctx)
-                match = abs(det - closed[m]) <= ctx.residual_tol * (1 + abs(closed[m])) * 1e3
-        payload.update({f"det_L{m}": det, f"closed_L{m}": closed[m], f"match_L{m}": bool(match)})
+    exact = cfg.exact is not None
+    payload = {"exact": exact}
+    for m, closed_form in ((3, analysis.det_closed_form_L3), (4, analysis.det_closed_form_L4)):
+        with ctx.prec():  # a float closed form is rounded at the working precision
+            closed = closed_form(cfg)
+            L = (builders.loewner_matrix_exact(cfg, m) if exact
+                 else builders.loewner_matrix(LoewnerSpec.of(cfg, m), ctx))
+            det = analysis._det_any(L.entries, ctx)
+            match = (det == closed if exact
+                     else abs(det - closed) <= ctx.residual_tol * (1 + abs(closed)) * 1e3)
+        payload.update({f"det_L{m}": det, f"closed_L{m}": closed, f"match_L{m}": bool(match)})
     ok = payload["match_L3"] and payload["match_L4"]
     return {**payload, "ok": ok}, 0 if ok else 1
 

@@ -4,8 +4,8 @@ Route one diagonalizes with cyclic orthogonal (Jacobi) rotations and counts
 eigenvalue signs.  Route two runs a completely pivoted (Bunch-Parlett)
 block congruence elimination with 1x1 and 2x2 pivots and counts pivot
 signs, which preserves inertia by Sylvester's law.  Route three, available
-for integer exponents with rational nodes, diagonalizes the exact rational
-matrix.  A report reconciles whichever routes ran and keeps the spectrum
+at every integer exponent, eliminates the exact rational matrix.  A report
+derives its verdicts from whichever routes ran and keeps the spectrum
 its eigenvalue route classified.  ``_settle`` climbs the one precision
 ladder, ``ToleranceContext.rungs``.
 
@@ -23,15 +23,14 @@ and take whichever arithmetic it picks, unchanged:
 Entries are converted into the arithmetic once per route, and eigenvalues
 and residuals back to mpf once, for the ``Spectrum``.  A NaN or infinite
 entry raises ValueError.  The exact route (Fractions) shares nothing with
-them, and its answer does not depend on precision, so an ``ExactHint``
-computes it once for all rungs of the ladder.
+them, and its answer does not depend on precision, so the ladder computes
+it once, before its first rung, for every integer exponent.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -72,9 +71,15 @@ class InertiaReport:
     by_eigen: Inertia
     by_ldl: Inertia
     by_exact: Optional[Inertia]
-    consensus: Inertia
-    disagreement: bool
     spectrum: Spectrum
+
+    @property
+    def consensus(self) -> Inertia:
+        return self.by_exact if self.by_exact is not None else self.by_eigen
+
+    @property
+    def disagreement(self) -> bool:
+        return self.by_ldl != self.by_eigen or self.by_exact not in (None, self.by_eigen)
 
 
 def _offdiag_mass(A, n, ar):
@@ -239,47 +244,17 @@ def _swap_sym(M, i, j):
 
 def inertia_exact_integer(config: PointConfig, r: int) -> Inertia:
     """Exact inertia of the integer-exponent Loewner matrix over the rationals."""
-    ex = Exponent.of(r)
-    if not ex.is_integer:
-        raise ValueError(f"exact route needs an integer exponent, got {r!r}")
-    if ex.integer_value < 1:
-        raise ValueError(f"exact route needs an exponent >= 1, got {r!r}")
-    if config.exact is None:
-        raise ValueError("exact route needs rational nodes")
-    L = builders.loewner_matrix_exact(config, ex.integer_value)
-    return exact.rational_inertia(L.entries)
+    return exact.rational_inertia(builders.loewner_matrix_exact(config, r).entries)
 
 
-class ExactHint(tuple):
-    """The ``(config, r)`` pair of the exact route, which computes that route's
-    inertia at most once.
-
-    The exact inertia does not depend on the working precision, so every
-    attempt of an escalation ladder that passes the same hint reuses it.
-    """
-
-    def __new__(cls, config: PointConfig, r: int):
-        return super().__new__(cls, (config, r))
-
-    @functools.cached_property
-    def inertia(self) -> Inertia:
-        return inertia_exact_integer(*self)
-
-
-def _as_exact_hint(exact_hint) -> Optional[ExactHint]:
-    if exact_hint is None or isinstance(exact_hint, ExactHint):
-        return exact_hint
-    return ExactHint(*exact_hint)
-
-
-def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[ExactHint]:
+def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[tuple]:
     """The ``exact_hint`` for the Loewner matrix of t^r at these nodes.
 
-    It is set for integer r >= 1, with float nodes promoted to the binary
-    rationals they already denote, and None for every other exponent.
+    It is ``(config, m)`` for every integer exponent m, with float nodes
+    promoted to the binary rationals they already denote, and None otherwise.
     """
-    if exponent.is_integer and exponent.integer_value >= 1:
-        return ExactHint(config.ensure_exact(), exponent.integer_value)
+    if exponent.is_integer:
+        return config.ensure_exact(), exponent.integer_value
     return None
 
 
@@ -287,21 +262,16 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
             exact_hint: Optional[tuple[PointConfig, int]] = None) -> InertiaReport:
     """Run the eigenvalue and congruence routes (plus exact, when hinted).
 
-    Disagreement is data, not an error: the caller should raise precision.
-    When routes disagree the consensus field holds the most trustworthy one
-    (exact if present, else the eigenvalue route).  An ``ExactHint`` (as
-    ``exact_route_hint`` returns) runs the exact route only on its first use.
+    Disagreement (the routes that ran differ) is data, not an error: the
+    caller should raise precision.  The consensus is the most trustworthy
+    route (exact if it ran, else eigenvalues).  Each call runs the exact
+    route once, on ``exact_hint`` as ``exact_route_hint`` returns it.
     """
     spec = eig_sym(A, tol)
-    scale = spec.scale
-    by_eigen = inertia_from_spectrum(spec, scale, tol)
+    by_eigen = inertia_from_spectrum(spec, spec.scale, tol)
     by_ldl = inertia_ldl(A, tol)
-    hint = _as_exact_hint(exact_hint)
-    by_exact = hint.inertia if hint is not None else None
-    routes = [by_eigen, by_ldl] + ([by_exact] if by_exact is not None else [])
-    agreed = all(x == routes[0] for x in routes)
-    consensus = by_exact if by_exact is not None else by_eigen
-    return InertiaReport(by_eigen, by_ldl, by_exact, consensus, not agreed, spec)
+    by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
+    return InertiaReport(by_eigen, by_ldl, by_exact, spec)
 
 
 def _settle(build: Callable[[ToleranceContext], SymMatrix],
@@ -312,11 +282,11 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     stopped at.  Each rung of ``tol.rungs()`` builds the matrix with
     ``build(ctx)`` and runs ``inertia`` on it, until the routes agree on a
     consensus equal to ``target`` (if given) or the rungs run out.  The
-    exact route runs once, whatever the number of rungs.  (Private, so that
-    perfbench's tracer sees each rung's ``inertia`` call under the caller.)"""
-    hint = _as_exact_hint(exact_hint)
+    exact route runs once, before the first rung, and joins each report.
+    (Private, so perfbench's tracer sees each ``inertia`` under the caller.)"""
+    by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
     for escalations, ctx in enumerate(tol.rungs()):
-        rep = inertia(build(ctx), ctx, exact_hint=hint)
+        rep = replace(inertia(build(ctx), ctx), by_exact=by_exact)
         if not rep.disagreement and (target is None or rep.consensus == target):
             break
     return rep, ctx, escalations

@@ -14,9 +14,10 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from . import builders, exact
+from . import builders
 from .builders import LoewnerSpec
-from .inertia import EigenConvergenceError, eig_sym, inertia as inertia_report
+from .inertia import EigenConvergenceError, eig_sym, exact_route_hint, inertia_exact_integer
+from .inertia import inertia as inertia_report
 from .types import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_ZERO_REL_TOL,
@@ -44,9 +45,22 @@ class SpectrumSweep:
         return self.config.n
 
 
+def _check_range(a: float, b: float, steps: int) -> None:
+    """Need finite bounds, and one step with a == b or more steps with a < b."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"range bounds must be finite, got {a!r}:{b!r}")
+    if steps < 1:
+        raise ValueError("range needs at least one step")
+    if steps == 1 and a != b:
+        raise ValueError("a single-step range needs a == b")
+    if steps > 1 and not a < b:
+        raise ValueError("empty range: need a < b")
+
+
 def exponent_grid(r_min: float, r_max: float, steps: int) -> list[float]:
     """``steps`` evenly spaced exponents from r_min to r_max inclusive."""
     a, b = float(r_min), float(r_max)
+    _check_range(a, b, steps)
     if steps == 1:
         return [a]
     return [a + (b - a) * i / (steps - 1) for i in range(steps)]
@@ -61,13 +75,9 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
     failures (the point has no row) and route disagreements (the point keeps
     an unsettled row) are recorded in ``failures`` and the sweep continues.
     """
-    if steps < 1 or (steps == 1 and r_min != r_max):
-        raise ValueError("need steps >= 2, or steps == 1 with r_min == r_max")
-    if steps >= 2 and not r_min < r_max:
-        raise ValueError("need r_min < r_max")
+    grid = exponent_grid(r_min, r_max, steps)
     if tol is None:
         tol = ToleranceContext.at_bits(256) if config.n >= 6 else ToleranceContext()
-    grid = exponent_grid(r_min, r_max, steps)
 
     trajectories = []
     inertias = []
@@ -80,8 +90,7 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
             L = builders.loewner_matrix(LoewnerSpec(config, ex), tol)
             if snapped:
                 spec = eig_sym(L, tol)
-                ine = exact.rational_inertia(
-                    builders.loewner_matrix_exact(config.ensure_exact(), m).entries)
+                ine = inertia_exact_integer(*exact_route_hint(config, ex))
             else:
                 rep = inertia_report(L, tol)
                 spec, ine = rep.spectrum, rep.consensus

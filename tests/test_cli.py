@@ -168,6 +168,20 @@ def test_det_id(capsys):
     assert payload["ok"] is True
 
 
+def test_det_id_closed_forms_follow_the_working_precision(capsys):
+    # 0.1, 0.2, 0.3 are not dyadic, so closed forms evaluated in doubles would
+    # miss the 128-bit determinants by about 1e-24 relative
+    code, out, _ = run(capsys, "det-id", "--points", "0.1,0.2,0.3", "--precision-bits", "128")
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    assert payload["match_L3"] is True and payload["match_L4"] is True
+    p1, p2, p3 = (Fraction(x) for x in (0.1, 0.2, 0.3))
+    closed = -((p1 - p2) * (p1 - p3) * (p2 - p3)) ** 2
+    with mp.workprec(256):
+        printed = mpf(payload["closed_L3"])
+        assert abs(printed - mp.mpmathify(closed)) <= mpf(2) ** -120 * abs(printed)
+
+
 def test_det_id_needs_three_points(capsys):
     code, _, err = run(capsys, "det-id", "--points", "1,2")
     assert code == 2

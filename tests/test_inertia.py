@@ -8,7 +8,10 @@ from mpmath import mpf
 
 from loewnerlab import (
     EigenConvergenceError,
+    Inertia,
+    InertiaReport,
     LoewnerSpec,
+    Spectrum,
     SymMatrix,
     ToleranceContext,
     consensus_inertia,
@@ -151,8 +154,7 @@ def test_exact_integer_rejects_bad_input():
     cfg = make_point_config((1, 2))
     with pytest.raises(ValueError):
         inertia_exact_integer(cfg, 1.5)
-    with pytest.raises(ValueError):
-        inertia_exact_integer(cfg, 0)
+    assert inertia_exact_integer(cfg, 0).as_tuple() == (0, 2, 0)  # L_0 is the zero matrix
     with pytest.raises(ValueError):
         inertia_exact_integer(make_point_config((1.5, 2.5)), 2)
 
@@ -184,3 +186,18 @@ def test_exact_hint_joins_consensus():
     assert rep.by_exact is not None
     assert not rep.disagreement
     assert rep.consensus.as_tuple() == (1, 1, 1)
+
+
+@pytest.mark.parametrize("eigen, ldl, exact, consensus, disagreement", [
+    ((1, 1, 1), (1, 1, 1), None, (1, 1, 1), False),
+    ((1, 1, 1), (2, 0, 1), None, (1, 1, 1), True),
+    ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1), False),
+    ((2, 0, 1), (2, 0, 1), (1, 1, 1), (1, 1, 1), True),
+    ((2, 0, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1), True),
+])
+def test_report_derives_consensus_and_disagreement(eigen, ldl, exact, consensus, disagreement):
+    spec = Spectrum((mpf(-1), mpf(0), mpf(1)), mpf(0))
+    rep = InertiaReport(Inertia(*eigen), Inertia(*ldl),
+                        None if exact is None else Inertia(*exact), spec)
+    assert rep.consensus.as_tuple() == consensus
+    assert rep.disagreement is disagreement

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,8 @@ from loewnerlab import (
 )
 
 from helpers import random_config, random_rational_config
+
+inertia_mod = importlib.import_module("loewnerlab.inertia")
 
 
 def test_predicted_examples():
@@ -84,6 +87,22 @@ def test_verify_instance_examples():
     assert rep.match and rep.computed.as_tuple() == (1, 1, 0)
     rep = verify_instance(make_point_config((2, 3, 5, 7)), 3)
     assert rep.match and rep.computed.as_tuple() == (2, 1, 1)
+
+
+@pytest.mark.parametrize("r", [-3, -2])
+def test_verify_instance_runs_the_exact_route_at_a_negative_integer(monkeypatch, r):
+    calls = []
+    original = inertia_mod.inertia_exact_integer
+
+    def counted(config, m):
+        calls.append(m)
+        return original(config, m)
+
+    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    rep = verify_instance(make_point_config((1, 2, 3, 4)), r)
+    assert calls == [r]
+    assert rep.match and not rep.disagreement
+    assert rep.computed == predicted_inertia(4, r).inertia
 
 
 def test_verify_instance_near_integer_escalates():

@@ -159,3 +159,35 @@ def test_emit_keeps_the_sweep_precision():
                            ToleranceContext.at_bits(256))
     _, rows = emit_figure1(s, scaling="none")
     assert [row[1:4] for row in rows] == [traj for traj in s.trajectories]
+
+
+def test_snapped_points_run_the_exact_route_once_each(monkeypatch):
+    assert sweep_mod.inertia_exact_integer is inertia_mod.inertia_exact_integer
+    calls = []
+
+    def spy(config, m):
+        calls.append(m)
+        return inertia_mod.inertia_exact_integer(config, m)
+
+    monkeypatch.setattr(sweep_mod, "inertia_exact_integer", spy)
+    cfg = make_point_config((0.5, 1.25, 3.0, 4.0))  # float nodes take the exact route too
+    s = eigen_trajectories(cfg, -2.0, 3.0, 11)
+    assert calls == [-2, -1, 0, 1, 2, 3]
+    for m in (-2, 0, 3):
+        assert s.inertias[s.grid.index(float(m))] == predicted_inertia(4, m).inertia
+
+
+@pytest.mark.parametrize("a, b, steps", [
+    (0.5, 1.5, 0),
+    (0.5, 1.5, 1),
+    (1.5, 0.5, 3),
+    (1.5, 1.5, 3),
+    (math.nan, 1.5, 3),
+    (0.5, math.nan, 3),
+    (math.nan, math.nan, 1),
+    (0.0, math.inf, 3),
+    (-math.inf, 1.0, 3),
+])
+def test_exponent_grid_rejects_bad_ranges(a, b, steps):
+    with pytest.raises(ValueError):
+        sweep_mod.exponent_grid(a, b, steps)
