@@ -1,13 +1,15 @@
 """Inertia of symmetric matrices by three independent routes.
 
 Route one diagonalizes with cyclic orthogonal (Jacobi) rotations and counts
-eigenvalue signs.  Route two runs a completely pivoted (Bunch-Parlett)
-block congruence elimination with 1x1 and 2x2 pivots and counts pivot
-signs, which preserves inertia by Sylvester's law.  Route three, available
-at every integer exponent, eliminates the exact rational matrix.  A report
-derives its verdicts from whichever routes ran and keeps the spectrum
-its eigenvalue route classified.  ``_settle`` climbs the one precision
-ladder, ``ToleranceContext.rungs``.
+eigenvalue signs; each rotation is one symmetric update that computes every
+entry it touches once and writes it to both triangles.  Route two runs a
+completely pivoted (Bunch-Parlett) block congruence elimination with 1x1
+and 2x2 pivots and counts pivot signs, which preserves inertia by
+Sylvester's law.  Route three, available at every integer exponent,
+eliminates the exact rational matrix.  A report derives its verdicts from
+whichever routes ran and keeps the spectrum its eigenvalue route
+classified.  ``_settle`` climbs the one precision ladder,
+``ToleranceContext.rungs``.
 
 The two float routes are written once against ``ToleranceContext.arith``
 and take whichever arithmetic it picks, unchanged:
@@ -83,14 +85,21 @@ class InertiaReport:
 
 
 def _offdiag_mass(A, n, ar):
-    return ar.sqrt(ar.fsum(A[i][j] * A[i][j] for i in range(n) for j in range(n) if i != j))
+    """Off-diagonal Frobenius mass of the exactly symmetric A, from its upper
+    triangle."""
+    return ar.sqrt(2 * ar.fsum(A[i][j] * A[i][j] for i in range(n) for j in range(i + 1, n)))
 
 
 def _working_copy(A: SymMatrix, tol: ToleranceContext):
     """The arithmetic for A (ValueError on a NaN or infinite entry), A's
-    entries in it, and its Frobenius norm."""
+    entries in it (each upper-triangle entry converted once and mirrored, so
+    the copy is exactly symmetric), and its Frobenius norm."""
     ar = tol.arith(e for row in A.entries for e in row)
-    M = [[ar.num(e) for e in row] for row in A.entries]
+    n = A.order
+    M = [[None] * n for _ in range(n)]
+    for i, row in enumerate(A.entries):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = ar.num(row[j])
     return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
 
 
@@ -100,11 +109,17 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
 
     Sweeps rotate every off-diagonal pair in fixed order until the
     off-diagonal Frobenius mass drops below residual_tol times the matrix
-    norm.  Convergence is quadratic once the mass is small, so the sweep
-    bound is generous; hitting it signals that the precision is too low
-    for the requested tolerance.  The rotations run on the arithmetic
-    ``ToleranceContext.arith`` picks (floats at 53 bits when the entries
-    allow it, ``decimal`` above 53 bits); the eigenvalues are mpf either way.
+    norm.  Each rotation is one symmetric update: for every other index k
+    it computes the new (k, p) and (k, q) entries once and writes each to
+    both triangles, and it forms the 2x2 block on p, q in locals and stores
+    its one (p, q) value in both triangles.  So the working matrix stays
+    exactly symmetric, and a rotation computes 2(n - 2) entries plus its
+    block.  The (p, q) entry is not set to zero: the residual is the mass
+    the rotations left.  Convergence is quadratic once the mass is small,
+    so ``max_sweeps`` is generous; hitting it raises EigenConvergenceError.
+    The rotations run on the arithmetic ``ToleranceContext.arith`` picks
+    (floats at 53 bits when the entries allow it, ``decimal`` above 53
+    bits); the eigenvalues are mpf either way.
     """
     n = A.order
     with tol.prec():
@@ -116,30 +131,32 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
             if sweeps >= max_sweeps:
                 raise EigenConvergenceError(
                     f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
-                    f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (precision too low?)"
+                    f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (the sweep limit)"
                 )
             skip = thresh / (2 * n)
             for p in range(n - 1):
                 for q in range(p + 1, n):
-                    apq = M[p][q]
+                    Mp, Mq = M[p], M[q]
+                    apq = Mp[q]
                     if abs(apq) <= skip:
                         continue
-                    theta = (M[q][q] - M[p][p]) / (2 * apq)
+                    app, aqq = Mp[p], Mq[q]
+                    theta = (aqq - app) / (2 * apq)
                     t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
                     if theta < 0:
                         t = -t
                     c = 1 / ar.sqrt(1 + t * t)
                     s = t * c
                     for k in range(n):
-                        akp = M[k][p]
-                        akq = M[k][q]
-                        M[k][p] = c * akp - s * akq
-                        M[k][q] = s * akp + c * akq
-                    for k in range(n):
-                        apk = M[p][k]
-                        aqk = M[q][k]
-                        M[p][k] = c * apk - s * aqk
-                        M[q][k] = s * apk + c * aqk
+                        if k != p and k != q:
+                            akp, akq = Mp[k], Mq[k]
+                            Mp[k] = M[k][p] = c * akp - s * akq
+                            Mq[k] = M[k][q] = s * akp + c * akq
+                    bpp, bpq = c * app - s * apq, s * app + c * apq
+                    bqp, bqq = c * apq - s * aqq, s * apq + c * aqq
+                    Mp[p] = c * bpp - s * bqp
+                    Mq[q] = s * bpq + c * bqq
+                    Mp[q] = Mq[p] = c * bpq - s * bqq
             sweeps += 1
             off = _offdiag_mass(M, n, ar)
         return Spectrum(tuple(sorted(ar.out(M[i][i]) for i in range(n))), ar.out(off))

@@ -1,7 +1,10 @@
-"""Accuracy of the divided-difference kernel and of the congruence route.
+"""Accuracy of the divided-difference kernel, of the congruence route and
+of the Jacobi eigenvalues.
 
-References are evaluated by plain subtraction at four times the working
-precision, where the cancellation still leaves over 100 correct bits.
+Kernel references are evaluated by plain subtraction at four times the
+working precision, where the cancellation still leaves over 100 correct
+bits; eigenvalue references come from ``eig_sym`` at 640 bits on the same
+entries, checked against mpmath's ``eigsy``.
 """
 
 import random
@@ -13,9 +16,11 @@ from mpmath import mp, mpf
 from loewnerlab import (
     ComboFunction,
     LoewnerSpec,
+    SymMatrix,
     ToleranceContext,
     combo_eval,
     cross_loewner,
+    eig_sym,
     inertia_ldl,
     loewner_matrix,
     loewner_matrix_exact,
@@ -142,3 +147,39 @@ def test_ldl_matches_exact_on_bunched_integer_exponents():
         m = rng.randint(2, cfg.n - 1)
         exact = rational_inertia(loewner_matrix_exact(cfg, m).entries)
         assert inertia_ldl(loewner_matrix(LoewnerSpec.of(cfg, m), ctx), ctx) == exact
+
+
+def _random_symmetric(rng, n, bits, graded):
+    """Symmetric n x n matrix of random ``bits``-bit entries in [-5, 5), with
+    row and column i scaled by 2^k_i (|k_i| <= 20) when ``graded``."""
+    with mp.workprec(bits):
+        k = [rng.randint(-20, 20) if graded else 0 for _ in range(n)]
+        return SymMatrix.build(n, lambda i, j: mp.ldexp(
+            mpf(rng.getrandbits(bits)) / mpf(2) ** bits * 10 - 5, k[i] + k[j]))
+
+
+@pytest.mark.parametrize("bits, arith", [(53, "float"), (256, "decimal")])
+def test_eig_sym_within_residual_plus_rounding_of_640_bits(bits, arith):
+    # Weyl: the off-diagonal mass the sweeps leave moves each eigenvalue by at
+    # most offdiag_residual; the rotations' roundings add a few eps*|A|_F each
+    # (2.3 of them on a 2 x 2, where |A|_F is the largest |lambda|), so the
+    # rounding allowance is 2n eps*|A|_F.  Graded matrices have clustered tiny
+    # eigenvalues, where the residual term dominates.  The 640-bit reference
+    # is checked against mpmath's eigsy, so a rotation error that every
+    # precision shares cannot pass as accuracy.
+    rng = random.Random(bits)
+    ctx, ref_ctx = ToleranceContext.at_bits(bits), ToleranceContext.at_bits(640)
+    for n in range(2, 13):
+        for graded in (False, True):
+            A = _random_symmetric(rng, n, bits, graded)
+            assert ctx.arith(e for row in A.entries for e in row).name == arith
+            spec, ref = eig_sym(A, ctx), eig_sym(A, ref_ctx).eigenvalues
+            with mp.workprec(640):
+                norm = mp.sqrt(mp.fsum(e * e for row in A.entries for e in row))
+                oracle = sorted(mp.eigsy(mp.matrix(A.entries), eigvals_only=True))
+                assert all(abs(mu - x) <= mpf(2) ** -600 * norm for mu, x in zip(ref, oracle))
+                bound = spec.offdiag_residual + 2 * n * ctx.eps() * norm
+                assert all(abs(lam - mu) <= bound for lam, mu in zip(spec.eigenvalues, ref)), \
+                    (n, graded)
+                # the residual is compared in the working arithmetic: allow its roundings
+                assert spec.offdiag_residual <= ctx.residual_tol * norm * (1 + 8 * ctx.eps())

@@ -1,4 +1,6 @@
 import decimal
+import functools
+import importlib
 import io
 import json
 import re
@@ -12,6 +14,9 @@ from mpmath import mp, mpc, mpf
 from loewnerlab import analysis
 from loewnerlab.cli import main, parse_range, parse_scalar
 from fractions import Fraction
+
+inertia_mod = importlib.import_module("loewnerlab.inertia")
+sweep_mod = importlib.import_module("loewnerlab.sweep")
 
 
 def run(capsys, *argv):
@@ -235,14 +240,32 @@ def test_readme_examples_are_pinned():
     assert lines and set(lines) <= {c["argv"] for c in GOLDEN}
 
 
+@pytest.fixture
+def stalled_eigensolver(monkeypatch):
+    """``eig_sym`` allowed no sweep, wherever the commands look it up."""
+    stalled = functools.partial(inertia_mod.eig_sym, max_sweeps=0)
+    for mod in (inertia_mod, analysis, sweep_mod):
+        monkeypatch.setattr(mod, "eig_sym", stalled)
+
+
 @pytest.mark.parametrize("argv", [
-    "verify --points 1,2,3 --r 2.5 --residual-tol 1e-30",
-    "dk --points 1,2,3 --r 0.5 --samples 3 --residual-tol 1e-30",
+    "verify --points 1,2,3 --r 2.5",
+    "dk --points 1,2,3 --r 0.5 --samples 3",
 ])
-def test_unreachable_tolerance_is_a_usage_error(capsys, argv):
+def test_eigensolver_stall_is_a_usage_error(capsys, stalled_eigensolver, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("error: off-diagonal mass") and err.count("\n") == 1
+
+
+def test_a_tight_residual_tolerance_converges_at_53_bits(capsys):
+    # the rotations keep the working matrix exactly symmetric, so the sweeps
+    # drive its off-diagonal mass under 1e-30 of the norm at 53 bits
+    code, out, _ = run(capsys, "verify", "--points", "1,2,3", "--r", "2.5",
+                       "--residual-tol", "1e-30")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert (result["computed"], result["precision_bits"]) == ([2, 0, 1], 53)
 
 
 @pytest.mark.parametrize("r", ["2", "0"])
@@ -253,9 +276,8 @@ def test_zeros_rejects_an_identically_zero_combination(capsys, r):
     assert err == f"error: the combination is identically zero at r = {r}\n"
 
 
-def test_sweep_reports_each_dropped_point(capsys):
-    code, out, err = run(capsys, "sweep", "--points", "1,2,3", "--r-range", "0.5:2.5:3",
-                         "--residual-tol", "1e-30")
+def test_sweep_reports_each_dropped_point(capsys, stalled_eigensolver):
+    code, out, err = run(capsys, "sweep", "--points", "1,2,3", "--r-range", "0.5:2.5:3")
     assert code == 2
     assert out == "r,lambda_1,lambda_2,lambda_3,pos,zero,neg\r\n"
     lines = err.splitlines()
