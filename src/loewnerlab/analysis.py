@@ -595,7 +595,7 @@ def _subdivide(phase, rect: Rect, winding: int, depth: int) -> list[ZeroCell]:
     raise _BoundaryZero
 
 
-def complex_zero_scan(config: PointConfig, region, grid: int = 32,
+def complex_zero_scan(config: PointConfig, region, grid: int,
                       tol: ToleranceContext = DEFAULT_TOL) -> ComplexScanReport:
     """Locate zeros of the complex determinant by argument-principle winding.
 

@@ -275,20 +275,16 @@ def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[tuple]
     return None
 
 
-def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
-            exact_hint: Optional[tuple[PointConfig, int]] = None) -> InertiaReport:
-    """Run the eigenvalue and congruence routes (plus exact, when hinted).
+def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> InertiaReport:
+    """Run the eigenvalue and congruence routes at ``tol``'s precision.
 
-    Disagreement (the routes that ran differ) is data, not an error: the
-    caller should raise precision.  The consensus is the most trustworthy
-    route (exact if it ran, else eigenvalues).  Each call runs the exact
-    route once, on ``exact_hint`` as ``exact_route_hint`` returns it.
+    Disagreement (the two routes differ) is data, not an error: the caller
+    should raise precision.  The consensus is the eigenvalue route's; the
+    exact route joins a report only in ``_settle``.
     """
     spec = eig_sym(A, tol)
     by_eigen = inertia_from_spectrum(spec, spec.scale, tol)
-    by_ldl = inertia_ldl(A, tol)
-    by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
-    return InertiaReport(by_eigen, by_ldl, by_exact, spec)
+    return InertiaReport(by_eigen, inertia_ldl(A, tol), None, spec)
 
 
 def _settle(build: Callable[[ToleranceContext], SymMatrix],
@@ -296,11 +292,13 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
             exact_hint: Optional[tuple[PointConfig, int]] = None,
             target: Optional[Inertia] = None) -> tuple[InertiaReport, ToleranceContext, int]:
     """The precision ladder: (report, context, escalations) of the rung it
-    stopped at.  Each rung of ``tol.rungs()`` builds the matrix with
-    ``build(ctx)`` and runs ``inertia`` on it, until the routes agree on a
-    consensus equal to ``target`` (if given) or the rungs run out.  The
-    exact route runs once, before the first rung, and joins each report.
-    (Private, so perfbench's tracer sees each ``inertia`` under the caller.)"""
+    stopped at.  It starts at ``tol`` as the caller gave it, and each rung
+    of ``tol.rungs()`` builds the matrix with ``build(ctx)`` and runs
+    ``inertia`` on it, until the routes agree on a consensus equal to
+    ``target`` (if given) or the rungs run out.  This is the one place the
+    exact route joins a report: it runs once on ``exact_hint``, before the
+    first rung, and joins each rung's report.  (Private, so perfbench's
+    tracer sees each ``inertia`` under the caller.)"""
     by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
     for escalations, ctx in enumerate(tol.rungs()):
         rep = replace(inertia(build(ctx), ctx), by_exact=by_exact)

@@ -87,17 +87,15 @@ def verify_instance(config: PointConfig, r: Scalar,
                     tol: ToleranceContext = DEFAULT_TOL) -> VerifyReport:
     """Compare predicted inertia against the engine's consensus.
 
-    Integer exponents run the exact rational route alongside the float
-    routes (see ``exact_route_hint``).  Near-integer exponents start one
-    rung up; from there ``inertia._settle`` climbs until the routes agree on
-    the predicted inertia, and a non-match is declared when it gives up.
+    ``inertia._settle`` starts at ``tol``, the caller's own rung, and climbs
+    until the routes agree on the predicted inertia; a non-match is declared
+    when it gives up.  Integer exponents run the exact rational route
+    alongside the float routes (see ``exact_route_hint``).
     """
     pred = predicted_inertia(config.n, r)
     ex = Exponent.of(r)
-    near_integer = (not ex.is_integer) and abs(float(r) - round(float(r))) < 1e-6
     rep, ctx, escalations = _settle(
-        lambda ctx: builders.loewner_matrix(LoewnerSpec(config, ex), ctx),
-        tol.escalated() if near_integer else tol,
+        lambda ctx: builders.loewner_matrix(LoewnerSpec(config, ex), ctx), tol,
         exact_route_hint(config, ex), target=pred.inertia)
     match = not rep.disagreement and rep.consensus == pred.inertia
     return VerifyReport(config.n, r, pred, rep.consensus, match, rep.disagreement,
@@ -157,12 +155,15 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
 
 def prop21_check(config: PointConfig, r: Scalar,
                  tol: ToleranceContext = DEFAULT_TOL) -> bool:
-    """True when L_r has at least one negative eigenvalue (guaranteed for r > 1)."""
+    """True when L_r has at least one negative eigenvalue (guaranteed for r > 1).
+    Integer exponents run the exact route, as in ``verify_instance``."""
     if not r > 1:
         raise ValueError(f"exponent must exceed 1, got {r!r}")
     if config.n < 2:
         raise ValueError("need at least two points")
-    rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(LoewnerSpec.of(config, r), ctx), tol)
+    ex = Exponent.of(r)
+    rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(LoewnerSpec(config, ex), ctx),
+                        tol, exact_route_hint(config, ex))
     return rep.consensus.neg >= 1
 
 

@@ -208,18 +208,16 @@ class ToleranceContext:
             residual_tol=DEFAULT_RESIDUAL_TOL * scale,
         )
 
-    def escalated(self) -> "ToleranceContext":
-        """Next context in the escalation ladder (at least 256 bits, else doubled)."""
-        return ToleranceContext.at_bits(max(2 * self.precision_bits, 256))
-
     def rungs(self) -> Iterator["ToleranceContext"]:
-        """The precision ladder: this context, then ``MAX_ESCALATIONS``
-        successive ``escalated`` ones (53 -> 256 -> 512 bits from the default)."""
-        ctx = self
-        yield ctx
+        """The precision ladder, and the one home of its step rule: this
+        context as given, then ``MAX_ESCALATIONS`` rungs, each ``at_bits``
+        double the last one's bits and at least 256 (53 -> 256 -> 512 bits
+        from the default)."""
+        yield self
+        bits = self.precision_bits
         for _ in range(MAX_ESCALATIONS):
-            ctx = ctx.escalated()
-            yield ctx
+            bits = max(2 * bits, 256)
+            yield ToleranceContext.at_bits(bits)
 
     def prec(self):
         """Context manager for this precision: ``mp.workprec``, and above 53
@@ -298,30 +296,28 @@ class Inertia:
 
 @dataclass(frozen=True)
 class Exponent:
-    """A real exponent plus its exact-integer classification."""
+    """A real exponent plus its exact-integer classification: ``integer_value``
+    is r as an int when r is an integer, else None."""
 
     r: Scalar
-    is_integer: bool
     integer_value: Optional[int]
 
     def __post_init__(self):
-        if self.is_integer != (self.integer_value is not None):
-            raise ValueError("integer_value must be present exactly when is_integer")
-        if self.is_integer and self.r != self.integer_value:
+        if self.integer_value is not None and self.r != self.integer_value:
             raise ValueError("integer_value must equal r")
+
+    @property
+    def is_integer(self) -> bool:
+        return self.integer_value is not None
 
     @classmethod
     def of(cls, r: Scalar) -> "Exponent":
         if not mpmath.isfinite(r):
             raise ValueError(f"exponent must be finite, got {r!r}")
         if isinstance(r, Rational):
-            if r.denominator == 1:
-                return cls(r, True, int(r))
-            return cls(r, False, None)
+            return cls(r, int(r) if r.denominator == 1 else None)
         k = int(round(r))
-        if r == k:
-            return cls(r, True, k)
-        return cls(r, False, None)
+        return cls(r, k if r == k else None)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,18 @@ def test_verify_range(capsys):
     assert len(json.loads(out)["results"]) == 5
 
 
+@pytest.mark.parametrize("flags, bits, escalations", [
+    (("--precision-bits", "512"), 512, 0),  # the ladder starts at the rung asked for
+    (("--zero-rel-tol", "0.5"), 256, 1),    # the start's own override runs first
+])
+def test_verify_near_integer_starts_at_the_given_rung(capsys, flags, bits, escalations):
+    code, out, _ = run(capsys, "verify", "--points", "1,2,3", "--r", "2.00000001", *flags)
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert (result["match"], result["precision_bits"], result["escalations"]) == (
+        True, bits, escalations)
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--points", "1,2", "--r-range",
                        "0.5:1.5:3", "--scale", "none")

@@ -9,6 +9,7 @@ the same public function both ways.
 
 import importlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -202,7 +203,8 @@ def test_exact_route_runs_once_per_call(monkeypatch):
     assert calls == [7]
 
     L = loewner_matrix(LoewnerSpec.of(cfg, 7))
-    assert inertia_mod.inertia(L, exact_hint=(cfg, 7)).disagreement  # so consensus escalates
+    first_rung = replace(inertia_mod.inertia(L), by_exact=inertia_mod.inertia_exact_integer(cfg, 7))
+    assert first_rung.disagreement  # so consensus escalates
     calls.clear()
     rep = consensus_inertia(L, exact_hint=(cfg, 7))
     assert not rep.disagreement

@@ -182,7 +182,7 @@ def test_consensus_examples():
 def test_exact_hint_joins_consensus():
     cfg = make_point_config((1, 2, 3))
     L = loewner_matrix(LoewnerSpec.of(cfg, 2))
-    rep = inertia(L, exact_hint=(cfg, 2))
+    rep = consensus_inertia(L, exact_hint=(cfg, 2))
     assert rep.by_exact is not None
     assert not rep.disagreement
     assert rep.consensus.as_tuple() == (1, 1, 1)

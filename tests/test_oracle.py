@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from loewnerlab import (
@@ -184,6 +185,19 @@ def test_prop21_examples():
         prop21_check(make_point_config((1, 2)), 0.5)
 
 
+def test_prop21_runs_the_exact_route_at_integer_exponents(monkeypatch):
+    calls = []
+    original = inertia_mod.inertia_exact_integer
+
+    def counted(config, r):
+        calls.append(r)
+        return original(config, r)
+
+    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    assert prop21_check(make_point_config(range(1, 9)), 7)
+    assert calls == [7]
+
+
 def test_prop21_two_by_two_determinant_negative():
     # independent check: det [[3, 7], [7, 12]] = -13 for p=(1,2), r=3
     L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2)), 3))
@@ -241,18 +255,30 @@ def test_nonzero_eigenvalues_simple():
 # (precision_bits, escalations, match, disagreement, computed).
 @pytest.mark.parametrize("points, r, outcome", [
     ((1, 2, 3), 2.5, (53, 0, True, False, (2, 0, 1))),
-    ((1, 2, 3), 2 + 1e-8, (256, 0, True, False, (2, 0, 1))),  # near-integer: starts one up
+    ((1, 2, 3), 2 + 1e-8, (256, 1, True, False, (2, 0, 1))),
     (tuple(range(1, 9)), 7, (256, 1, True, False, (4, 1, 3))),
     (tuple(range(1, 7)), 3.5, (256, 1, True, False, (2, 0, 4))),
     # The ladder runs out: the routes agree at 512 bits on an inertia the
     # theorem does not predict (the smallest eigenvalue stays under the
     # zero threshold at every rung).
     ((1.0, 1.01, 1.02), 80000.5, (512, 2, False, False, (1, 1, 1))),
+    ((1, 2, 3), 4 + 1e-8, (53, 0, True, False, (2, 0, 1))),
 ])
 def test_ladder_outcomes(points, r, outcome):
     rep = verify_instance(make_point_config(points), r)
     assert (rep.precision_bits, rep.escalations, rep.match, rep.disagreement,
             rep.computed.as_tuple()) == outcome
+
+
+@settings(deadline=None, max_examples=100)
+@given(nk=st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       side=st.sampled_from((-1, 1)), digits=st.integers(7, 13))
+def test_near_integer_exponents_settle_by_256_bits(nk, side, digits):
+    # r within 1e-7 of an integer makes L_r nearly singular (clause iii);
+    # the ladder from the default start resolves it without a special start
+    n, k = nk
+    rep = verify_instance(make_point_config(range(1, n + 1)), k + side * 10.0 ** -digits)
+    assert rep.match and rep.precision_bits <= 256
 
 
 def test_conditional_inertia_rebuilds_the_compression_per_rung():

@@ -80,7 +80,7 @@ def test_exponent_fraction_detection():
 
 def test_exponent_invariant_enforced():
     with pytest.raises(ValueError):
-        Exponent(2.5, True, 2)
+        Exponent(2.5, 2)
 
 
 def test_tolerance_defaults_and_scaling():
@@ -98,11 +98,6 @@ def test_tolerance_validation():
         ToleranceContext(precision_bits=32)
     with pytest.raises(ValueError):
         ToleranceContext(zero_rel_tol=0.0)
-
-
-def test_escalation_ladder():
-    assert ToleranceContext().escalated().precision_bits == 256
-    assert ToleranceContext.at_bits(256).escalated().precision_bits == 512
 
 
 def test_rungs_are_the_one_ladder():
