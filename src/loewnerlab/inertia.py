@@ -24,7 +24,12 @@ and take whichever arithmetic it picks, unchanged:
 
 Entries are converted into the arithmetic once per route, and eigenvalues
 and residuals back to mpf once, for the ``Spectrum``.  A NaN or infinite
-entry raises ValueError.  The exact route (Fractions) shares nothing with
+entry raises ValueError.  On ``decimal`` the eigenvalue route also converts
+them to floats once, when all of them lie in the float window: a float
+Jacobi pass finds an approximate eigenvector basis, and the working sweeps
+start from the matrix rotated into it (see ``eig_sym``).  That pass only
+sets where the working sweeps start; their stop test, and so every
+eigenvalue and verdict, is decided at working precision.  The exact route (Fractions) shares nothing with
 them, and its answer does not depend on precision, so the ladder computes
 it once, before its first rung, for every integer exponent.
 """
@@ -33,23 +38,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Callable, Optional
 
 from mpmath import mp
 
 from . import builders, exact
 from .types import (
+    DEC_ARITH,
     DEFAULT_TOL,
+    FLOAT_ARITH,
     Exponent,
     Inertia,
     PointConfig,
     SymMatrix,
     ToleranceContext,
+    _in_float_window,
     to_mpf,
 )
 
 # Bunch-Parlett pivot constant: bounds element growth in the 1x1/2x2 choice.
 _BP_ALPHA = (1 + math.sqrt(17)) / 8
+
+# Sweep limit of the float pass that preconditions ``eig_sym`` on ``decimal``.
+_FLOAT_PASS_SWEEPS = 30
 
 
 class EigenConvergenceError(RuntimeError):
@@ -103,62 +115,127 @@ def _working_copy(A: SymMatrix, tol: ToleranceContext):
     return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
 
 
+def _sweeps(M, n, ar, thresh, max_sweeps, V=None):
+    """Cyclic Jacobi sweeps on the exactly symmetric M, in place, until its
+    off-diagonal mass is at most ``thresh`` or ``max_sweeps`` sweeps have
+    run; returns that mass.  Pairs of magnitude at most thresh/(2n) are
+    skipped.
+
+    Each rotation is one symmetric update: for every other index k it
+    computes the new (k, p) and (k, q) entries once and writes each to both
+    triangles, and it forms the 2x2 block on p, q in locals and stores its
+    one (p, q) value in both triangles.  So M stays exactly symmetric, and a
+    rotation computes 2(n - 2) entries plus its block.  The (p, q) entry is
+    not set to zero: the residual is the mass the rotations left.  With V
+    (a list of rows) each rotation is applied to V's rows p and q too, so V
+    accumulates the rotations G with M -> G M G^T.
+    """
+    off = _offdiag_mass(M, n, ar)
+    sweeps = 0
+    skip = thresh / (2 * n)
+    while off > thresh and sweeps < max_sweeps:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                Mp, Mq = M[p], M[q]
+                apq = Mp[q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = Mp[p], Mq[q]
+                theta = (aqq - app) / (2 * apq)
+                t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
+                if theta < 0:
+                    t = -t
+                c = 1 / ar.sqrt(1 + t * t)
+                s = t * c
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = Mp[k], Mq[k]
+                        Mp[k] = M[k][p] = c * akp - s * akq
+                        Mq[k] = M[k][q] = s * akp + c * akq
+                bpp, bpq = c * app - s * apq, s * app + c * apq
+                bqp, bqq = c * apq - s * aqq, s * apq + c * aqq
+                Mp[p] = c * bpp - s * bqp
+                Mq[q] = s * bpq + c * bqq
+                Mp[q] = Mq[p] = c * bpq - s * bqq
+                if V is not None:
+                    Vp, Vq = V[p], V[q]
+                    V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
+                    V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
+        sweeps += 1
+        off = _offdiag_mass(M, n, ar)
+    return off
+
+
+def _float_preconditioned(A: SymMatrix, M, n, ar):
+    """Q M Q^T at working precision, where M is A in ``ar`` and Q's rows are
+    an eigenvector basis of float(A), made orthonormal at working precision.
+
+    The float pass is ``_sweeps`` on ``FLOAT_ARITH``, accumulating its
+    rotations, until the mass of float(A) is at float roundoff of its norm
+    (float(A) holds nothing finer); at its sweep limit its basis is used as
+    it stands.  With every entry in the float window, no float operation
+    there overflows or divides by zero, so it never raises.  The basis is a
+    product of rotations, so one pass of modified Gram-Schmidt makes it
+    orthonormal to working precision, and Q M Q^T has M's eigenvalues up to
+    the roundoff of the product, whichever basis the float pass found.
+    """
+    F = [[float(v) for v in row] for row in A.entries]
+    V = [[float(i == j) for j in range(n)] for i in range(n)]
+    fnorm = math.sqrt(math.fsum(v * v for row in F for v in row))
+    _sweeps(F, n, FLOAT_ARITH, math.ulp(1.0) * fnorm, _FLOAT_PASS_SWEEPS, V)
+    Q = []
+    for row in V:
+        q = [ar.num(v) for v in row]
+        for u in Q:
+            d = sum(map(mul, q, u))
+            q = [a - d * b for a, b in zip(q, u)]
+        h = ar.sqrt(sum(map(mul, q, q)))
+        Q.append([a / h for a in q])
+    W = [[sum(map(mul, q, m)) for m in M] for q in Q]  # Q M (M is symmetric)
+    B = [[None] * n for _ in range(n)]
+    for i, w in enumerate(W):
+        for j in range(i, n):
+            B[i][j] = B[j][i] = sum(map(mul, w, Q[j]))
+    return B
+
+
 def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
             max_sweeps: int = 30) -> Spectrum:
     """Eigenvalues by cyclic Jacobi rotations at working precision.
 
-    Sweeps rotate every off-diagonal pair in fixed order until the
-    off-diagonal Frobenius mass drops below residual_tol times the matrix
-    norm.  Each rotation is one symmetric update: for every other index k
-    it computes the new (k, p) and (k, q) entries once and writes each to
-    both triangles, and it forms the 2x2 block on p, q in locals and stores
-    its one (p, q) value in both triangles.  So the working matrix stays
-    exactly symmetric, and a rotation computes 2(n - 2) entries plus its
-    block.  The (p, q) entry is not set to zero: the residual is the mass
-    the rotations left.  Convergence is quadratic once the mass is small,
-    so ``max_sweeps`` is generous; hitting it raises EigenConvergenceError.
+    Sweeps (``_sweeps``) rotate every off-diagonal pair in fixed order until
+    the off-diagonal Frobenius mass drops below residual_tol times the
+    matrix norm.  Convergence is quadratic once the mass is small, so
+    ``max_sweeps`` is generous; hitting it raises EigenConvergenceError.
     The rotations run on the arithmetic ``ToleranceContext.arith`` picks
     (floats at 53 bits when the entries allow it, ``decimal`` above 53
     bits); the eigenvalues are mpf either way.
+
+    On ``decimal``, when every entry lies in the float window, a float pass
+    first diagonalizes float(A), and the working sweeps start from Q A Q^T
+    with Q its basis made orthonormal at working precision
+    (``_float_preconditioned``).  The float pass does the slow, linear part
+    of the convergence, taking the relative mass from about 1 to float
+    roundoff, so the working sweeps are left with the quadratic part: about
+    3 of them instead of 7 to 10 on Loewner matrices at 256 bits.  Entries
+    outside the window skip the float pass (Q = I).  The float pass is only
+    a preconditioner and cannot change a verdict: it never raises, Q A Q^T
+    has A's eigenvalues whatever basis it found, and the working sweeps, with
+    ``max_sweeps`` counting only them, stop by the same test against A's
+    norm.
     """
     n = A.order
     with tol.prec():
         ar, M, norm = _working_copy(A, tol)
         thresh = ar.num(tol.residual_tol) * norm
-        off = _offdiag_mass(M, n, ar)
-        sweeps = 0
-        while off > thresh:
-            if sweeps >= max_sweeps:
-                raise EigenConvergenceError(
-                    f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
-                    f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (the sweep limit)"
-                )
-            skip = thresh / (2 * n)
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    Mp, Mq = M[p], M[q]
-                    apq = Mp[q]
-                    if abs(apq) <= skip:
-                        continue
-                    app, aqq = Mp[p], Mq[q]
-                    theta = (aqq - app) / (2 * apq)
-                    t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
-                    if theta < 0:
-                        t = -t
-                    c = 1 / ar.sqrt(1 + t * t)
-                    s = t * c
-                    for k in range(n):
-                        if k != p and k != q:
-                            akp, akq = Mp[k], Mq[k]
-                            Mp[k] = M[k][p] = c * akp - s * akq
-                            Mq[k] = M[k][q] = s * akp + c * akq
-                    bpp, bpq = c * app - s * apq, s * app + c * apq
-                    bqp, bqq = c * apq - s * aqq, s * apq + c * aqq
-                    Mp[p] = c * bpp - s * bqp
-                    Mq[q] = s * bpq + c * bqq
-                    Mp[q] = Mq[p] = c * bpq - s * bqq
-            sweeps += 1
-            off = _offdiag_mass(M, n, ar)
+        if ar is DEC_ARITH and _in_float_window(e for row in A.entries for e in row):
+            M = _float_preconditioned(A, M, n, ar)
+        off = _sweeps(M, n, ar, thresh, max_sweeps)
+        if off > thresh:
+            raise EigenConvergenceError(
+                f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
+                f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (the sweep limit)"
+            )
         return Spectrum(tuple(sorted(ar.out(M[i][i]) for i in range(n))), ar.out(off))
 
 

@@ -158,7 +158,25 @@ def _random_symmetric(rng, n, bits, graded):
             mpf(rng.getrandbits(bits)) / mpf(2) ** bits * 10 - 5, k[i] + k[j]))
 
 
-@pytest.mark.parametrize("bits, arith", [(53, "float"), (256, "decimal")])
+# Loewner matrices whose smallest eigenvalues lie far below float roundoff,
+# where the float pass of ``eig_sym`` on decimal sees none of them.
+LOEWNER_EIG_CASES = ((range(1, 13), 2.5), (range(1, 17), 3.5))
+
+
+def _eig_sym_cases(bits):
+    """The random matrices, drawn in order from ``random.Random(bits)``, then,
+    above 53 bits, the Loewner matrices of LOEWNER_EIG_CASES."""
+    rng = random.Random(bits)
+    for n in range(2, 13):
+        for graded in (False, True):
+            yield (n, graded), _random_symmetric(rng, n, bits, graded)
+    if bits > 53:
+        ctx = ToleranceContext.at_bits(bits)
+        for nodes, r in LOEWNER_EIG_CASES:
+            yield (nodes, r), loewner_matrix(LoewnerSpec.of(make_point_config(nodes), r), ctx)
+
+
+@pytest.mark.parametrize("bits, arith", [(53, "float"), (256, "decimal"), (512, "decimal")])
 def test_eig_sym_within_residual_plus_rounding_of_640_bits(bits, arith):
     # Weyl: the off-diagonal mass the sweeps leave moves each eigenvalue by at
     # most offdiag_residual; the rotations' roundings add a few eps*|A|_F each
@@ -167,19 +185,16 @@ def test_eig_sym_within_residual_plus_rounding_of_640_bits(bits, arith):
     # eigenvalues, where the residual term dominates.  The 640-bit reference
     # is checked against mpmath's eigsy, so a rotation error that every
     # precision shares cannot pass as accuracy.
-    rng = random.Random(bits)
     ctx, ref_ctx = ToleranceContext.at_bits(bits), ToleranceContext.at_bits(640)
-    for n in range(2, 13):
-        for graded in (False, True):
-            A = _random_symmetric(rng, n, bits, graded)
-            assert ctx.arith(e for row in A.entries for e in row).name == arith
-            spec, ref = eig_sym(A, ctx), eig_sym(A, ref_ctx).eigenvalues
-            with mp.workprec(640):
-                norm = mp.sqrt(mp.fsum(e * e for row in A.entries for e in row))
-                oracle = sorted(mp.eigsy(mp.matrix(A.entries), eigvals_only=True))
-                assert all(abs(mu - x) <= mpf(2) ** -600 * norm for mu, x in zip(ref, oracle))
-                bound = spec.offdiag_residual + 2 * n * ctx.eps() * norm
-                assert all(abs(lam - mu) <= bound for lam, mu in zip(spec.eigenvalues, ref)), \
-                    (n, graded)
-                # the residual is compared in the working arithmetic: allow its roundings
-                assert spec.offdiag_residual <= ctx.residual_tol * norm * (1 + 8 * ctx.eps())
+    for case, A in _eig_sym_cases(bits):
+        n = A.order
+        assert ctx.arith(e for row in A.entries for e in row).name == arith
+        spec, ref = eig_sym(A, ctx), eig_sym(A, ref_ctx).eigenvalues
+        with mp.workprec(640):
+            norm = mp.sqrt(mp.fsum(e * e for row in A.entries for e in row))
+            oracle = sorted(mp.eigsy(mp.matrix(A.entries), eigvals_only=True))
+            assert all(abs(mu - x) <= mpf(2) ** -600 * norm for mu, x in zip(ref, oracle))
+            bound = spec.offdiag_residual + 2 * n * ctx.eps() * norm
+            assert all(abs(lam - mu) <= bound for lam, mu in zip(spec.eigenvalues, ref)), case
+            # the residual is compared in the working arithmetic: allow its roundings
+            assert spec.offdiag_residual <= ctx.residual_tol * norm * (1 + 8 * ctx.eps())

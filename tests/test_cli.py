@@ -263,6 +263,8 @@ def stalled_eigensolver(monkeypatch):
 @pytest.mark.parametrize("argv", [
     "verify --points 1,2,3 --r 2.5",
     "dk --points 1,2,3 --r 0.5 --samples 3",
+    # on decimal the float pass runs first; max_sweeps counts working sweeps only
+    "verify --points 1,2,3 --r 2.5 --precision-bits 256",
 ])
 def test_eigensolver_stall_is_a_usage_error(capsys, stalled_eigensolver, argv):
     code, out, err = run(capsys, *argv.split())

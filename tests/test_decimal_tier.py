@@ -5,10 +5,13 @@ give mpmath's answers.
 Conversions into and out of ``decimal`` round once and keep the sign, the
 context traps what would produce a NaN, and the parity tests run the same
 public functions on ``decimal`` and, through the ``mp_only`` fixture of
-``test_float_tier``, on mpmath.
+``test_float_tier``, on mpmath.  On ``decimal`` a float Jacobi pass
+preconditions ``eig_sym``; its tests pin that it saves working sweeps and
+that no basis it could return, nor skipping it, moves an eigenvalue.
 """
 
 import decimal
+import importlib
 import re
 from fractions import Fraction
 
@@ -31,9 +34,11 @@ from loewnerlab import (
     make_point_config,
     predicted_inertia,
 )
-from loewnerlab.types import DEC_ARITH, MP_ARITH, to_mpf
+from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MP_ARITH, _in_float_window, to_mpf
 
 from test_float_tier import CASES, chosen, mp_only  # noqa: F401  (fixtures)
+
+inertia_mod = importlib.import_module("loewnerlab.inertia")
 
 CTX256 = ToleranceContext.at_bits(256)
 
@@ -86,10 +91,12 @@ def test_prec_restores_both_contexts():
     assert (mp.prec, decimal.getcontext().prec) == before
 
 
-def test_convergence_failure_names_its_numbers():
+def test_convergence_failure_names_its_numbers(float_passes):
+    # max_sweeps counts the working sweeps alone: the float pass runs first
     L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 2.5), CTX256)
     with pytest.raises(EigenConvergenceError) as info:
         eig_sym(L, CTX256, max_sweeps=0)
+    assert float_passes == [3]
     found = re.fullmatch(r"off-diagonal mass (\S+) above (\S+) after 0 sweeps.*", str(info.value))
     assert found
     off, thresh = (float(v) for v in found.groups())
@@ -156,3 +163,124 @@ def test_decimal_has_no_kernel_functions():
             DEC_ARITH.expm1(DEC_ARITH.num(1))
     assert CTX256.arith([1, 2], r=2.5) is MP_ARITH
     assert CTX256.arith([1, 2]) is DEC_ARITH
+
+
+# ---------------------------------------------------------------------------
+# The float pass that preconditions eig_sym on decimal
+
+
+def _loewner(nodes, r, ctx=CTX256):
+    return loewner_matrix(LoewnerSpec.of(make_point_config(nodes), r), ctx)
+
+
+def _graded(nodes, r, powers, ctx=CTX256):
+    """The Loewner matrix with row and column i scaled by 2^powers[i]."""
+    L = _loewner(nodes, r, ctx)
+    with ctx.prec():
+        return SymMatrix.build(L.order, lambda i, j: mp.ldexp(L[i, j], powers[i] + powers[j]))
+
+
+def _within_640_bits(A, ctx, spec):
+    """``test_accuracy``'s bound: every eigenvalue within offdiag_residual +
+    2n eps |A|_F of a 640-bit ``eig_sym`` of the same entries."""
+    ref = eig_sym(A, ToleranceContext.at_bits(640)).eigenvalues
+    with mp.workprec(640):
+        norm = mp.sqrt(mp.fsum(e * e for row in A.entries for e in row))
+        bound = spec.offdiag_residual + 2 * A.order * ctx.eps() * norm
+        return all(abs(a - b) <= bound for a, b in zip(spec.eigenvalues, ref))
+
+
+@pytest.fixture
+def float_passes(monkeypatch):
+    """Record each float pass (a sweep loop run on floats) by its order."""
+    seen = []
+    original = inertia_mod._sweeps
+
+    def spy(M, n, ar, *args, **kwargs):
+        if ar is FLOAT_ARITH:
+            seen.append(n)
+        return original(M, n, ar, *args, **kwargs)
+
+    monkeypatch.setattr(inertia_mod, "_sweeps", spy)
+    return seen
+
+
+def test_float_pass_leaves_at_most_five_working_sweeps(monkeypatch):
+    # The off-diagonal mass is measured once before the sweeps and once after
+    # each; the spy skips the measurements in floats, so it counts only the
+    # working-precision sweeps (11 without the float pass).
+    masses = []
+    original = inertia_mod._offdiag_mass
+
+    def spy(M, n, ar):
+        if ar is not FLOAT_ARITH:
+            masses.append(n)
+        return original(M, n, ar)
+
+    monkeypatch.setattr(inertia_mod, "_offdiag_mass", spy)
+    L = _loewner(range(1, 13), 2.5)
+    spec = eig_sym(L, CTX256)
+    assert 1 <= len(masses) - 1 <= 5
+    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(12, 2.5).inertia
+
+
+def _identity(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+def _reversal(n):
+    return [[float(j == n - 1 - i) for j in range(n)] for i in range(n)]
+
+
+def _reflector(n):
+    """I - 2 v v^T / v^T v in floats: far from any eigenvector basis, and
+    orthogonal only up to float roundoff."""
+    v = [1.0 + 0.1 * i for i in range(n)]
+    vv = sum(x * x for x in v)
+    return [[float(i == j) - 2 * v[i] * v[j] / vv for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("basis", [_identity, _reversal, _reflector],
+                         ids=["identity", "reversal", "reflector"])
+@pytest.mark.parametrize("nodes, r", [(range(1, 13), 2.5), (range(1, 9), 4.5), ((1, 2, 3), 2)])
+def test_a_poor_float_basis_changes_no_eigenvalue(monkeypatch, basis, nodes, r):
+    # The float pass only picks where the working sweeps start: with its
+    # basis replaced by a poor one, the eigenvalues still meet the 640-bit
+    # bound and the inertia is the theorem's.
+    replaced = []
+    original = inertia_mod._sweeps
+
+    def poor(M, n, ar, thresh, max_sweeps, V=None):
+        if ar is FLOAT_ARITH:
+            V[:] = basis(n)
+            replaced.append(n)
+            return inertia_mod._offdiag_mass(M, n, ar)
+        return original(M, n, ar, thresh, max_sweeps, V)
+
+    monkeypatch.setattr(inertia_mod, "_sweeps", poor)
+    L = _loewner(nodes, r)
+    spec = eig_sym(L, CTX256)
+    assert replaced == [L.order]
+    assert _within_640_bits(L, CTX256, spec)
+    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(L.order, r).inertia
+
+
+@pytest.mark.parametrize("A", [
+    _loewner((1, 2, 3), 300.5),
+    _graded((1, 2, 3, 4), 2.5, (200, -200, 200, -200)),
+], ids=["r300.5", "graded-2^400"])
+def test_entries_outside_the_float_window_skip_the_float_pass(float_passes, A):
+    assert not _in_float_window(e for row in A.entries for e in row)
+    spec = eig_sym(A, CTX256)
+    assert float_passes == []
+    assert _within_640_bits(A, CTX256, spec)
+
+
+def test_float_pass_at_the_edge_of_the_window(float_passes):
+    # entries of 2^200 and 2^-200, the largest and smallest the window takes
+    with CTX256.prec():
+        big, tiny = mpf(2) ** 200, mpf(2) ** -200
+        A = SymMatrix.from_rows([[big, 1, tiny], [1, 3, big / 3], [tiny, big / 3, tiny]])
+    spec = eig_sym(A, CTX256)
+    assert float_passes == [3]
+    assert _within_640_bits(A, CTX256, spec)
