@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Record the verdicts of a fixed probe grid, or check a fresh run against the record.
+
+Three grids, 1,084 rows in all, each row one JSON object on one line of the
+record file, so a moved verdict shows as a one-line diff:
+
+- verify: ``verify_instance`` on nodes 1..n for n = 3..18 at r in
+  {0.5, 1.5, 2.5, 3.5, 4.5, 7.5, 2, 3, 5, n-0.5, n+0.5, 40.5, 300.5};
+- near-integer: ``verify_instance`` for n = 3..12 on nodes 1..n and on
+  0.3*1.7^i, at r = k + d for k in {1, 2, n//2, n-1, n} and
+  d in {+-1e-7, +-1e-9, +-1e-11, +-1e-13};
+- pr_compare: ``pr_compare`` on nodes 1..n for n = 3..12 at
+  r in {1.0001, 1.01, 1.5, 2.5, 3.5, 4.5, 5.5}, one row per side, each
+  against the theorem's inertia of L_{r+1}.
+
+Only long-standing public calls are used (``verify_instance``,
+``pr_compare``, ``predicted_inertia``, ``make_point_config``), so the same
+script runs on both sides of a change and its record can be made on either.
+
+Usage:
+    python scripts/verdict_grid.py [--records FILE]          # rewrite the record
+    python scripts/verdict_grid.py --check [--records FILE]  # exit 1 if a row moved
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from loewnerlab import make_point_config, pr_compare, predicted_inertia, verify_instance
+
+RECORDS = Path(__file__).with_name("verdict_grid.jsonl")
+OFFSETS = (1e-7, -1e-7, 1e-9, -1e-9, 1e-11, -1e-11, 1e-13, -1e-13)
+PR_EXPONENTS = (1.0001, 1.01, 1.5, 2.5, 3.5, 4.5, 5.5)
+
+
+def _triple(inertia):
+    return None if inertia is None else list(inertia.as_tuple())
+
+
+def _verify_row(grid, nodes, values, r):
+    rep = verify_instance(make_point_config(values), r)
+    return {"grid": grid, "nodes": nodes, "n": len(values), "r": r,
+            "theorem": _triple(rep.predicted.inertia), "computed": _triple(rep.computed),
+            "match": rep.match, "disagreement": rep.disagreement,
+            "precision_bits": rep.precision_bits, "escalations": rep.escalations}
+
+
+def _probes():
+    """Yield every row of the three grids, in a fixed order."""
+    for n in range(3, 19):
+        for r in (0.5, 1.5, 2.5, 3.5, 4.5, 7.5, 2, 3, 5, n - 0.5, n + 0.5, 40.5, 300.5):
+            yield _verify_row("verify", "1..n", list(range(1, n + 1)), r)
+    for n in range(3, 13):
+        node_sets = (("1..n", list(range(1, n + 1))),
+                     ("0.3*1.7^i", [0.3 * 1.7 ** i for i in range(n)]))
+        ks = list(dict.fromkeys((1, 2, n // 2, n - 1, n)))
+        for nodes, values in node_sets:
+            for k in ks:
+                for d in OFFSETS:
+                    yield _verify_row("near-integer", nodes, values, k + d)
+    for n in range(3, 13):
+        config = make_point_config(range(1, n + 1))
+        for r in PR_EXPONENTS:
+            rep = pr_compare(config, r)
+            theorem = predicted_inertia(n, r + 1).inertia
+            for side, ir in (("power_sum", rep.power_sum), ("loewner", rep.loewner)):
+                yield {"grid": "pr_compare", "nodes": "1..n", "n": n, "r": r, "side": side,
+                       "theorem": _triple(theorem), "computed": _triple(ir.consensus),
+                       "by_eigen": _triple(ir.by_eigen), "by_ldl": _triple(ir.by_ldl),
+                       "by_exact": _triple(ir.by_exact), "disagreement": ir.disagreement,
+                       "differs": ir.consensus != theorem}
+
+
+def _probe_key(row):
+    return {k: row.get(k) for k in ("grid", "nodes", "n", "r", "side")}
+
+
+def _equal_to_theorem(row):
+    return row["computed"] == row["theorem"]
+
+
+def _summary(rows):
+    verify = [r for r in rows if r["grid"] != "pr_compare"]
+    sides = [r for r in rows if r["grid"] == "pr_compare"]
+    probes = {(r["n"], r["r"]) for r in sides if r["differs"]}
+    return (f"{len(rows)} rows: {sum(not r['match'] for r in verify)} of {len(verify)} "
+            f"verify and near-integer rows mismatch; {len(probes)} pr_compare probes "
+            f"differ from the theorem ({sum(r['differs'] for r in sides)} sides, "
+            f"{sum(r['differs'] and r['disagreement'] for r in sides)} of them flagged)")
+
+
+def _check(rows, path: Path) -> int:
+    recorded = [json.loads(line) for line in path.read_text().splitlines() if line]
+    if [_probe_key(r) for r in recorded] != [_probe_key(r) for r in rows]:
+        print(f"error: the probes of {path} are not this script's grid; rewrite it",
+              file=sys.stderr)
+        return 2
+    groups = {"now equal to the theorem": [], "newly different": [],
+              "bits, escalations or routes moved": []}
+    for old, new in zip(recorded, rows):
+        if old == new:
+            continue
+        if _equal_to_theorem(new) and not _equal_to_theorem(old):
+            groups["now equal to the theorem"].append((old, new))
+        elif _equal_to_theorem(old) and not _equal_to_theorem(new):
+            groups["newly different"].append((old, new))
+        else:
+            groups["bits, escalations or routes moved"].append((old, new))
+    moved = sum(len(pairs) for pairs in groups.values())
+    for name, pairs in groups.items():
+        print(f"{name}: {len(pairs)}")
+        for old, new in pairs:
+            print(f"  - {json.dumps(old)}\n  + {json.dumps(new)}")
+    print(f"{moved} of {len(rows)} rows moved against {path}")
+    return 1 if moved else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--records", type=Path, default=RECORDS)
+    ap.add_argument("--check", action="store_true",
+                    help="compare a fresh run with the record instead of rewriting it")
+    args = ap.parse_args()
+
+    rows = list(_probes())
+    print(_summary(rows))
+    if args.check:
+        return _check(rows, args.records)
+    args.records.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    print(f"wrote {args.records}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,6 @@ from .types import (
     make_point_config,
 )
 from .builders import (
-    LoewnerSpec,
     antidiag_V,
     cross_loewner,
     diag_D,

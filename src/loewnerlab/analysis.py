@@ -32,9 +32,8 @@ import mpmath
 from mpmath import libmp, mp, mpc, mpf
 
 from . import builders
-from .builders import LoewnerSpec
 from .exact import _DET_FLOAT_MAX, _DET_FLOAT_MIN, _lu_factor, _pivot_product, det_fraction
-from .inertia import InertiaReport, _settle, eig_sym, exact_route_hint
+from .inertia import InertiaReport, _settle, _settle_loewner, eig_sym
 from .types import (
     DEFAULT_TOL,
     FLOAT_ARITH,
@@ -637,7 +636,7 @@ def dk_apply(config: PointConfig, r: Scalar, X: SymMatrix,
     """Entrywise product L_r o X: the derivative of A -> A^r at diag(p) applied to X."""
     if X.order != config.n:
         raise ValueError(f"operand order {X.order} does not match {config.n} points")
-    L = builders.loewner_matrix(LoewnerSpec.of(config, r), tol)
+    L = builders.loewner_matrix(config, r, tol)
     with tol.prec():
         return SymMatrix.build(
             config.n, lambda i, j: to_mpf(L.entries[i][j]) * to_mpf(X.entries[i][j]))
@@ -743,7 +742,4 @@ def pr_compare(config: PointConfig, r: Scalar,
     if not r > 0:
         raise ValueError(f"exponent must be positive, got {r!r}")
     p_rep, _, _ = _settle(lambda ctx: builders.power_sum_matrix(config, r, ctx), tol)
-    spec = LoewnerSpec(config, Exponent.of(r + 1))
-    l_rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(spec, ctx), tol,
-                          exact_route_hint(config, spec.exponent))
-    return PrCompareReport(p_rep, l_rep)
+    return PrCompareReport(p_rep, _settle_loewner(config, r + 1, tol)[0])

@@ -12,12 +12,12 @@ picks: Python floats at 53 bits while every node, r and node^r lies in the
 window 2^-200 .. 2^200, mpmath otherwise.  The remaining builders (sinh
 form, diagonal and all-ones factors, Vandermonde and antidiagonal factors,
 power-sum matrix, and the two-sequence cross variant) supply the
-congruences and factorizations the inertia analysis relies on.
+congruences and factorizations the inertia analysis relies on.  Every
+builder takes the nodes and the exponent as they are: (config, r[, tol]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,16 +32,6 @@ from .types import (
     ToleranceContext,
     to_mpf,
 )
-
-
-@dataclass(frozen=True)
-class LoewnerSpec:
-    config: PointConfig
-    exponent: Exponent
-
-    @classmethod
-    def of(cls, config: PointConfig, r: Scalar) -> "LoewnerSpec":
-        return cls(config, Exponent.of(r))
 
 
 # Integer exponents up to this size take the power-sum form of the divided
@@ -98,7 +88,8 @@ def _kernel_nodes(values, exponent: Exponent, ar):
     return r, [_kernel_node(ar.num(v), r, exponent.integer_value) for v in values]
 
 
-def loewner_matrix(spec: LoewnerSpec, tol: ToleranceContext = DEFAULT_TOL) -> SymMatrix:
+def loewner_matrix(config: PointConfig, r: Scalar,
+                   tol: ToleranceContext = DEFAULT_TOL) -> SymMatrix:
     """Loewner matrix of t^r at the given nodes, at working precision.
 
     Every entry, the diagonal limit r*p^(r-1) included, comes from the
@@ -106,13 +97,13 @@ def loewner_matrix(spec: LoewnerSpec, tol: ToleranceContext = DEFAULT_TOL) -> Sy
     bits when the nodes and their powers allow it (``ToleranceContext.arith``);
     the entries are mpf either way.
     """
-    cfg, ex = spec.config, spec.exponent
+    ex = Exponent.of(r)
     with tol.prec():
-        ar = tol.arith(cfg.values(), ex.r)
-        r, nodes = _kernel_nodes(cfg.values(), ex, ar)
+        ar = tol.arith(config.values(), ex.r)
+        rr, nodes = _kernel_nodes(config.values(), ex, ar)
         m = ex.integer_value
         return SymMatrix.build(
-            cfg.n, lambda i, j: mpf(_divided_difference(nodes[i], nodes[j], r, m, ar)))
+            config.n, lambda i, j: mpf(_divided_difference(nodes[i], nodes[j], rr, m, ar)))
 
 
 def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
@@ -138,7 +129,7 @@ def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
     return SymMatrix.build(config.n, entry)
 
 
-def sinh_loewner(x: Sequence[Scalar], exponent: Exponent,
+def sinh_loewner(x: Sequence[Scalar], r: Scalar,
                  tol: ToleranceContext = DEFAULT_TOL) -> SymMatrix:
     """Matrix [sinh(r(x_i-x_j))/sinh(x_i-x_j)] with diagonal limit r.
 
@@ -151,13 +142,13 @@ def sinh_loewner(x: Sequence[Scalar], exponent: Exponent,
             raise ValueError("abscissas must be strictly increasing")
     with tol.prec():
         xm = [to_mpf(v) for v in xs]
-        r = to_mpf(exponent.r)
+        rr = to_mpf(Exponent.of(r).r)
 
         def entry(i, j):
             if i == j:
-                return r
+                return rr
             d = xm[i] - xm[j]
-            return mp.sinh(r * d) / mp.sinh(d)
+            return mp.sinh(rr * d) / mp.sinh(d)
 
         return SymMatrix.build(len(xs), entry)
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import analysis, builders, oracle, sweep as sweep_mod
-from .builders import LoewnerSpec
 from .inertia import EigenConvergenceError
 from .types import (
     DEFAULT_PRECISION_BITS,
@@ -105,11 +104,11 @@ def _context(args) -> ToleranceContext:
 def cmd_build(args, ctx, values):
     r = parse_scalar(args.r)
     if args.kind == "sinh":
-        rows = builders.sinh_loewner(values, Exponent.of(r), ctx).entries
+        rows = builders.sinh_loewner(values, r, ctx).entries
     else:
         cfg = make_point_config(values)
         if args.kind == "loewner":
-            rows = builders.loewner_matrix(LoewnerSpec.of(cfg, r), ctx).entries
+            rows = builders.loewner_matrix(cfg, r, ctx).entries
         elif args.kind == "power-sum":
             rows = builders.power_sum_matrix(cfg, r, ctx).entries
         else:
@@ -181,7 +180,7 @@ def cmd_ssr(args, ctx, values):
     if exact:
         M = builders.loewner_matrix_exact(cfg, ex.integer_value)
     else:
-        M = builders.loewner_matrix(LoewnerSpec(cfg, ex), ctx)
+        M = builders.loewner_matrix(cfg, r, ctx)
     rep = analysis.ssr_scan(M, args.k_max, ctx)
     if ex.is_integer and 1 <= ex.integer_value <= cfg.n - 1:
         need = min(ex.integer_value, rep.k_max)
@@ -202,7 +201,7 @@ def cmd_det_id(args, ctx, values):
         with ctx.prec():  # a float closed form is rounded at the working precision
             closed = closed_form(cfg)
             L = (builders.loewner_matrix_exact(cfg, m) if exact
-                 else builders.loewner_matrix(LoewnerSpec.of(cfg, m), ctx))
+                 else builders.loewner_matrix(cfg, m, ctx))
             det = analysis._det_any(L.entries, ctx)
             match = (det == closed if exact
                      else abs(det - closed) <= ctx.residual_tol * (1 + abs(closed)) * 1e3)
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(out)
         return code
-    except (ValueError, ArithmeticError, EigenConvergenceError) as exc:
+    except (ValueError, ArithmeticError, EigenConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ Sylvester's law.  Route three, available at every integer exponent,
 eliminates the exact rational matrix.  A report derives its verdicts from
 whichever routes ran and keeps the spectrum its eigenvalue route
 classified.  ``_settle`` climbs the one precision ladder,
-``ToleranceContext.rungs``.
+``ToleranceContext.rungs``, and ``_settle_loewner`` is that ladder on L_r:
+every Loewner verdict (verify, prop21, pr_compare's Loewner side) runs it.
 
 The two float routes are written once against ``ToleranceContext.arith``
 and take whichever arithmetic it picks, unchanged:
@@ -51,6 +52,7 @@ from .types import (
     Exponent,
     Inertia,
     PointConfig,
+    Scalar,
     SymMatrix,
     ToleranceContext,
     _in_float_window,
@@ -382,6 +384,14 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
         if not rep.disagreement and (target is None or rep.consensus == target):
             break
     return rep, ctx, escalations
+
+
+def _settle_loewner(config: PointConfig, r: Scalar, tol: ToleranceContext = DEFAULT_TOL,
+                    target: Optional[Inertia] = None):
+    """``_settle`` on the Loewner matrix of t^r at these nodes, rebuilt at each
+    rung, with the exact route wherever ``exact_route_hint`` gives one."""
+    return _settle(lambda ctx: builders.loewner_matrix(config, r, ctx), tol,
+                   exact_route_hint(config, Exponent.of(r)), target)
 
 
 def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,

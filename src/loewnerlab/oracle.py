@@ -12,9 +12,8 @@ import mpmath
 from mpmath import mp, mpf
 
 from . import builders
-from .builders import LoewnerSpec
 # perfbench's tracer test looks up ``inertia_report`` here.
-from .inertia import _settle, exact_route_hint, inertia as inertia_report
+from .inertia import _settle, _settle_loewner, inertia as inertia_report
 from .types import (
     DEFAULT_TOL,
     Exponent,
@@ -43,7 +42,7 @@ def _integer_inertia(n: int, m: int) -> Inertia:
     return Inertia(k, n - m, k - 1)
 
 
-def predicted_inertia(n: int, r: Scalar, allow_zero: bool = True) -> Prediction:
+def predicted_inertia(n: int, r: Scalar) -> Prediction:
     """Inertia of the n x n Loewner matrix of t^r, by the inertia theorem.
 
     Integer 1 <= r <= n: (k, n-r, k) for r = 2k, (k, n-r, k-1) for r = 2k-1.
@@ -54,8 +53,6 @@ def predicted_inertia(n: int, r: Scalar, allow_zero: bool = True) -> Prediction:
     if n < 1:
         raise ValueError("order must be at least 1")
     if r == 0:
-        if not allow_zero:
-            raise ValueError("exponent 0 not allowed here (L_0 is the zero matrix)")
         return Prediction(Inertia(0, n, 0), "zero")
     if r < 0:
         return Prediction(predicted_inertia(n, -r).inertia.swapped(), "reflection")
@@ -87,16 +84,14 @@ def verify_instance(config: PointConfig, r: Scalar,
                     tol: ToleranceContext = DEFAULT_TOL) -> VerifyReport:
     """Compare predicted inertia against the engine's consensus.
 
-    ``inertia._settle`` starts at ``tol``, the caller's own rung, and climbs
-    until the routes agree on the predicted inertia; a non-match is declared
-    when it gives up.  Integer exponents run the exact rational route
-    alongside the float routes (see ``exact_route_hint``).
+    The Loewner ladder ``inertia._settle_loewner`` starts at ``tol``, the
+    caller's own rung, and climbs until the routes agree on the predicted
+    inertia; a non-match is declared when it gives up.  Integer exponents
+    run the exact rational route alongside the float routes (see
+    ``exact_route_hint``).
     """
     pred = predicted_inertia(config.n, r)
-    ex = Exponent.of(r)
-    rep, ctx, escalations = _settle(
-        lambda ctx: builders.loewner_matrix(LoewnerSpec(config, ex), ctx), tol,
-        exact_route_hint(config, ex), target=pred.inertia)
+    rep, ctx, escalations = _settle_loewner(config, r, tol, target=pred.inertia)
     match = not rep.disagreement and rep.consensus == pred.inertia
     return VerifyReport(config.n, r, pred, rep.consensus, match, rep.disagreement,
                         ctx.precision_bits, escalations)
@@ -143,7 +138,7 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
     def build(ctx):
         Q = subspace_basis(config, k, ctx)
         with ctx.prec():
-            L = builders.loewner_matrix(LoewnerSpec.of(config, r), ctx)
+            L = builders.loewner_matrix(config, r, ctx)
             LQ = [[mp.fsum(to_mpf(L.entries[i][t]) * Q[t][c] for t in range(n))
                    for c in range(m)] for i in range(n)]
             B = [[mp.fsum(Q[i][a] * LQ[i][c] for i in range(n))
@@ -161,10 +156,7 @@ def prop21_check(config: PointConfig, r: Scalar,
         raise ValueError(f"exponent must exceed 1, got {r!r}")
     if config.n < 2:
         raise ValueError("need at least two points")
-    ex = Exponent.of(r)
-    rep, _, _ = _settle(lambda ctx: builders.loewner_matrix(LoewnerSpec(config, ex), ctx),
-                        tol, exact_route_hint(config, ex))
-    return rep.consensus.neg >= 1
+    return _settle_loewner(config, r, tol)[0].consensus.neg >= 1
 
 
 @dataclass(frozen=True)
@@ -203,8 +195,8 @@ def verify_identities(config: PointConfig, r: Scalar,
     with tol.prec():
         p = config.mp_points()
         rr = to_mpf(ex.r)
-        L = builders.loewner_matrix(LoewnerSpec(config, ex), tol).entries
-        Lm = builders.loewner_matrix(LoewnerSpec.of(config, -ex.r), tol).entries
+        L = builders.loewner_matrix(config, r, tol).entries
+        Lm = builders.loewner_matrix(config, -r, tol).entries
 
         pinv_r = [x ** (-rr) for x in p]
         refl = _max_abs([
@@ -213,7 +205,7 @@ def verify_identities(config: PointConfig, r: Scalar,
         ]) / _max_abs(Lm)
 
         xs = [mp.log(x) / 2 for x in p]
-        Lt = builders.sinh_loewner(xs, ex, tol).entries
+        Lt = builders.sinh_loewner(xs, r, tol).entries
         delta = [x ** ((rr - 1) / 2) for x in p]
         scale_L = _max_abs(L)
         sinh_res = _max_abs([
@@ -233,7 +225,7 @@ def verify_identities(config: PointConfig, r: Scalar,
             power_res = to_mpf(Fraction(worst)) / to_mpf(scale_L)
             return IdentityResiduals(refl, sinh_res, power_res, True)
 
-        Lm2 = builders.loewner_matrix(LoewnerSpec.of(config, ex.r - 2), tol).entries
+        Lm2 = builders.loewner_matrix(config, r - 2, tol).entries
         pr1 = [x ** (rr - 1) for x in p]
         power_res = _max_abs([
             [to_mpf(L[i][j]) - (pr1[i] + p[i] * to_mpf(Lm2[i][j]) * p[j] + pr1[j])

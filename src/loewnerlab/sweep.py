@@ -15,7 +15,6 @@ from typing import Optional
 from mpmath import mp, mpf
 
 from . import builders
-from .builders import LoewnerSpec
 from .inertia import EigenConvergenceError, eig_sym, exact_route_hint, inertia_exact_integer
 from .inertia import inertia as inertia_report
 from .types import (
@@ -85,12 +84,11 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
     for idx, r in enumerate(grid):
         m = round(r)
         snapped = abs(r - m) < INTEGER_SNAP_WINDOW
-        ex = Exponent.of(m) if snapped else Exponent.of(r)
         try:
-            L = builders.loewner_matrix(LoewnerSpec(config, ex), tol)
+            L = builders.loewner_matrix(config, m if snapped else r, tol)
             if snapped:
                 spec = eig_sym(L, tol)
-                ine = inertia_exact_integer(*exact_route_hint(config, ex))
+                ine = inertia_exact_integer(*exact_route_hint(config, Exponent.of(m)))
             else:
                 rep = inertia_report(L, tol)
                 spec, ine = rep.spectrum, rep.consensus

@@ -11,7 +11,6 @@ from mpmath import mp, mpf
 from loewnerlab import (
     ComboFunction,
     Inertia,
-    LoewnerSpec,
     ScanPolicy,
     SymMatrix,
     ToleranceContext,
@@ -211,7 +210,7 @@ def test_criterion_09_sign_regularity():
         for _ in range(10):
             r = nonintegral(rng, 0.2, n + 1.5)
             cfg = random_config(rng, n)
-            L = loewner_matrix(LoewnerSpec.of(cfg, r), CTX256)
+            L = loewner_matrix(cfg, r, CTX256)
             if ssr_scan(L, tol=CTX256).ssr_class != "SSR":
                 failures += 1
             spec = eig_sym(L, CTX256)
@@ -240,8 +239,8 @@ def test_criterion_10_reflection():
         cfg = random_config(rng, n)
         r = nonintegral(rng, 0.1, n + 1.5)
         for ctx in (CTX53, CTX256):
-            pos = consensus_inertia(loewner_matrix(LoewnerSpec.of(cfg, r), ctx), ctx)
-            neg = consensus_inertia(loewner_matrix(LoewnerSpec.of(cfg, -r), ctx), ctx)
+            pos = consensus_inertia(loewner_matrix(cfg, r, ctx), ctx)
+            neg = consensus_inertia(loewner_matrix(cfg, -r, ctx), ctx)
             if neg.consensus == pos.consensus.swapped():
                 break
             if ctx is CTX53:

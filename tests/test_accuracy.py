@@ -15,7 +15,6 @@ from mpmath import mp, mpf
 
 from loewnerlab import (
     ComboFunction,
-    LoewnerSpec,
     SymMatrix,
     ToleranceContext,
     combo_eval,
@@ -63,7 +62,7 @@ def test_loewner_entries_within_kernel_bound(r):
     for x0 in BASES:
         for gap in GAPS:
             x, y = close_pair(x0, gap)
-            L = loewner_matrix(LoewnerSpec.of(make_point_config((x, y, 4 * y)), r))
+            L = loewner_matrix(make_point_config((x, y, 4 * y)), r)
             nodes = (x, y, 4 * y)
             for i in range(3):
                 for j in range(3):
@@ -83,9 +82,9 @@ def test_cross_loewner_near_coincident_sequences(r):
 
 
 def test_small_integer_nodes_stay_exact():
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 3))
+    L = loewner_matrix(make_point_config((1, 2, 3)), 3)
     assert L.entries == loewner_matrix_exact(make_point_config((1, 2, 3)), 3).entries
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2)), -2))
+    L = loewner_matrix(make_point_config((1, 2)), -2)
     assert L[0, 1] == mpf(-3) / 4
 
 
@@ -93,8 +92,8 @@ def test_small_integer_nodes_stay_exact():
                                   (2.0, 1e-09), (3.0, 6.356711708323535e-16)])
 def test_scaling_covariance_at_tiny_exponents(c, r):
     cfg = make_point_config((0.5, 1.0, 2.3))
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
-    Ls = loewner_matrix(LoewnerSpec.of(cfg.scaled(c), r))
+    L = loewner_matrix(cfg, r)
+    Ls = loewner_matrix(cfg.scaled(c), r)
     factor = mpf(c) ** (mpf(r) - 1)
     for i in range(3):
         for j in range(3):
@@ -132,7 +131,7 @@ def test_integer_exponent_reproducers(points, r):
     exact = rational_inertia(loewner_matrix_exact(cfg.ensure_exact(), r).entries)
     for bits in (256, 512):
         ctx = ToleranceContext.at_bits(bits)
-        assert inertia_ldl(loewner_matrix(LoewnerSpec.of(cfg, r), ctx), ctx) == exact
+        assert inertia_ldl(loewner_matrix(cfg, r, ctx), ctx) == exact
 
 
 def test_ldl_matches_exact_on_bunched_integer_exponents():
@@ -146,7 +145,7 @@ def test_ldl_matches_exact_on_bunched_integer_exponents():
         cfg = make_point_config(points)
         m = rng.randint(2, cfg.n - 1)
         exact = rational_inertia(loewner_matrix_exact(cfg, m).entries)
-        assert inertia_ldl(loewner_matrix(LoewnerSpec.of(cfg, m), ctx), ctx) == exact
+        assert inertia_ldl(loewner_matrix(cfg, m, ctx), ctx) == exact
 
 
 def _random_symmetric(rng, n, bits, graded):
@@ -173,7 +172,7 @@ def _eig_sym_cases(bits):
     if bits > 53:
         ctx = ToleranceContext.at_bits(bits)
         for nodes, r in LOEWNER_EIG_CASES:
-            yield (nodes, r), loewner_matrix(LoewnerSpec.of(make_point_config(nodes), r), ctx)
+            yield (nodes, r), loewner_matrix(make_point_config(nodes), r, ctx)
 
 
 @pytest.mark.parametrize("bits, arith", [(53, "float"), (256, "decimal"), (512, "decimal")])

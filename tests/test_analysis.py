@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,6 @@ from mpmath import mp, mpc, mpf
 
 from loewnerlab import (
     ComboFunction,
-    LoewnerSpec,
     Rect,
     ScanPolicy,
     SymMatrix,
@@ -34,6 +34,8 @@ from loewnerlab.exact import det_fraction
 from loewnerlab.types import FLOAT_ARITH, MP_ARITH
 
 from helpers import nonintegral, perm_det, random_config, random_rational_config
+
+inertia_mod = importlib.import_module("loewnerlab.inertia")
 
 FAST_SCAN = ScanPolicy(grid=2001)
 
@@ -203,14 +205,14 @@ def test_minor_scans_reject_non_finite_entries(bad):
 
 
 def test_ssr_full_on_fractional_exponent():
-    rep = ssr_scan(loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 0.5)))
+    rep = ssr_scan(loewner_matrix(make_point_config((1, 2, 3)), 0.5))
     assert rep.ssr_class == "SSR"
     assert rep.per_k == ("+", "+", "+")
 
 
 def test_ssr_float_minor_under_the_hadamard_threshold_is_zero():
     # L_2 has rank 2; its float determinant is roundoff, not an exact 0
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((0.5, 1.25, 3.0)), 2))
+    L = loewner_matrix(make_point_config((0.5, 1.25, 3.0)), 2)
     assert analysis._det_any(L.entries, ToleranceContext()) != 0
     rep = ssr_scan(L)
     assert rep.per_k == ("+", "-", "zero")
@@ -497,6 +499,20 @@ def test_pr_compare_rebuilds_both_matrices_per_rung(n, r, expected):
     assert rep.match and rep.inertia_loewner == predicted_inertia(n, r + 1).inertia
 
 
+def test_pr_compare_runs_the_exact_route_at_integer_exponents(monkeypatch):
+    calls = []
+    original = inertia_mod.inertia_exact_integer
+
+    def counted(config, m):
+        calls.append((config.exact, m))
+        return original(config, m)
+
+    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    rep = pr_compare(make_point_config((1.0, 2.0, 3.0)), 2)
+    assert calls == [((Fraction(1), Fraction(2), Fraction(3)), 3)]
+    assert rep.loewner.by_exact.as_tuple() == (2, 0, 1)
+
+
 @pytest.mark.parametrize("grid", [1, 0, -5])
 def test_scan_policy_rejects_a_grid_under_two_points(grid):
     with pytest.raises(ValueError, match="at least 2 points"):
@@ -518,7 +534,7 @@ def test_loewner_nonsingular_away_from_integers():
         n = rng.randint(2, 5)
         cfg = random_config(rng, n)
         r = nonintegral(rng, 0.2, n + 1.3)
-        L = loewner_matrix(LoewnerSpec.of(cfg, r), ctx)
+        L = loewner_matrix(cfg, r, ctx)
         spec = eig_sym(L, ctx)
         thresh = ctx.zero_rel_tol * spec.scale * n
         assert all(abs(e) > thresh for e in spec.eigenvalues)
@@ -530,7 +546,7 @@ def test_ssr_implies_perron_simplicity():
     ctx = ToleranceContext.at_bits(256)
     cfg = make_point_config((1, 2, 3, 4))
     for r in (0.7, 2.5):
-        L = loewner_matrix(LoewnerSpec.of(cfg, r), ctx)
+        L = loewner_matrix(cfg, r, ctx)
         assert ssr_scan(L, tol=ctx).ssr_class == "SSR"
         for k in (1, 2, 3):
             comp = compound_matrix(L, k, ctx)

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from loewnerlab import (
-    Exponent,
-    LoewnerSpec,
     ToleranceContext,
     antidiag_V,
     cross_loewner,
@@ -30,17 +28,17 @@ def close(x, y, tol=1e-13):
 
 
 def test_loewner_squares_two_points():
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2)), 2))
+    L = loewner_matrix(make_point_config((1, 2)), 2)
     assert L.entries == ((2, 3), (3, 4))
 
 
 def test_loewner_r1_is_all_ones():
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 1))
+    L = loewner_matrix(make_point_config((1, 2, 3)), 1)
     assert all(e == 1 for row in L.entries for e in row)
 
 
 def test_loewner_square_root_nodes():
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 4)), 0.5))
+    L = loewner_matrix(make_point_config((1, 4)), 0.5)
     assert close(L[0, 0], 0.5)
     assert close(L[0, 1], mpf(1) / 3)
     assert close(L[1, 1], 0.25)
@@ -49,7 +47,7 @@ def test_loewner_square_root_nodes():
 def test_diagonal_uses_derivative_rule():
     cfg = make_point_config((0.7, 1.9, 3.1))
     r = 2.3
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
+    L = loewner_matrix(cfg, r)
     for i, p in enumerate(cfg.points):
         assert close(L[i, i], mpf(r) * mpf(p) ** mpf(r - 1))
 
@@ -59,8 +57,8 @@ def test_diagonal_uses_derivative_rule():
        r=st.floats(min_value=-3.0, max_value=5.0))
 def test_scaling_covariance(c, r):
     cfg = make_point_config((0.5, 1.0, 2.3))
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
-    Ls = loewner_matrix(LoewnerSpec.of(cfg.scaled(c), r))
+    L = loewner_matrix(cfg, r)
+    Ls = loewner_matrix(cfg.scaled(c), r)
     factor = mpf(c) ** (mpf(r) - 1)
     for i in range(3):
         for j in range(3):
@@ -73,24 +71,24 @@ def test_exact_symmetry_random_exponents():
         pts = sorted(round(rng.uniform(0.1, 9), 4) for _ in range(4))
         if len(set(pts)) < 4:
             continue
-        L = loewner_matrix(LoewnerSpec.of(make_point_config(pts), rng.uniform(-4, 6)))
+        L = loewner_matrix(make_point_config(pts), rng.uniform(-4, 6))
         for i in range(4):
             for j in range(4):
                 assert L[i, j] == L[j, i]
 
 
 def test_sinh_r1_all_ones():
-    M = sinh_loewner((0.1, 0.2), Exponent.of(1))
+    M = sinh_loewner((0.1, 0.2), 1)
     assert all(e == 1 for row in M.entries for e in row)
 
 
 def test_sinh_single_point_is_r():
-    assert sinh_loewner((0.0,), Exponent.of(3)).entries == ((3,),)
+    assert sinh_loewner((0.0,), 3).entries == ((3,),)
 
 
 def test_sinh_requires_increasing():
     with pytest.raises(ValueError):
-        sinh_loewner((0.2, 0.1), Exponent.of(1))
+        sinh_loewner((0.2, 0.1), 1)
 
 
 def test_sinh_congruence_matches_loewner():
@@ -98,9 +96,9 @@ def test_sinh_congruence_matches_loewner():
     cfg = make_point_config((1, 2))
     r = 1.5
     xs = [mp.log(p) / 2 for p in cfg.mp_points()]
-    Lt = sinh_loewner(xs, Exponent.of(r))
+    Lt = sinh_loewner(xs, r)
     delta = [mp.exp((mpf(r) - 1) * x) for x in xs]
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
+    L = loewner_matrix(cfg, r)
     for i in range(2):
         for j in range(2):
             assert abs(delta[i] * Lt[i, j] * delta[j] - L[i, j]) <= 1e-12 * abs(L[i, j])
@@ -197,7 +195,7 @@ def test_power_sum_examples():
 def test_cross_loewner_reduces_to_loewner():
     cfg = make_point_config((1, 2, 3))
     C = cross_loewner(cfg, cfg, 1.7)
-    L = loewner_matrix(LoewnerSpec.of(cfg, 1.7))
+    L = loewner_matrix(cfg, 1.7)
     for i in range(3):
         for j in range(3):
             assert abs(C[i][j] - L[i, j]) <= 1e-13 * abs(L[i, j])

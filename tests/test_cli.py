@@ -155,6 +155,14 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("r,lambda_1,lambda_2,")
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "build", "--points", "1,2", "--r", "2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_zeros_ok(capsys):
     code, out, _ = run(capsys, "zeros", "--points", "1,2", "--coeffs", "1,-1",
                        "--r", "0.5", "--grid", "801")

@@ -21,7 +21,6 @@ from mpmath import mp, mpf
 from loewnerlab import (
     ComboFunction,
     EigenConvergenceError,
-    LoewnerSpec,
     ScanPolicy,
     SymMatrix,
     ToleranceContext,
@@ -93,7 +92,7 @@ def test_prec_restores_both_contexts():
 
 def test_convergence_failure_names_its_numbers(float_passes):
     # max_sweeps counts the working sweeps alone: the float pass runs first
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2, 3)), 2.5), CTX256)
+    L = loewner_matrix(make_point_config((1, 2, 3)), 2.5, CTX256)
     with pytest.raises(EigenConvergenceError) as info:
         eig_sym(L, CTX256, max_sweeps=0)
     assert float_passes == [3]
@@ -105,7 +104,7 @@ def test_convergence_failure_names_its_numbers(float_passes):
 
 def test_outputs_stay_mpf(chosen):
     cfg, r = CASES[5]
-    L = loewner_matrix(LoewnerSpec.of(cfg, r), CTX256)
+    L = loewner_matrix(cfg, r, CTX256)
     chosen.clear()
     rep = inertia(L, CTX256)
     assert chosen == [DEC_ARITH, DEC_ARITH]
@@ -116,7 +115,7 @@ def test_outputs_stay_mpf(chosen):
 @pytest.mark.parametrize("power", [1000, -1000, 100000, -100000])
 def test_scaled_entries_keep_the_theorem(power, chosen):
     cfg, r = make_point_config((1, 2, 3, 4)), 2.5
-    L = loewner_matrix(LoewnerSpec.of(cfg, r), CTX256)
+    L = loewner_matrix(cfg, r, CTX256)
     with CTX256.prec():
         factor = mpf(2) ** power
         big = SymMatrix.build(4, lambda i, j: L[i, j] * factor)
@@ -136,7 +135,7 @@ def test_routes_match_mpmath(cfg, r, bits, mp_only):
     mpmath at the same bits the gap is mostly mpmath's own roundoff, up to
     16 eps at n = 10: decimal carries a few more bits.)"""
     ctx = ToleranceContext.at_bits(bits)
-    L = loewner_matrix(LoewnerSpec.of(cfg, r), ctx)
+    L = loewner_matrix(cfg, r, ctx)
     spec, by_ldl = eig_sym(L, ctx), inertia_ldl(L, ctx)
     mp_only()
     assert by_ldl == inertia_ldl(L, ctx)
@@ -170,7 +169,7 @@ def test_decimal_has_no_kernel_functions():
 
 
 def _loewner(nodes, r, ctx=CTX256):
-    return loewner_matrix(LoewnerSpec.of(make_point_config(nodes), r), ctx)
+    return loewner_matrix(make_point_config(nodes), r, ctx)
 
 
 def _graded(nodes, r, powers, ctx=CTX256):

@@ -18,7 +18,6 @@ from mpmath import mp, mpf
 from loewnerlab import (
     ComboFunction,
     Exponent,
-    LoewnerSpec,
     ScanPolicy,
     SymMatrix,
     ToleranceContext,
@@ -94,13 +93,13 @@ CASES = _seeded_loewner_matrices()
 
 def test_float_tier_is_taken_at_53_bits_only(chosen):
     cfg, r = CASES[0]
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
+    L = loewner_matrix(cfg, r)
     eig_sym(L)
     inertia_ldl(L)
     assert chosen and all(ar is FLOAT_ARITH for ar in chosen)
     chosen.clear()
     ctx = ToleranceContext.at_bits(256)
-    L = loewner_matrix(LoewnerSpec.of(cfg, r), ctx)
+    L = loewner_matrix(cfg, r, ctx)
     assert chosen == [MP_ARITH]
     chosen.clear()
     eig_sym(L, ctx)
@@ -110,7 +109,7 @@ def test_float_tier_is_taken_at_53_bits_only(chosen):
 
 def test_outputs_stay_mpf():
     cfg, r = CASES[3]
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
+    L = loewner_matrix(cfg, r)
     assert all(type(e) is mpf for row in L.entries for e in row)
     spec = eig_sym(L)
     assert all(type(v) is mpf for v in spec.eigenvalues)
@@ -119,7 +118,7 @@ def test_outputs_stay_mpf():
 
 @pytest.mark.parametrize("cfg, r", CASES, ids=[f"n{c.n}-{i % 2}" for i, (c, _) in enumerate(CASES)])
 def test_eig_sym_and_ldl_match_mpmath_at_53_bits(cfg, r, mp_only):
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
+    L = loewner_matrix(cfg, r)
     spec = eig_sym(L)
     by_ldl = inertia_ldl(L)
     mp_only()
@@ -147,7 +146,7 @@ def test_count_zeros_matches_mpmath_at_53_bits(mp_only):
 def test_entries_near_float_limits_take_mpmath(scale, chosen):
     cfg = make_point_config((1, 2, 3, 4))
     r = 2.5
-    L = loewner_matrix(LoewnerSpec.of(cfg, r))
+    L = loewner_matrix(cfg, r)
     big = SymMatrix.build(4, lambda i, j: L[i, j] * scale)
     chosen.clear()
     spec = eig_sym(big)
@@ -177,7 +176,7 @@ def test_power_tables_keep_entries_bit_identical():
     cfg = make_point_config((Fraction(1, 3), 0.7, 2.5, 9.75))
     ctx = ToleranceContext.at_bits(256)
     for m in (5, -4, 12):
-        L = loewner_matrix(LoewnerSpec.of(cfg, m), ctx)
+        L = loewner_matrix(cfg, m, ctx)
         with ctx.prec():
             p = cfg.mp_points()
             k = abs(m)
@@ -202,7 +201,7 @@ def test_exact_route_runs_once_per_call(monkeypatch):
     assert rep.match and rep.escalations == 1
     assert calls == [7]
 
-    L = loewner_matrix(LoewnerSpec.of(cfg, 7))
+    L = loewner_matrix(cfg, 7)
     first_rung = replace(inertia_mod.inertia(L), by_exact=inertia_mod.inertia_exact_integer(cfg, 7))
     assert first_rung.disagreement  # so consensus escalates
     calls.clear()

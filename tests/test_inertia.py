@@ -10,7 +10,6 @@ from loewnerlab import (
     EigenConvergenceError,
     Inertia,
     InertiaReport,
-    LoewnerSpec,
     Spectrum,
     SymMatrix,
     ToleranceContext,
@@ -139,8 +138,8 @@ def test_reflection_swaps_inertia():
         r = rng.uniform(0.1, n + 1.5)
         if abs(r - round(r)) < 0.05:
             r += 0.06
-        pos_rep = consensus_inertia(loewner_matrix(LoewnerSpec.of(cfg, r)))
-        neg_rep = consensus_inertia(loewner_matrix(LoewnerSpec.of(cfg, -r)))
+        pos_rep = consensus_inertia(loewner_matrix(cfg, r))
+        neg_rep = consensus_inertia(loewner_matrix(cfg, -r))
         assert neg_rep.consensus == pos_rep.consensus.swapped()
 
 
@@ -167,21 +166,21 @@ def test_exact_agrees_with_float_routes_at_256_bits():
         cfg = random_rational_config(rng, n)
         for r in range(1, n + 1):
             by_exact = inertia_exact_integer(cfg, r)
-            rep = inertia(loewner_matrix(LoewnerSpec.of(cfg, r), ctx), ctx)
+            rep = inertia(loewner_matrix(cfg, r, ctx), ctx)
             assert not rep.disagreement
             assert rep.consensus == by_exact
 
 
 def test_consensus_examples():
     cfg = make_point_config((1, 2, 3))
-    assert inertia(loewner_matrix(LoewnerSpec.of(cfg, 2.5))).consensus.as_tuple() == (2, 0, 1)
-    assert inertia(loewner_matrix(LoewnerSpec.of(cfg, 1.5))).consensus.as_tuple() == (1, 0, 2)
+    assert inertia(loewner_matrix(cfg, 2.5)).consensus.as_tuple() == (2, 0, 1)
+    assert inertia(loewner_matrix(cfg, 1.5)).consensus.as_tuple() == (1, 0, 2)
     assert inertia(ones_E(4)).consensus.as_tuple() == (1, 3, 0)
 
 
 def test_exact_hint_joins_consensus():
     cfg = make_point_config((1, 2, 3))
-    L = loewner_matrix(LoewnerSpec.of(cfg, 2))
+    L = loewner_matrix(cfg, 2)
     rep = consensus_inertia(L, exact_hint=(cfg, 2))
     assert rep.by_exact is not None
     assert not rep.disagreement

@@ -9,7 +9,6 @@ from mpmath import mp, mpf
 
 from loewnerlab import (
     Inertia,
-    LoewnerSpec,
     ToleranceContext,
     conditional_inertia,
     consensus_inertia,
@@ -41,8 +40,6 @@ def test_predicted_examples():
 
 def test_predicted_zero_exponent():
     assert predicted_inertia(4, 0).inertia.as_tuple() == (0, 4, 0)
-    with pytest.raises(ValueError):
-        predicted_inertia(4, 0, allow_zero=False)
 
 
 def test_predicted_negative_integer():
@@ -174,7 +171,7 @@ def test_positive_definite_below_one():
     rng = random.Random(47)
     for n in (2, 4):
         cfg = random_config(rng, n)
-        rep = consensus_inertia(loewner_matrix(LoewnerSpec.of(cfg, 0.37)))
+        rep = consensus_inertia(loewner_matrix(cfg, 0.37))
         assert rep.consensus == Inertia(n, 0, 0)
 
 
@@ -200,7 +197,7 @@ def test_prop21_runs_the_exact_route_at_integer_exponents(monkeypatch):
 
 def test_prop21_two_by_two_determinant_negative():
     # independent check: det [[3, 7], [7, 12]] = -13 for p=(1,2), r=3
-    L = loewner_matrix(LoewnerSpec.of(make_point_config((1, 2)), 3))
+    L = loewner_matrix(make_point_config((1, 2)), 3)
     det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
     assert abs(det - (-13)) < 1e-10
     assert consensus_inertia(L).consensus.as_tuple() == (1, 0, 1)
@@ -243,7 +240,7 @@ def test_nonzero_eigenvalues_simple():
     ctx = ToleranceContext()
     cfg = make_point_config((1, 2, 3, 4, 5))
     for r in (2, 3, 2.5, 4.5):
-        spec = eig_sym(loewner_matrix(LoewnerSpec.of(cfg, r), ctx), ctx)
+        spec = eig_sym(loewner_matrix(cfg, r, ctx), ctx)
         scale = spec.scale
         thresh = ctx.zero_rel_tol * scale * cfg.n
         nonzero = [e for e in spec.eigenvalues if abs(e) > thresh]
