@@ -13,12 +13,18 @@ factorisation plus the rounding of the entries (``_lu_relative_bound``).
 A value inside its bound is retried on the next rung of the precision
 ladder (``ToleranceContext.rungs``) and comes out as 0 when no rung
 resolves it; the argument-principle scan reads a 0 as a zero on its
-contour and re-grids.
+contour and re-grids.  ``complex_det`` and the scan run one ladder,
+``_complex_det_ladder``: the scan keeps each rung's node table (the
+nodes, their logarithms and the unit roundoff) for its whole run, reads
+the ladder's native ``complex`` or mpc, evaluates each geometric contour
+point once (its cache is keyed on a dyadic lattice) and refuses a grid
+whose cells would be narrower than 4096 ulps of the region's coordinates.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 import random
@@ -35,6 +41,7 @@ from . import builders
 from .exact import _DET_FLOAT_MAX, _DET_FLOAT_MIN, _lu_factor, _pivot_product, det_fraction
 from .inertia import InertiaReport, _settle, _settle_loewner, eig_sym
 from .types import (
+    DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
     FLOAT_ARITH,
     Exponent,
@@ -44,6 +51,7 @@ from .types import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _in_float_window,
     to_mpf,
 )
 
@@ -407,7 +415,35 @@ def _lu_relative_bound(F, order, entry_err, eps):
     return 2 * rel
 
 
-def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext):
+# The float rung's stand-in for ``tol.prec()`` while mpmath is already at 53 bits.
+_AT_53_BITS = contextlib.nullcontext()
+
+
+class _NodeTable:
+    """What the complex determinant needs of the nodes at one precision,
+    computed once and shared by every z: the nodes as floats for the window
+    test of ``ToleranceContext.complex_arith`` (a float of a Fraction is
+    correctly rounded, so inside the window the test sees the values the
+    float rung computes with; outside it the nodes go to the test as given),
+    and per arithmetic the unit roundoff, the nodes and their logarithms."""
+
+    def __init__(self, config: PointConfig, tol: ToleranceContext):
+        values = config.values()
+        self.values, self.tol = values, tol
+        self.window_nodes = tuple(map(float, values)) if _in_float_window(values) else values
+        self._by_arith = {}
+
+    def __getitem__(self, ar):
+        got = self._by_arith.get(ar)
+        if got is None:
+            with self.tol.prec():
+                p = [ar.num(v) for v in self.values]
+                got = self._by_arith[ar] = (ar.num(self.tol.eps()), p, [ar.log(x) for x in p])
+        return got
+
+
+def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext,
+                      table: Optional[_NodeTable] = None):
     """det L_z at one precision and a bound on its error, both in the
     arithmetic ``ToleranceContext.complex_arith`` picks.
 
@@ -416,15 +452,20 @@ def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext):
     off-diagonal entry carries 4 eps ((|p_i^z| (1 + |z log p_i|) + |p_j^z|
     (1 + |z log p_j|)) / |p_i - p_j| + |entry|), and a diagonal entry
     z p^(z-1) carries 4 eps |entry| (1 + |(z-1) log p|).  The nodes are
-    taken as held at working precision.
+    taken as held at working precision.  ``table`` is this precision's
+    ``_NodeTable`` for ``config``; without one the call builds its own.
+    The float rung is Python floats throughout and runs outside
+    ``tol.prec()``: only a product of pivots beyond the float range reads
+    mpmath's precision, and that is 53 bits unless a caller changed it.
     """
-    with tol.prec():
-        ar = tol.complex_arith(config.values(), z)
-        eps = ar.num(tol.eps())
-        p = [ar.num(v) for v in config.values()]
+    if table is None:
+        table = _NodeTable(config, tol)
+    ar = tol.complex_arith(table.window_nodes, z)
+    eps, p, logs = table[ar]
+    float_rung = ar is FLOAT_ARITH and mp.prec == DEFAULT_PRECISION_BITS
+    with _AT_53_BITS if float_rung else tol.prec():
         zz = ar.cnum(z)
         n = config.n
-        logs = [ar.log(x) for x in p]
         w = [zz * lg for lg in logs]
         pz = [ar.cexp(v) for v in w]
         spread = [abs(v) * (1 + abs(u)) for v, u in zip(pz, w)]
@@ -447,6 +488,22 @@ def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext):
         return det, abs(det) * _lu_relative_bound(A, order, err, eps)
 
 
+def _complex_det_ladder(config: PointConfig, z, tol: ToleranceContext, tables: dict):
+    """The value of the first rung of ``tol.rungs()`` that lies outside its
+    bound, in that rung's arithmetic (a ``complex`` or an mpc), or 0 when no
+    rung resolves it.  ``tables`` maps precision bits to that rung's
+    ``_NodeTable`` and is filled as rungs are first reached, so a caller
+    that keeps it computes the node work once."""
+    for ctx in tol.rungs():
+        table = tables.get(ctx.precision_bits)
+        if table is None:
+            table = tables[ctx.precision_bits] = _NodeTable(config, ctx)
+        value, bound = _complex_det_rung(config, z, ctx, table)
+        if abs(value) > bound:
+            return value
+    return 0
+
+
 def complex_det(config: PointConfig, z, tol: ToleranceContext = DEFAULT_TOL) -> mpc:
     """det [(p_i^z - p_j^z)/(p_i - p_j)] with principal-branch powers.
 
@@ -455,15 +512,12 @@ def complex_det(config: PointConfig, z, tol: ToleranceContext = DEFAULT_TOL) -> 
     error (``_complex_det_rung``), on Python ``complex`` at 53 bits when
     ``ToleranceContext.complex_arith`` allows it and on mpc otherwise.  The
     value of the first rung of ``tol.rungs()`` that lies outside its bound
-    is returned as an mpc; when no rung resolves it the result is 0, which
-    the zero scan reads as a zero on its contour.  A non-finite z raises
-    ValueError.
+    is returned as an mpc (``_complex_det_ladder``, the ladder the zero scan
+    runs); when no rung resolves it the result is 0, which the zero scan
+    reads as a zero on its contour.  A non-finite z raises ValueError.
     """
-    for ctx in tol.rungs():
-        value, bound = _complex_det_rung(config, z, ctx)
-        if abs(value) > bound:
-            return value if isinstance(value, mpc) else mpc(value)  # mpc(mpc) rounds
-    return mpc(0)
+    value = _complex_det_ladder(config, z, tol, {})
+    return value if isinstance(value, mpc) else mpc(value)  # mpc(mpc) rounds
 
 
 @dataclass(frozen=True)
@@ -534,6 +588,10 @@ def _phase(v) -> float:
     return float(mp.arg(v))
 
 
+# Halvings ``_arg_step`` makes of one step before it declares a boundary zero.
+_MAX_BISECTIONS = 24
+
+
 def _arg_step(phase, z0, a0, z1, a1, depth):
     """Change of arg f from z0 to z1, whose phases are a0 and a1, bisecting
     until each step turns by at most 2 radians; ``phase(z)`` is arg f(z)."""
@@ -544,7 +602,7 @@ def _arg_step(phase, z0, a0, z1, a1, depth):
         d += 2 * math.pi
     if abs(d) <= 2.0:
         return d
-    if depth >= 24:
+    if depth >= _MAX_BISECTIONS:
         raise _BoundaryZero
     zm = (z0 + z1) / 2
     am = phase(zm)
@@ -594,6 +652,40 @@ def _subdivide(phase, rect: Rect, winding: int, depth: int) -> list[ZeroCell]:
     raise _BoundaryZero
 
 
+# The finest cell of a scan spans at least this many ulps of the region's
+# largest coordinate on each axis.
+_MIN_CELL_ULPS = 2 ** 12
+# log2 of how far the phase cache's lattice lies below the finest spacing
+# a scan samples.
+_LATTICE_MARGIN_BITS = 8
+
+
+def _lattice_step(lo: float, hi: float, depth: int, grid) -> float:
+    """Step of the phase cache's lattice along the region's axis [lo, hi].
+
+    ValueError when a cell at ``depth`` would span fewer than
+    ``_MIN_CELL_ULPS`` ulps of the axis's largest coordinate: the samples
+    and bisections inside such a cell collapse onto a few floats, and the
+    scan would run on without end.  The step is the largest power of two at
+    least 2^``_LATTICE_MARGIN_BITS`` below the finest spacing the scan
+    samples, a cell side over ``_SAMPLES_PER_SIDE`` and 2^``_MAX_BISECTIONS``
+    (children split at 0.463 shrink that by at most a factor of 2^5 over
+    the depths the bound allows), and at least the smallest float.
+    """
+    side = hi - lo
+    if side == math.inf:
+        raise ValueError(f"the region's side [{lo!r}, {hi!r}] overflows")
+    room = side / (_MIN_CELL_ULPS * math.ulp(max(abs(lo), abs(hi))))
+    finest = math.frexp(room)[1] - 1  # floor(log2 room): the deepest depth allowed
+    if depth > finest:
+        raise ValueError(
+            f"the scan grid {grid!r} is too fine for the region: cells must span at least "
+            f"{_MIN_CELL_ULPS} ulps of their coordinates, so [{lo!r}, {hi!r}] allows "
+            f"a grid of at most 2^{finest}")
+    spacing = math.ldexp(side, -depth - _MAX_BISECTIONS) / _SAMPLES_PER_SIDE
+    return math.ldexp(1.0, max(math.frexp(spacing)[1] - 1 - _LATTICE_MARGIN_BITS, -1074))
+
+
 def complex_zero_scan(config: PointConfig, region, grid: int,
                       tol: ToleranceContext = DEFAULT_TOL) -> ComplexScanReport:
     """Locate zeros of the complex determinant by argument-principle winding.
@@ -602,20 +694,36 @@ def complex_zero_scan(config: PointConfig, region, grid: int,
     cells with nonzero winding are reported with their winding count (the
     number of zeros inside, with multiplicity).  Boundary zeros trigger
     bounded re-gridding.  Absence of reported cells is evidence, not proof.
-    Each contour point is evaluated at most once per scan: child contours
-    reuse the phases they share with their parent and siblings.
+
+    The finest cell must span at least ``_MIN_CELL_ULPS`` = 4096 ulps of
+    the region's largest coordinate on each axis (grid 2^39 at most on
+    0.6..1.4), else ValueError before any sample: that bounds the work.
+    Each geometric contour point is evaluated at most once per scan,
+    regrids included.  Child contours recompute the points they share with
+    their parent and siblings a few ulps apart, so the phase cache is keyed
+    on a dyadic lattice (``_lattice_step``) far finer than any two distinct
+    samples and each sample is evaluated at its lattice point; where the
+    step is below the coordinates' ulp, the lattice points are the samples
+    themselves.  The scan keeps one ``_NodeTable`` per rung for its whole
+    run, so the node work is done once, not per sample.
     """
     if not grid >= 1:
         raise ValueError(f"the scan grid must be at least 1, got {grid!r}")
     rect = region if isinstance(region, Rect) else Rect(*region)
     depth = max(1, (math.ceil(grid) - 1).bit_length())  # ceil(log2 grid)
+    sx = _lattice_step(rect.re_min, rect.re_max, depth, grid)
+    sy = _lattice_step(rect.im_min, rect.im_max, depth, grid)
+    tables = {}
 
     @functools.cache
-    def phase(z):
-        value = complex_det(config, z, tol)
-        if value == 0:
+    def sample(kx, ky):
+        value = _complex_det_ladder(config, complex(kx * sx, ky * sy), tol, tables)
+        if not value:
             raise _BoundaryZero
         return _phase(value)
+
+    def phase(z):
+        return sample(round(z.real / sx), round(z.imag / sy))
 
     for regrids in range(4):
         try:

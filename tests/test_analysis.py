@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -388,29 +389,77 @@ def test_complex_scan_bisects_a_contour_close_to_a_zero(monkeypatch):
 def test_complex_scan_evaluates_each_contour_point_once(monkeypatch):
     # child contours share sides and corners with their parent and siblings
     seen = []
-    original = analysis.complex_det
+    original = analysis._complex_det_ladder
 
-    def spy(config, z, tol):
+    def spy(config, z, tol, tables):
         seen.append(z)
-        return original(config, z, tol)
+        return original(config, z, tol, tables)
 
-    monkeypatch.setattr(analysis, "complex_det", spy)
+    monkeypatch.setattr(analysis, "_complex_det_ladder", spy)
     rep = complex_zero_scan(make_point_config((1, 2, 3)), (0.7, 1.45, -0.3, 0.4), grid=4)
     assert rep.total_winding == 2
+    assert seen
     assert len(seen) == len(set(seen))
 
 
 def test_complex_scan_gives_up_after_four_regrids(monkeypatch):
     calls = []
 
-    def vanishing(config, z, tol):
+    def vanishing(config, z, tol, tables):
         calls.append(z)
-        return mpc(0)
+        return 0
 
-    monkeypatch.setattr(analysis, "complex_det", vanishing)
+    monkeypatch.setattr(analysis, "_complex_det_ladder", vanishing)
     with pytest.raises(ArithmeticError, match="re-gridding"):
         complex_zero_scan(make_point_config((1, 2, 3)), (0.5, 1.5, -0.5, 0.5), grid=4)
     assert len(calls) == 4
+
+
+def test_complex_scan_evaluates_each_geometric_point_once(monkeypatch):
+    # a child contour recomputes the points it shares with its parent and
+    # siblings a few ulps away from where they computed them
+    seen = []
+    original = analysis._complex_det_ladder
+
+    def spy(config, z, tol, tables):
+        seen.append(z)
+        return original(config, z, tol, tables)
+
+    monkeypatch.setattr(analysis, "_complex_det_ladder", spy)
+    complex_zero_scan(make_point_config((1, 2, 3)), (0.7, 1.45, -0.3, 0.4), grid=4)
+    assert seen
+    near = 1e-9 * 0.7  # the shorter side
+    seen.sort(key=lambda z: (z.real, z.imag))
+    for i, z in enumerate(seen):
+        for w in seen[i + 1:]:
+            if w.real - z.real > near:
+                break
+            assert abs(w - z) > near, (z, w)
+
+
+@pytest.mark.parametrize("grid", [2 ** 40, 2 ** 50, 2 ** 56])
+def test_complex_zero_scan_rejects_cells_under_4096_ulps_at_once(monkeypatch, grid):
+    # unbounded, grid 2^50 takes seconds to reach a cell 8e-16 wide and 2^56 runs away
+    calls = []
+    monkeypatch.setattr(analysis, "_complex_det_ladder", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"too fine .* at most 2\^39"):
+        complex_zero_scan(make_point_config((1, 2, 3)), (0.6, 1.4, -0.4, 0.4), grid=grid)
+    assert calls == []
+    assert time.perf_counter() - start < 2.0
+
+
+def test_complex_zero_scan_rejects_a_side_beyond_the_float_range():
+    with pytest.raises(ValueError, match="overflows"):
+        complex_zero_scan(make_point_config((1, 2, 3)), (-1e308, 1e308, -1, 1), grid=4)
+
+
+def test_complex_scan_at_grid_2_30_isolates_the_double_zero():
+    rep = complex_zero_scan(make_point_config((1, 2, 3)), (0.6, 1.4, -0.4, 0.4), grid=2 ** 30)
+    (cell,) = rep.cells
+    assert (rep.total_winding, cell.winding, rep.regrids) == (2, 2, 0)
+    assert cell.rect.re_min < 1 < cell.rect.re_max and cell.rect.im_min < 0 < cell.rect.im_max
+    assert cell.rect.re_max - cell.rect.re_min < 1e-8
 
 
 def test_dk_apply_examples():
@@ -653,12 +702,38 @@ def test_complex_float_tier_only_at_53_bits_inside_the_window(complex_tiers):
     assert all(ar is MP_ARITH for _, ar in complex_tiers[2:])
 
 
+def test_complex_det_node_below_the_float_range_takes_the_mpc_tier(complex_tiers):
+    # 10^-400 is 0.0 as a float, and 0.0^(Re z) = 1 at Re z = 0 would pass the window test
+    cfg = make_point_config((Fraction(1, 10 ** 400), 1, 2))
+    d = complex_det(cfg, complex(0, 0.5))
+    assert complex_tiers == [(53, MP_ARITH)]
+    assert d != 0
+
+
 def test_complex_det_outputs_stay_mpc():
     cfg = make_point_config((1, 2, 3))
     for z, tol in ((complex(1.5, 0.5), ToleranceContext()),
                    (complex(1.5, 0.5), ToleranceContext.at_bits(256)),
                    (800, ToleranceContext()), (1, ToleranceContext())):
         assert type(complex_det(cfg, z, tol)) is mpc
+
+
+@pytest.mark.parametrize("nodes, z, native", [
+    ((1, 2, 3), complex(1.5, 0.5), complex),       # the float rung
+    ((1, 2, 3), 800, mpc),                          # mpc at 53 bits
+    (tuple(range(1, 11)), complex(1.3, 0.2), mpc),  # climbs to 256 bits
+    ((1, 2, 3), 1, int),                            # no rung resolves it: 0
+])
+def test_complex_det_and_the_scan_share_one_ladder(complex_tiers, nodes, z, native):
+    cfg = make_point_config(nodes)
+    d = complex_det(cfg, z)
+    through_det = list(complex_tiers)
+    complex_tiers.clear()
+    tables = {}  # kept across calls, as the scan keeps it
+    for _ in range(2):
+        value = analysis._complex_det_ladder(cfg, z, ToleranceContext(), tables)
+        assert type(value) is native and type(d) is mpc and d == value
+    assert complex_tiers == through_det * 2
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex(1, math.inf), math.inf,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from loewnerlab import analysis
 from loewnerlab.cli import main, parse_range, parse_scalar
@@ -335,12 +335,19 @@ def test_complex_zeros_ten_nodes_resolves_or_is_a_usage_error(capsys):
 
 
 def test_complex_zeros_exhausted_scan_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "complex_det", lambda config, z, tol: mpc(0))
+    monkeypatch.setattr(analysis, "_complex_det_ladder", lambda config, z, tol, tables: 0)
     code, out, err = run(capsys, "complex-zeros", "--points", "1,2,3",
                          "--region", "0.5:1.5:-0.5:0.5", "--grid", "4")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_complex_zeros_grid_finer_than_the_coordinates_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "complex-zeros", "--points", "1,2,3",
+                         "--region", "0.6:1.4:-0.4:0.4", "--grid", "72057594037927936")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the scan grid 72057594037927936 is too fine for the region")
 
 
 def test_complex_zeros_rejects_a_non_finite_region(capsys):
