@@ -9,9 +9,11 @@ for the float Loewner matrix, the cross variant and the zero counter in
 ``analysis``.  It takes per-node power tables, so each node is raised to
 each power once, and runs on the arithmetic ``ToleranceContext.arith``
 picks: Python floats at 53 bits while every node, r and node^r lies in the
-window 2^-200 .. 2^200, mpmath otherwise.  The remaining builders (sinh
-form, diagonal and all-ones factors, Vandermonde and antidiagonal factors,
-power-sum matrix, and the two-sequence cross variant) supply the
+window 2^-200 .. 2^200, mpmath otherwise.  On floats the Loewner matrix
+keeps the float rows the kernel computed, which the inertia routes run on,
+and makes its mpf entries only when they are read.  The remaining builders
+(sinh form, diagonal and all-ones factors, Vandermonde and antidiagonal
+factors, power-sum matrix, and the two-sequence cross variant) supply the
 congruences and factorizations the inertia analysis relies on.  Every
 builder takes the nodes and the exponent as they are: (config, r[, tol]).
 """
@@ -25,6 +27,7 @@ from mpmath import mp, mpf
 
 from .types import (
     DEFAULT_TOL,
+    FLOAT_ARITH,
     Exponent,
     PointConfig,
     Scalar,
@@ -94,16 +97,22 @@ def loewner_matrix(config: PointConfig, r: Scalar,
 
     Every entry, the diagonal limit r*p^(r-1) included, comes from the
     cancellation-free divided-difference kernel, in float arithmetic at 53
-    bits when the nodes and their powers allow it (``ToleranceContext.arith``);
-    the entries are mpf either way.
+    bits when the nodes and their powers allow it (``ToleranceContext.arith``).
+    The entries are mpf either way; on floats the matrix keeps the float
+    rows the routes run on and makes its mpf entries when they are read.
     """
     ex = Exponent.of(r)
     with tol.prec():
         ar = tol.arith(config.values(), ex.r)
         rr, nodes = _kernel_nodes(config.values(), ex, ar)
         m = ex.integer_value
-        return SymMatrix.build(
-            config.n, lambda i, j: mpf(_divided_difference(nodes[i], nodes[j], rr, m, ar)))
+
+        def entry(i, j):
+            return _divided_difference(nodes[i], nodes[j], rr, m, ar)
+
+        if ar is FLOAT_ARITH:
+            return SymMatrix._build_floats(config.n, entry)
+        return SymMatrix.build(config.n, lambda i, j: mpf(entry(i, j)))
 
 
 def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:

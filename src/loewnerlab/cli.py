@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -253,7 +254,11 @@ def _opt(flag: str, **kwargs):
     return flag, kwargs
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``main`` runs in-process
+    too, once per call).  Each subcommand's function (``cmd_*``) is bound
+    when the parser is first built."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int, default=None,
                         help=f"working precision in mantissa bits (default {DEFAULT_PRECISION_BITS})")

@@ -23,22 +23,29 @@ and take whichever arithmetic it picks, unchanged:
   decimal ones, so eigenvalues sit within a few units of roundoff of
   mpmath's, not on the same bits.
 
-Entries are converted into the arithmetic once per route, and eigenvalues
-and residuals back to mpf once, for the ``Spectrum``.  A NaN or infinite
-entry raises ValueError.  On ``decimal`` the eigenvalue route also converts
-them to floats once, when all of them lie in the float window: a float
-Jacobi pass finds an approximate eigenvector basis, and the working sweeps
-start from the matrix rotated into it (see ``eig_sym``).  That pass only
-sets where the working sweeps start; their stop test, and so every
-eigenvalue and verdict, is decided at working precision.  The exact route (Fractions) shares nothing with
-them, and its answer does not depend on precision, so the ladder computes
-it once, before its first rung, for every integer exponent.
+Entries are converted to floats once per matrix: each matrix decides once
+whether its entries lie in the float window, and when they do it keeps its
+rows as floats (``SymMatrix``; a matrix built on floats has them from the
+start).  ``ToleranceContext.arith`` judges those rows, on floats each route
+copies them, and on the other arithmetics each route converts the entries
+it works on.  Eigenvalues and residuals go back to mpf once, for the
+``Spectrum``, and at 53 bits the eigenvalues are classified as the floats
+they were computed in, which round as 53-bit mpf does.  A NaN or infinite
+entry raises ValueError.  On ``decimal`` the eigenvalue route also uses the
+float rows, when all entries lie in the float window: a float Jacobi pass
+finds an approximate eigenvector basis, and the working sweeps start from
+the matrix rotated into it (see ``eig_sym``).  That pass only sets where
+the working sweeps start; their stop test, and so every eigenvalue and
+verdict, is decided at working precision.  The exact route (Fractions)
+shares nothing with them, and its answer does not depend on precision, so
+the ladder computes it once, before its first rung, for every integer
+exponent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import Callable, Optional
 
@@ -47,6 +54,7 @@ from mpmath import mp
 from . import builders, exact
 from .types import (
     DEC_ARITH,
+    DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
     FLOAT_ARITH,
     Exponent,
@@ -56,6 +64,8 @@ from .types import (
     SymMatrix,
     ToleranceContext,
     _in_float_window,
+    _symmetric,
+    _upper,
     to_mpf,
 )
 
@@ -72,14 +82,18 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues plus the eigensolver's final off-diagonal mass."""
+    """Ascending eigenvalues plus the eigensolver's final off-diagonal mass,
+    and the same eigenvalues as floats when the eigensolver ran on floats
+    (``inertia_from_spectrum`` classifies those)."""
 
     eigenvalues: tuple
     offdiag_residual: object
+    _float_eigenvalues: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def scale(self):
-        return max(abs(e) for e in self.eigenvalues)
+        """The largest eigenvalue magnitude: at one end, as they ascend."""
+        return max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1]))
 
 
 @dataclass(frozen=True)
@@ -106,14 +120,18 @@ def _offdiag_mass(A, n, ar):
 
 def _working_copy(A: SymMatrix, tol: ToleranceContext):
     """The arithmetic for A (ValueError on a NaN or infinite entry), A's
-    entries in it (each upper-triangle entry converted once and mirrored, so
-    the copy is exactly symmetric), and its Frobenius norm."""
-    ar = tol.arith(e for row in A.entries for e in row)
-    n = A.order
-    M = [[None] * n for _ in range(n)]
-    for i, row in enumerate(A.entries):
-        for j in range(i, n):
-            M[i][j] = M[j][i] = ar.num(row[j])
+    entries in it, exactly symmetric, and its Frobenius norm.
+
+    ``tol.arith`` judges A's faithful float rows where A has them (see
+    ``SymMatrix``), which are cheap to scan, and on ``FLOAT_ARITH`` the copy
+    is theirs.  Otherwise each upper-triangle entry is converted once and
+    mirrored."""
+    rows = A._float_rows()
+    ar = tol.arith(_upper(A.entries if rows is None else rows))
+    if ar is not FLOAT_ARITH:
+        entries = A.entries
+        rows = _symmetric(A.order, lambda i, j: ar.num(entries[i][j]))
+    M = [list(row) for row in rows]
     return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
 
 
@@ -170,7 +188,8 @@ def _sweeps(M, n, ar, thresh, max_sweeps, V=None):
 
 def _float_preconditioned(A: SymMatrix, M, n, ar):
     """Q M Q^T at working precision, where M is A in ``ar`` and Q's rows are
-    an eigenvector basis of float(A), made orthonormal at working precision.
+    an eigenvector basis of float(A) (A's float rows), made orthonormal at
+    working precision.
 
     The float pass is ``_sweeps`` on ``FLOAT_ARITH``, accumulating its
     rotations, until the mass of float(A) is at float roundoff of its norm
@@ -181,7 +200,7 @@ def _float_preconditioned(A: SymMatrix, M, n, ar):
     orthonormal to working precision, and Q M Q^T has M's eigenvalues up to
     the roundoff of the product, whichever basis the float pass found.
     """
-    F = [[float(v) for v in row] for row in A.entries]
+    F = [list(row) for row in A._float_rows()]
     V = [[float(i == j) for j in range(n)] for i in range(n)]
     fnorm = math.sqrt(math.fsum(v * v for row in F for v in row))
     _sweeps(F, n, FLOAT_ARITH, math.ulp(1.0) * fnorm, _FLOAT_PASS_SWEEPS, V)
@@ -194,11 +213,7 @@ def _float_preconditioned(A: SymMatrix, M, n, ar):
         h = ar.sqrt(sum(map(mul, q, q)))
         Q.append([a / h for a in q])
     W = [[sum(map(mul, q, m)) for m in M] for q in Q]  # Q M (M is symmetric)
-    B = [[None] * n for _ in range(n)]
-    for i, w in enumerate(W):
-        for j in range(i, n):
-            B[i][j] = B[j][i] = sum(map(mul, w, Q[j]))
-    return B
+    return [list(row) for row in _symmetric(n, lambda i, j: sum(map(mul, W[i], Q[j])))]
 
 
 def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
@@ -230,7 +245,7 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
     with tol.prec():
         ar, M, norm = _working_copy(A, tol)
         thresh = ar.num(tol.residual_tol) * norm
-        if ar is DEC_ARITH and _in_float_window(e for row in A.entries for e in row):
+        if ar is DEC_ARITH and A._in_window():
             M = _float_preconditioned(A, M, n, ar)
         off = _sweeps(M, n, ar, thresh, max_sweeps)
         if off > thresh:
@@ -238,15 +253,28 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                 f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
                 f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (the sweep limit)"
             )
-        return Spectrum(tuple(sorted(ar.out(M[i][i]) for i in range(n))), ar.out(off))
+        diag = sorted(M[i][i] for i in range(n))
+        return Spectrum(tuple(map(ar.out, diag)), ar.out(off),
+                        tuple(diag) if ar is FLOAT_ARITH else None)
 
 
 def inertia_from_spectrum(s: Spectrum, scale, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
-    """Classify eigenvalues against the relative zero threshold."""
+    """Classify eigenvalues against the relative zero threshold
+    zero_rel_tol * scale * n, formed in mpf at mpmath's precision.
+
+    With float eigenvalues at 53 bits, and the tolerance and scale in the
+    float window, the threshold is formed and compared in floats: they round
+    as 53-bit mpf does, so the verdicts are the same."""
     n = len(s.eigenvalues)
-    thresh = to_mpf(tol.zero_rel_tol) * to_mpf(scale) * n
+    if (s._float_eigenvalues is not None and mp.prec == DEFAULT_PRECISION_BITS
+            and _in_float_window((tol.zero_rel_tol, scale))):
+        lams = s._float_eigenvalues
+        thresh = float(tol.zero_rel_tol) * float(scale) * n
+    else:
+        lams = s.eigenvalues
+        thresh = to_mpf(tol.zero_rel_tol) * to_mpf(scale) * n
     pos = neg = zero = 0
-    for lam in s.eigenvalues:
+    for lam in lams:
         if abs(lam) <= thresh:
             zero += 1
         elif lam > 0:

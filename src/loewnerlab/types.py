@@ -26,7 +26,11 @@ The complex determinant picks between two of them with
 precision otherwise.
 
 Kernels are written once against that namespace and return mpf (mpc for
-the complex determinant).
+the complex determinant).  A ``SymMatrix`` works out at most once what the
+inertia routes ask of it: whether its entries lie in the float window, and
+its rows as floats.  One that a builder computed on floats keeps those
+floats and makes its mpf entries only when they are read.  No context asks
+for more than ``MAX_PRECISION_BITS`` bits, so no input causes unbounded work.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import cmath
 import contextlib
 import decimal
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -51,6 +55,11 @@ DEFAULT_RESIDUAL_TOL = 1e-12
 
 # Rungs above the starting precision that ``ToleranceContext.rungs`` yields.
 MAX_ESCALATIONS = 2
+
+# The widest working precision a context takes, so that no input asks for
+# unbounded work: one 4,096-bit rung on twelve nodes already takes about
+# 1.4 s, and 65,536 bits about 30 s on six.
+MAX_PRECISION_BITS = 4096
 
 
 def to_mpf(x) -> mpf:
@@ -184,6 +193,7 @@ class ToleranceContext:
     residuals and eigensolver convergence.  Both shrink with the unit
     roundoff when a context is created through :meth:`at_bits`, since tiny
     true eigenvalues must stay classifiable at extended precision.
+    ``precision_bits`` lies in 53 .. ``MAX_PRECISION_BITS``.
     """
 
     precision_bits: int = DEFAULT_PRECISION_BITS
@@ -191,8 +201,9 @@ class ToleranceContext:
     residual_tol: Union[float, mpf] = DEFAULT_RESIDUAL_TOL
 
     def __post_init__(self):
-        if self.precision_bits < 53:
-            raise ValueError("precision_bits must be at least 53")
+        if not DEFAULT_PRECISION_BITS <= self.precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(f"precision_bits must lie in {DEFAULT_PRECISION_BITS} .. "
+                             f"{MAX_PRECISION_BITS}, got {self.precision_bits}")
         if not self.zero_rel_tol > 0:
             raise ValueError("zero_rel_tol must be positive")
         if not self.residual_tol > 0:
@@ -210,13 +221,16 @@ class ToleranceContext:
 
     def rungs(self) -> Iterator["ToleranceContext"]:
         """The precision ladder, and the one home of its step rule: this
-        context as given, then ``MAX_ESCALATIONS`` rungs, each ``at_bits``
-        double the last one's bits and at least 256 (53 -> 256 -> 512 bits
-        from the default)."""
+        context as given, then up to ``MAX_ESCALATIONS`` rungs, each
+        ``at_bits`` double the last one's bits and at least 256 (53 -> 256
+        -> 512 bits from the default), capped at ``MAX_PRECISION_BITS``;
+        the ladder ends once a rung has reached the cap."""
         yield self
         bits = self.precision_bits
         for _ in range(MAX_ESCALATIONS):
-            bits = max(2 * bits, 256)
+            if bits == MAX_PRECISION_BITS:
+                return
+            bits = min(max(2 * bits, 256), MAX_PRECISION_BITS)
             yield ToleranceContext.at_bits(bits)
 
     def prec(self):
@@ -312,7 +326,9 @@ class Exponent:
 
     @classmethod
     def of(cls, r: Scalar) -> "Exponent":
-        if not mpmath.isfinite(r):
+        # math.isfinite is the fast test, but raises OverflowError on an int
+        # or Fraction beyond the float range, so only floats take it
+        if not (math.isfinite(r) if type(r) is float else mpmath.isfinite(r)):
             raise ValueError(f"exponent must be finite, got {r!r}")
         if isinstance(r, Rational):
             return cls(r, int(r) if r.denominator == 1 else None)
@@ -381,24 +397,93 @@ def make_point_config(values: Sequence[Scalar]) -> PointConfig:
     return PointConfig(tuple(float(v) for v in vals), exact)
 
 
-@dataclass(frozen=True)
+def _symmetric(n: int, entry) -> tuple[tuple, ...]:
+    """Rows of the n x n matrix with ``entry(i, j)`` evaluated only for
+    i <= j, each value written to both triangles."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return tuple(tuple(row) for row in rows)
+
+
+def _upper(rows):
+    """The values on and above the diagonal of the square ``rows``, which for
+    a symmetric matrix are all of its entries."""
+    n = len(rows)
+    return (row[j] for i, row in enumerate(rows) for j in range(i, n))
+
+
 class SymMatrix:
-    """Dense real symmetric matrix; entries mirror each other exactly."""
+    """Dense real symmetric matrix; entries mirror each other exactly.
 
-    order: int
-    entries: tuple[tuple, ...]
+    Immutable, and equal (hash included) to any SymMatrix of the same order
+    and entries.  It works out at most once what the inertia routes ask of
+    it: whether its entries lie in the float window (``_in_window``, which
+    raises on a NaN or an infinity) and its faithful float rows
+    (``_float_rows``).  Those are the floats a float-tier builder computed
+    (``_build_floats``), which are its entries exactly and from which its
+    mpf ``entries`` are made when first read, or else the float images of
+    entries shown to lie in the window.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.order or any(len(row) != self.order for row in self.entries):
+    def __init__(self, order: int, entries: tuple[tuple, ...], _floats=None):
+        rows = entries if _floats is None else _floats
+        if len(rows) != order or any(len(row) != order for row in rows):
             raise ValueError("entries must form an order x order square")
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                if self.entries[i][j] != self.entries[j][i]:
+        for i in range(order):
+            for j in range(i + 1, order):
+                if rows[i][j] != rows[j][i]:
                     for a, b in ((i, j), (j, i)):  # a NaN never equals its mirror
-                        v = self.entries[a][b]
+                        v = rows[a][b]
                         if not mpmath.isfinite(v):
                             raise ValueError(f"entry ({a},{b}) is not finite: {v!r}")
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _fits=None)
+
+    @classmethod
+    def _build_floats(cls, n: int, entry) -> "SymMatrix":
+        """``build`` for an ``entry`` that computes floats, kept as the rows."""
+        return cls(n, None, _floats=_symmetric(n, entry))
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        if self._entries is None:  # exact at any working precision
+            rows = self._floats
+            self.__dict__["_entries"] = _symmetric(
+                self.order, lambda i, j: mpf(rows[i][j], prec=DEFAULT_PRECISION_BITS))
+        return self._entries
+
+    def _in_window(self) -> bool:
+        if self._fits is None:
+            rows = self._floats if self._floats is not None else self._entries
+            self.__dict__["_fits"] = _in_float_window(_upper(rows))
+        return self._fits
+
+    def _float_rows(self):
+        """The faithful float rows, or None when there are none (entries that
+        are not floats and lie outside the float window)."""
+        if self._floats is None and self._in_window():
+            rows = self._entries
+            self.__dict__["_floats"] = _symmetric(self.order, lambda i, j: float(rows[i][j]))
+        return self._floats
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.entries) == (other.order, other.entries)
+
+    def __hash__(self):
+        return hash((self.order, self.entries))
+
+    def __repr__(self):
+        return f"SymMatrix(order={self.order!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows) -> "SymMatrix":
@@ -407,21 +492,12 @@ class SymMatrix:
     @classmethod
     def build(cls, n: int, entry) -> "SymMatrix":
         """Symmetric-by-construction: ``entry(i, j)`` evaluated only for i <= j."""
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                v = entry(i, j)
-                rows[i][j] = v
-                rows[j][i] = v
-        return cls(n, tuple(tuple(row) for row in rows))
+        return cls(n, _symmetric(n, entry))
 
     @classmethod
     def diagonal(cls, values, zero=0) -> "SymMatrix":
         vals = list(values)
-        n = len(vals)
-        return cls(n, tuple(
-            tuple(vals[i] if i == j else zero for j in range(n)) for i in range(n)
-        ))
+        return cls.build(len(vals), lambda i, j: vals[i] if i == j else zero)
 
     def __getitem__(self, ij):
         i, j = ij
