@@ -9,8 +9,10 @@ Sylvester's law.  Route three, available at every integer exponent,
 eliminates the exact rational matrix.  A report derives its verdicts from
 whichever routes ran and keeps the spectrum its eigenvalue route
 classified.  ``_settle`` climbs the one precision ladder,
-``ToleranceContext.rungs``, and ``_settle_loewner`` is that ladder on L_r:
-every Loewner verdict (verify, prop21, pr_compare's Loewner side) runs it.
+``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
+between a lower start and the first doubling (53 -> 128 -> 256 -> 512 bits
+from the default), and ``_settle_loewner`` is that ladder on L_r: every
+Loewner verdict (verify, prop21, pr_compare's Loewner side) runs it.
 
 The two float routes are written once against ``ToleranceContext.arith``
 and take whichever arithmetic it picks, unchanged:
@@ -63,6 +65,7 @@ from .types import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    VERDICT_RUNG_BITS,
     _in_float_window,
     _symmetric,
     _upper,
@@ -400,14 +403,18 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
             target: Optional[Inertia] = None) -> tuple[InertiaReport, ToleranceContext, int]:
     """The precision ladder: (report, context, escalations) of the rung it
     stopped at.  It starts at ``tol`` as the caller gave it, and each rung
-    of ``tol.rungs()`` builds the matrix with ``build(ctx)`` and runs
+    of ``tol.rungs(via=VERDICT_RUNG_BITS)`` (53 -> 128 -> 256 -> 512 bits
+    from the default; a start at or above 128 bits climbs as it would
+    without ``via``) builds the matrix with ``build(ctx)`` and runs
     ``inertia`` on it, until the routes agree on a consensus equal to
-    ``target`` (if given) or the rungs run out.  This is the one place the
-    exact route joins a report: it runs once on ``exact_hint``, before the
-    first rung, and joins each rung's report.  (Private, so perfbench's
-    tracer sees each ``inertia`` under the caller.)"""
+    ``target`` (if given) or the rungs run out.  Every rung's thresholds
+    come from ``at_bits``, and the stop test is the same at each.  This is
+    the one place the exact route joins a report: it runs once on
+    ``exact_hint``, before the first rung, and joins each rung's report.
+    (Private, so perfbench's tracer sees each ``inertia`` under the
+    caller.)"""
     by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
-    for escalations, ctx in enumerate(tol.rungs()):
+    for escalations, ctx in enumerate(tol.rungs(via=VERDICT_RUNG_BITS)):
         rep = replace(inertia(build(ctx), ctx), by_exact=by_exact)
         if not rep.disagreement and (target is None or rep.consensus == target):
             break

@@ -86,9 +86,10 @@ def verify_instance(config: PointConfig, r: Scalar,
 
     The Loewner ladder ``inertia._settle_loewner`` starts at ``tol``, the
     caller's own rung, and climbs until the routes agree on the predicted
-    inertia; a non-match is declared when it gives up.  Integer exponents
-    run the exact rational route alongside the float routes (see
-    ``exact_route_hint``).
+    inertia (53 -> 128 -> 256 -> 512 bits from the default start, so
+    ``escalations`` is at most 3); a non-match is declared when it gives
+    up.  Integer exponents run the exact rational route alongside the float
+    routes (see ``exact_route_hint``).
     """
     pred = predicted_inertia(config.n, r)
     rep, ctx, escalations = _settle_loewner(config, r, tol, target=pred.inertia)

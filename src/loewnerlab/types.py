@@ -53,8 +53,14 @@ DEFAULT_PRECISION_BITS = 53
 DEFAULT_ZERO_REL_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-12
 
-# Rungs above the starting precision that ``ToleranceContext.rungs`` yields.
+# Doubling rungs that ``ToleranceContext.rungs`` yields above its start (or
+# above its ``via`` rung), so a plain ladder has up to two escalations.
 MAX_ESCALATIONS = 2
+
+# The one rung the verdict ladder (``inertia._settle``) inserts between a
+# start below it and the first doubling, so its ladder has up to three
+# escalations: most escalated Loewner verdicts settle at 128 bits.
+VERDICT_RUNG_BITS = 128
 
 # The widest working precision a context takes, so that no input asks for
 # unbounded work: one 4,096-bit rung on twelve nodes already takes about
@@ -219,14 +225,20 @@ class ToleranceContext:
             residual_tol=DEFAULT_RESIDUAL_TOL * scale,
         )
 
-    def rungs(self) -> Iterator["ToleranceContext"]:
+    def rungs(self, via: Optional[int] = None) -> Iterator["ToleranceContext"]:
         """The precision ladder, and the one home of its step rule: this
-        context as given, then up to ``MAX_ESCALATIONS`` rungs, each
-        ``at_bits`` double the last one's bits and at least 256 (53 -> 256
-        -> 512 bits from the default), capped at ``MAX_PRECISION_BITS``;
-        the ladder ends once a rung has reached the cap."""
+        context as given; then, when ``via`` lies above its bits, one rung
+        ``at_bits(via)``; then up to ``MAX_ESCALATIONS`` rungs, each
+        ``at_bits`` double the last one's bits and at least 256, capped at
+        ``MAX_PRECISION_BITS``; the ladder ends once a rung has reached the
+        cap.  From the default start that is 53 -> 256 -> 512 bits, and
+        53 -> 128 -> 256 -> 512 with ``via=128``: a ``via`` of at most 128
+        leaves the top rung where it was."""
         yield self
         bits = self.precision_bits
+        if via is not None and via > bits:
+            bits = via
+            yield ToleranceContext.at_bits(bits)
         for _ in range(MAX_ESCALATIONS):
             if bits == MAX_PRECISION_BITS:
                 return

@@ -120,7 +120,7 @@ def test_verify_range(capsys):
 
 @pytest.mark.parametrize("flags, bits, escalations", [
     (("--precision-bits", "512"), 512, 0),  # the ladder starts at the rung asked for
-    (("--zero-rel-tol", "0.5"), 256, 1),    # the start's own override runs first
+    (("--zero-rel-tol", "0.5"), 128, 1),    # the start's own override runs first
 ])
 def test_verify_near_integer_starts_at_the_given_rung(capsys, flags, bits, escalations):
     code, out, _ = run(capsys, "verify", "--points", "1,2,3", "--r", "2.00000001", *flags)

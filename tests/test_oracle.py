@@ -106,7 +106,7 @@ def test_verify_instance_runs_the_exact_route_at_a_negative_integer(monkeypatch,
 def test_verify_instance_near_integer_escalates():
     rep = verify_instance(make_point_config((1, 2, 3, 4)), 2 + 1e-7)
     assert rep.match
-    assert rep.precision_bits >= 256
+    assert rep.precision_bits == 128
     assert rep.computed.as_tuple() == (3, 0, 1)
 
 
@@ -252,14 +252,16 @@ def test_nonzero_eigenvalues_simple():
 # (precision_bits, escalations, match, disagreement, computed).
 @pytest.mark.parametrize("points, r, outcome", [
     ((1, 2, 3), 2.5, (53, 0, True, False, (2, 0, 1))),
-    ((1, 2, 3), 2 + 1e-8, (256, 1, True, False, (2, 0, 1))),
-    (tuple(range(1, 9)), 7, (256, 1, True, False, (4, 1, 3))),
-    (tuple(range(1, 7)), 3.5, (256, 1, True, False, (2, 0, 4))),
+    ((1, 2, 3), 2 + 1e-8, (128, 1, True, False, (2, 0, 1))),
+    (tuple(range(1, 9)), 7, (128, 1, True, False, (4, 1, 3))),
+    (tuple(range(1, 7)), 3.5, (128, 1, True, False, (2, 0, 4))),
     # The ladder runs out: the routes agree at 512 bits on an inertia the
     # theorem does not predict (the smallest eigenvalue stays under the
     # zero threshold at every rung).
-    ((1.0, 1.01, 1.02), 80000.5, (512, 2, False, False, (1, 1, 1))),
+    ((1.0, 1.01, 1.02), 80000.5, (512, 3, False, False, (1, 1, 1))),
     ((1, 2, 3), 4 + 1e-8, (53, 0, True, False, (2, 0, 1))),
+    # Past the 128-bit rung: sixteen nodes settle at the first doubling.
+    (tuple(range(1, 17)), 3.5, (256, 2, True, False, (2, 0, 14))),
 ])
 def test_ladder_outcomes(points, r, outcome):
     rep = verify_instance(make_point_config(points), r)
@@ -270,12 +272,12 @@ def test_ladder_outcomes(points, r, outcome):
 @settings(deadline=None, max_examples=100)
 @given(nk=st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        side=st.sampled_from((-1, 1)), digits=st.integers(7, 13))
-def test_near_integer_exponents_settle_by_256_bits(nk, side, digits):
+def test_near_integer_exponents_settle_by_128_bits(nk, side, digits):
     # r within 1e-7 of an integer makes L_r nearly singular (clause iii);
-    # the ladder from the default start resolves it without a special start
+    # the ladder from the default start resolves it by its 128-bit rung
     n, k = nk
     rep = verify_instance(make_point_config(range(1, n + 1)), k + side * 10.0 ** -digits)
-    assert rep.match and rep.precision_bits <= 256
+    assert rep.match and rep.precision_bits <= 128
 
 
 def test_conditional_inertia_rebuilds_the_compression_per_rung():

@@ -107,6 +107,15 @@ def test_rungs_are_the_one_ladder():
     first, *rest = start.rungs()
     assert first is start  # the caller's own context, overrides and all, comes first
     assert rest == [ToleranceContext.at_bits(256), ToleranceContext.at_bits(512)]
+    # the verdict ladder's rung: inserted only above a lower start, and the
+    # top rung is the same as without it
+    for bits, ladder in ((53, [53, 128, 256, 512]), (80, [80, 128, 256, 512]),
+                         (128, [128, 256, 512]), (256, [256, 512, 1024]),
+                         (3000, [3000, 4096])):
+        assert [c.precision_bits for c in ToleranceContext.at_bits(bits).rungs(via=128)] == ladder
+    first, *rest = start.rungs(via=128)
+    assert first is start
+    assert rest == [ToleranceContext.at_bits(b) for b in (128, 256, 512)]
 
 
 def test_symmetry_enforced():
