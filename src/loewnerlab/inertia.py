@@ -34,18 +34,21 @@ it works on.  Eigenvalues and residuals go back to mpf once, for the
 ``Spectrum``, and at 53 bits the eigenvalues are classified as the floats
 they were computed in, which round as 53-bit mpf does.  A NaN or infinite
 entry raises ValueError.  On ``decimal`` the eigenvalue route also uses the
-float rows, when all entries lie in the float window: a float Jacobi pass
-finds an approximate eigenvector basis, and the working sweeps start from
-the matrix rotated into it (see ``eig_sym``).  That pass only sets where
-the working sweeps start; their stop test, and so every eigenvalue and
-verdict, is decided at working precision.  The exact route (Fractions)
-shares nothing with them, and its answer does not depend on precision, so
-the ladder computes it once, before its first rung, for every integer
-exponent.
+float rows, when all entries lie in the float window: a float Householder
+tridiagonalization and QL pass finds an approximate eigenvector basis, and
+the working sweeps start from the matrix rotated into it (see ``eig_sym``).
+That pass only sets where the working sweeps start; their stop test, and
+so every eigenvalue and verdict, is decided at working precision, where a
+rotation whose off-diagonal entry is tiny against its diagonal gap takes
+square-root-free series parameters (``_series_rotation``).  The exact
+route (Fractions) shares nothing with them, and its answer does not depend
+on precision, so the ladder computes it once, before its first rung, for
+every integer exponent.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
@@ -75,8 +78,11 @@ from .types import (
 # Bunch-Parlett pivot constant: bounds element growth in the 1x1/2x2 choice.
 _BP_ALPHA = (1 + math.sqrt(17)) / 8
 
-# Sweep limit of the float pass that preconditions ``eig_sym`` on ``decimal``.
-_FLOAT_PASS_SWEEPS = 30
+# QL steps per eigenvalue in the float pass that preconditions ``eig_sym`` on
+# ``decimal``, and the relative size under which an off-diagonal entry of its
+# tridiagonal matrix counts as zero.
+_QL_ITERATIONS = 30
+_QL_EPS = math.ulp(1.0) / 2
 
 
 class EigenConvergenceError(RuntimeError):
@@ -138,7 +144,29 @@ def _working_copy(A: SymMatrix, tol: ToleranceContext):
     return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
 
 
-def _sweeps(M, n, ar, thresh, max_sweeps, V=None):
+def _series_cutoff():
+    """The |theta| above which ``_series_rotation`` holds to working
+    precision in the current ``decimal`` context of p digits: 10^ceil(p/4).
+
+    Its truncation errors are t/(8 theta^4) in t and 3/(128 theta^4) in c,
+    so above 10^(p/4) both lie under 1/40 of the unit roundoff 10^(1-p)/2."""
+    return decimal.Decimal(10) ** -(-decimal.getcontext().prec // 4)
+
+
+def _series_rotation(theta):
+    """The Jacobi rotation's t = sign(theta)/(|theta| + sqrt(1 + theta^2))
+    and c = 1/sqrt(1 + t^2) by their leading series terms in 1/theta,
+    t = (1 - 1/(4 theta^2))/(2 theta) and c = 1 - t^2/2, which need no
+    square root (Rutishauser, *Handbook for Automatic Computation* II,
+    contribution II/1, 1971).  For |theta| above ``_series_cutoff`` their
+    truncation error lies far under the unit roundoff, so they differ from
+    the square-root formulas by roundings alone: within one unit of working
+    precision (10^(1-p) relative)."""
+    t = (1 - 1 / (4 * theta * theta)) / (2 * theta)
+    return t, 1 - t * t / 2
+
+
+def _sweeps(M, n, ar, thresh, max_sweeps):
     """Cyclic Jacobi sweeps on the exactly symmetric M, in place, until its
     off-diagonal mass is at most ``thresh`` or ``max_sweeps`` sweeps have
     run; returns that mass.  Pairs of magnitude at most thresh/(2n) are
@@ -149,13 +177,15 @@ def _sweeps(M, n, ar, thresh, max_sweeps, V=None):
     triangles, and it forms the 2x2 block on p, q in locals and stores its
     one (p, q) value in both triangles.  So M stays exactly symmetric, and a
     rotation computes 2(n - 2) entries plus its block.  The (p, q) entry is
-    not set to zero: the residual is the mass the rotations left.  With V
-    (a list of rows) each rotation is applied to V's rows p and q too, so V
-    accumulates the rotations G with M -> G M G^T.
+    not set to zero: the residual is the mass the rotations left.
+
+    On ``DEC_ARITH`` a rotation whose |theta| lies above ``_series_cutoff``
+    takes ``_series_rotation`` instead of two square roots.
     """
     off = _offdiag_mass(M, n, ar)
     sweeps = 0
     skip = thresh / (2 * n)
+    series_from = _series_cutoff() if ar is DEC_ARITH else math.inf
     while off > thresh and sweeps < max_sweeps:
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -165,10 +195,14 @@ def _sweeps(M, n, ar, thresh, max_sweeps, V=None):
                     continue
                 app, aqq = Mp[p], Mq[q]
                 theta = (aqq - app) / (2 * apq)
-                t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
-                if theta < 0:
-                    t = -t
-                c = 1 / ar.sqrt(1 + t * t)
+                at = abs(theta)
+                if at > series_from:
+                    t, c = _series_rotation(theta)
+                else:
+                    t = 1 / (at + ar.sqrt(1 + theta * theta))
+                    if theta < 0:
+                        t = -t
+                    c = 1 / ar.sqrt(1 + t * t)
                 s = t * c
                 for k in range(n):
                     if k != p and k != q:
@@ -180,35 +214,106 @@ def _sweeps(M, n, ar, thresh, max_sweeps, V=None):
                 Mp[p] = c * bpp - s * bqp
                 Mq[q] = s * bpq + c * bqq
                 Mp[q] = Mq[p] = c * bpq - s * bqq
-                if V is not None:
-                    Vp, Vq = V[p], V[q]
-                    V[p] = [c * a - s * b for a, b in zip(Vp, Vq)]
-                    V[q] = [s * a + c * b for a, b in zip(Vp, Vq)]
         sweeps += 1
         off = _offdiag_mass(M, n, ar)
     return off
 
 
+def _float_basis(rows):
+    """The rows of an orthogonal Q (up to float roundoff) with Q F Q^T nearly
+    diagonal, for the symmetric float matrix F given by its rows.
+
+    Householder reflections H_m, from the last row up, take F to a
+    tridiagonal T = H F H^T, and H = H_2 ... H_(n-1) is accumulated from its
+    smallest reflector; implicit-shift QL then diagonalizes T, applying each
+    plane rotation to H's rows (Golub & Van Loan, *Matrix Computations*, 4th
+    ed., section 8.3).  Working from the last row suits Loewner matrices of
+    increasing nodes, whose large entries lie at the lower right.
+
+    It never raises on entries in the float window: every divisor is
+    nonzero (a column's largest entry, a reflector's h >= 1, an off-diagonal
+    entry that failed the deflation test, a shift denominator of magnitude
+    at least 1, a nonzero hypot), and every value stays within a small
+    multiple of F's norm or of 1/eps, so nothing overflows.  Each eigenvalue
+    gets at most ``_QL_ITERATIONS`` QL steps; at that cap the basis is used
+    as it stands.
+    """
+    n = len(rows)
+    d, e = [0.0] * n, [0.0] * n  # e[i] couples i and i + 1
+    reflectors = []
+    B = [list(row) for row in rows]
+    for m in range(n - 1, 1, -1):  # B is the leading (m + 1) x (m + 1) block
+        x = B[m][:m]
+        d[m] = B[m][m]
+        scale = max(map(abs, x))
+        if scale == 0:
+            B = [row[:m] for row in B[:m]]
+            continue
+        v = [a / scale for a in x]
+        alpha = -math.copysign(math.sqrt(sum(map(mul, v, v))), v[-1])
+        e[m - 1] = alpha * scale
+        h = alpha * alpha - alpha * v[-1]  # v^T v / 2 after the next line; >= 1
+        v[-1] -= alpha
+        p = [sum(map(mul, row, v)) / h for row in B[:m]]
+        K = sum(map(mul, p, v)) / (2 * h)
+        w = [a - K * b for a, b in zip(p, v)]
+        B = [[a - vi * wj - wi * vj for a, vj, wj in zip(row, v, w)]
+             for row, vi, wi in zip(B[:m], v, w)]
+        reflectors.append((m, v, h))
+    if n > 1:
+        d[1], e[0] = B[1][1], B[1][0]
+    d[0] = B[0][0]
+    Q = [[float(i == j) for j in range(n)] for i in range(n)]
+    for m, v, h in reversed(reflectors):  # Q <- Q H_m; rows from m on are unit rows
+        for row in Q[:m]:
+            g = sum(map(mul, row, v)) / h
+            row[:m] = [a - g * b for a, b in zip(row, v)]
+    for lo in range(n):
+        for _ in range(_QL_ITERATIONS):
+            m = lo
+            while m < n - 1 and abs(e[m]) > _QL_EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break
+            g = (d[lo + 1] - d[lo]) / (2 * e[lo])
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                Qi, Qj = Q[i], Q[i + 1]
+                Q[i] = [c * a - s * z for a, z in zip(Qi, Qj)]
+                Q[i + 1] = [s * a + c * z for a, z in zip(Qi, Qj)]
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return Q
+
+
 def _float_preconditioned(A: SymMatrix, M, n, ar):
     """Q M Q^T at working precision, where M is A in ``ar`` and Q's rows are
-    an eigenvector basis of float(A) (A's float rows), made orthonormal at
-    working precision.
+    an eigenvector basis of float(A) (A's float rows, see ``_float_basis``),
+    made orthonormal at working precision.
 
-    The float pass is ``_sweeps`` on ``FLOAT_ARITH``, accumulating its
-    rotations, until the mass of float(A) is at float roundoff of its norm
-    (float(A) holds nothing finer); at its sweep limit its basis is used as
-    it stands.  With every entry in the float window, no float operation
-    there overflows or divides by zero, so it never raises.  The basis is a
-    product of rotations, so one pass of modified Gram-Schmidt makes it
-    orthonormal to working precision, and Q M Q^T has M's eigenvalues up to
-    the roundoff of the product, whichever basis the float pass found.
+    The basis is orthogonal to float roundoff, so one pass of modified
+    Gram-Schmidt makes it orthonormal to working precision, and Q M Q^T has
+    M's eigenvalues up to the roundoff of the product, whichever basis the
+    float pass found.
     """
-    F = [list(row) for row in A._float_rows()]
-    V = [[float(i == j) for j in range(n)] for i in range(n)]
-    fnorm = math.sqrt(math.fsum(v * v for row in F for v in row))
-    _sweeps(F, n, FLOAT_ARITH, math.ulp(1.0) * fnorm, _FLOAT_PASS_SWEEPS, V)
     Q = []
-    for row in V:
+    for row in _float_basis(A._float_rows()):
         q = [ar.num(v) for v in row]
         for u in Q:
             d = sum(map(mul, q, u))
@@ -232,17 +337,20 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
     bits); the eigenvalues are mpf either way.
 
     On ``decimal``, when every entry lies in the float window, a float pass
+    (``_float_basis``: Householder tridiagonalization, then implicit QL)
     first diagonalizes float(A), and the working sweeps start from Q A Q^T
     with Q its basis made orthonormal at working precision
     (``_float_preconditioned``).  The float pass does the slow, linear part
     of the convergence, taking the relative mass from about 1 to float
-    roundoff, so the working sweeps are left with the quadratic part: about
-    3 of them instead of 7 to 10 on Loewner matrices at 256 bits.  Entries
+    roundoff, so the working sweeps are left with the quadratic part: 3 to
+    5 of them instead of 7 to 10 on Loewner matrices at 256 bits.  Entries
     outside the window skip the float pass (Q = I).  The float pass is only
     a preconditioner and cannot change a verdict: it never raises, Q A Q^T
     has A's eigenvalues whatever basis it found, and the working sweeps, with
     ``max_sweeps`` counting only them, stop by the same test against A's
-    norm.
+    norm.  A working rotation whose off-diagonal entry is tiny against its
+    diagonal gap takes ``_series_rotation`` (see ``_sweeps``), which agrees
+    with the square-root formulas to working precision.
     """
     n = A.order
     with tol.prec():
@@ -408,16 +516,24 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     without ``via``) builds the matrix with ``build(ctx)`` and runs
     ``inertia`` on it, until the routes agree on a consensus equal to
     ``target`` (if given) or the rungs run out.  Every rung's thresholds
-    come from ``at_bits``, and the stop test is the same at each.  This is
-    the one place the exact route joins a report: it runs once on
-    ``exact_hint``, before the first rung, and joins each rung's report.
-    (Private, so perfbench's tracer sees each ``inertia`` under the
-    caller.)"""
+    come from ``at_bits``, and the stop test is the same at each.  An
+    ``EigenConvergenceError`` below the top rung is a cue to climb; on the
+    top rung it propagates.  This is the one place the exact route joins a
+    report: it runs once on ``exact_hint``, before the first rung, and joins
+    each rung's report.  (Private, so perfbench's tracer sees each
+    ``inertia`` under the caller.)"""
     by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
     for escalations, ctx in enumerate(tol.rungs(via=VERDICT_RUNG_BITS)):
-        rep = replace(inertia(build(ctx), ctx), by_exact=by_exact)
+        try:
+            rep = replace(inertia(build(ctx), ctx), by_exact=by_exact)
+        except EigenConvergenceError as exc:
+            failure = exc
+            continue
+        failure = None
         if not rep.disagreement and (target is None or rep.consensus == target):
             break
+    if failure is not None:
+        raise failure
     return rep, ctx, escalations
 
 

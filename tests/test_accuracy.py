@@ -175,7 +175,8 @@ def _eig_sym_cases(bits):
             yield (nodes, r), loewner_matrix(make_point_config(nodes), r, ctx)
 
 
-@pytest.mark.parametrize("bits, arith", [(53, "float"), (256, "decimal"), (512, "decimal")])
+@pytest.mark.parametrize("bits, arith", [(53, "float"), (128, "decimal"), (256, "decimal"),
+                                        (512, "decimal")])
 def test_eig_sym_within_residual_plus_rounding_of_640_bits(bits, arith):
     # Weyl: the off-diagonal mass the sweeps leave moves each eigenvalue by at
     # most offdiag_residual; the rotations' roundings add a few eps*|A|_F each

@@ -5,11 +5,15 @@ give mpmath's answers.
 Conversions into and out of ``decimal`` round once and keep the sign, the
 context traps what would produce a NaN, and the parity tests run the same
 public functions on ``decimal`` and, through the ``mp_only`` fixture of
-``test_float_tier``, on mpmath.  On ``decimal`` a float Jacobi pass
-preconditions ``eig_sym``; its tests pin that it saves working sweeps and
-that no basis it could return, nor skipping it, moves an eigenvalue.
+``test_float_tier``, on mpmath.  On ``decimal`` a float pass (Householder
+tridiagonalization and QL, ``_float_basis``) preconditions ``eig_sym``; its
+tests pin that it saves working sweeps, that it never raises and returns an
+orthonormal basis, and that no basis it could return, nor skipping it, moves
+an eigenvalue.  Rotations far from the diagonal's gap take square-root-free
+series parameters, which agree with the square-root formulas.
 """
 
+import dataclasses
 import decimal
 import importlib
 import re
@@ -191,16 +195,15 @@ def _within_640_bits(A, ctx, spec):
 
 @pytest.fixture
 def float_passes(monkeypatch):
-    """Record each float pass (a sweep loop run on floats) by its order."""
+    """Record each float pass (a ``_float_basis`` call) by its order."""
     seen = []
-    original = inertia_mod._sweeps
+    original = inertia_mod._float_basis
 
-    def spy(M, n, ar, *args, **kwargs):
-        if ar is FLOAT_ARITH:
-            seen.append(n)
-        return original(M, n, ar, *args, **kwargs)
+    def spy(rows):
+        seen.append(len(rows))
+        return original(rows)
 
-    monkeypatch.setattr(inertia_mod, "_sweeps", spy)
+    monkeypatch.setattr(inertia_mod, "_float_basis", spy)
     return seen
 
 
@@ -247,16 +250,13 @@ def test_a_poor_float_basis_changes_no_eigenvalue(monkeypatch, basis, nodes, r):
     # basis replaced by a poor one, the eigenvalues still meet the 640-bit
     # bound and the inertia is the theorem's.
     replaced = []
-    original = inertia_mod._sweeps
 
-    def poor(M, n, ar, thresh, max_sweeps, V=None):
-        if ar is FLOAT_ARITH:
-            V[:] = basis(n)
-            replaced.append(n)
-            return inertia_mod._offdiag_mass(M, n, ar)
-        return original(M, n, ar, thresh, max_sweeps, V)
+    def poor(rows):
+        n = len(rows)
+        replaced.append(n)
+        return basis(n)
 
-    monkeypatch.setattr(inertia_mod, "_sweeps", poor)
+    monkeypatch.setattr(inertia_mod, "_float_basis", poor)
     L = _loewner(nodes, r)
     spec = eig_sym(L, CTX256)
     assert replaced == [L.order]
@@ -283,3 +283,113 @@ def test_float_pass_at_the_edge_of_the_window(float_passes):
     spec = eig_sym(A, CTX256)
     assert float_passes == [3]
     assert _within_640_bits(A, CTX256, spec)
+
+
+# ---------------------------------------------------------------------------
+# The float pass's kernel: Householder tridiagonalization and implicit QL
+
+EPS = 2.0 ** -52
+BIG, TINY = 2.0 ** 200, 2.0 ** -200
+
+
+def _mp_rows(rows):
+    return [[mpf(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("F", [
+    [[BIG, 1.0, TINY], [1.0, 3.0, BIG / 3], [TINY, BIG / 3, TINY]],
+    [[BIG, TINY, -BIG], [TINY, TINY, TINY], [-BIG, TINY, BIG]],
+    [[TINY, -TINY, TINY], [-TINY, TINY, TINY], [TINY, TINY, -TINY]],
+    [[TINY]],
+    [[0.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[TINY, BIG], [BIG, 0.0]],
+    [[float(i == j) * v for j in range(5)] for i, v in enumerate((3.0, -1.0, 2.0, 0.0, 5.0))],
+    [[0.0] * 3 for _ in range(3)],
+    _loewner((1, 2, 3), 2)._float_rows(),
+    _loewner((1, 1 + 2 ** -30, 2, 3), 2.5)._float_rows(),
+    _loewner(range(1, 13), 2.5)._float_rows(),
+], ids=["edge-of-window", "2^200-and-2^-200", "all-2^-200", "order-1", "order-1-zero",
+        "order-2", "order-2-2^200", "diagonal", "zero", "L2-on-1,2,3",
+        "gap-2^-30", "L2.5-on-1..12"])
+def test_float_basis_is_orthonormal_and_diagonalizes(F):
+    n = len(F)
+    Q = inertia_mod._float_basis(F)
+    assert len(Q) == n and all(len(row) == n and all(type(v) is float for v in row) for row in Q)
+    with mp.workprec(200):
+        Qm, Fm = _mp_rows(Q), _mp_rows(F)
+        for i in range(n):
+            for j in range(n):
+                assert abs(mp.fsum(a * b for a, b in zip(Qm[i], Qm[j])) - (i == j)) <= 4 * n * EPS
+        norm = mp.sqrt(mp.fsum(v * v for row in Fm for v in row))
+        QF = [[mp.fsum(q * f for q, f in zip(row, col)) for col in zip(*Fm)] for row in Qm]
+        off = mp.sqrt(mp.fsum(mp.fsum(a * b for a, b in zip(QF[i], Qm[j])) ** 2
+                              for i in range(n) for j in range(n) if i != j))
+        assert off <= 4 * n * EPS * norm
+
+
+@pytest.mark.parametrize("nodes, r", [(range(1, 13), 2.5), ((1, 2, 3), 2), ((1, 2, 3), 2.5)])
+def test_a_float_basis_at_its_iteration_cap_changes_no_eigenvalue(monkeypatch, nodes, r):
+    # with no QL step the basis is the Householder transform alone
+    monkeypatch.setattr(inertia_mod, "_QL_ITERATIONS", 0)
+    L = _loewner(nodes, r)
+    spec = eig_sym(L, CTX256)
+    assert _within_640_bits(L, CTX256, spec)
+    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(L.order, r).inertia
+
+
+# ---------------------------------------------------------------------------
+# Square-root-free rotations of the working sweeps
+
+
+def _sqrt_rotation(theta):
+    t = 1 / (abs(theta) + (1 + theta * theta).sqrt())
+    if theta < 0:
+        t = -t
+    return t, 1 / (1 + t * t).sqrt()
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512, 4096])
+def test_series_rotation_agrees_with_the_square_root_formulas(bits):
+    with ToleranceContext.at_bits(bits).prec():
+        ctx = decimal.getcontext()
+        unit = decimal.Decimal(10) ** (1 - ctx.prec)
+        cut = inertia_mod._series_cutoff()
+        assert cut ** 4 >= decimal.Decimal(10) ** ctx.prec
+        just_above = [cut * decimal.Decimal("1.0001"), cut + 1, cut * decimal.Decimal("1.7")]
+        far_above = [cut * 10 ** 7, cut ** 2 / 3, cut ** 5]
+        for theta in just_above + far_above:
+            for theta in (+theta, -theta):
+                t, c = inertia_mod._series_rotation(theta)
+                ts, cs = _sqrt_rotation(theta)
+                assert abs(t - ts) <= unit * abs(ts) and abs(c - cs) <= unit * cs
+                with decimal.localcontext() as exact:
+                    exact.prec = 3 * ctx.prec
+                    tx, cx = _sqrt_rotation(theta)
+                    assert abs(t - tx) <= unit * abs(tx) and abs(c - cx) <= unit * cx
+
+
+def _counting_sqrt(monkeypatch):
+    """Make ``_sweeps`` see a ``DEC_ARITH`` whose sqrt calls are counted."""
+    calls = []
+
+    def sqrt(x):
+        calls.append(x)
+        return x.sqrt()
+
+    monkeypatch.setattr(inertia_mod, "DEC_ARITH", dataclasses.replace(DEC_ARITH, sqrt=sqrt))
+    return inertia_mod.DEC_ARITH, calls
+
+
+@pytest.mark.parametrize("gap, roots", [("1e30", 0), ("1", 2)], ids=["series", "square-roots"])
+def test_a_series_rotation_takes_no_square_root(monkeypatch, gap, roots):
+    # One rotation on [[0, 1], [1, 2 theta]] with theta = gap; the off-diagonal
+    # mass, measured before and after the sweep, takes one square root each.
+    ar, calls = _counting_sqrt(monkeypatch)
+    with ToleranceContext.at_bits(128).prec():
+        theta = ar.num(gap)
+        assert (theta > inertia_mod._series_cutoff()) == (roots == 0)
+        M = [[ar.num(0), ar.num(1)], [ar.num(1), 2 * theta]]
+        inertia_mod._sweeps(M, 2, ar, ar.num(0), 1)
+    assert len(calls) == 2 + roots
+

@@ -269,6 +269,24 @@ def test_ladder_outcomes(points, r, outcome):
             rep.computed.as_tuple()) == outcome
 
 
+def test_the_ladder_climbs_past_a_convergence_failure(monkeypatch):
+    # eig_sym fails at 53 bits only: the ladder takes that as a cue to climb
+    # and settles at its 128-bit rung (the top rung would still raise)
+    eig_sym, bits = inertia_mod.eig_sym, []
+
+    def fails_at_53_bits(A, tol):
+        bits.append(tol.precision_bits)
+        if tol.precision_bits == 53:
+            raise inertia_mod.EigenConvergenceError("stalled")
+        return eig_sym(A, tol)
+
+    monkeypatch.setattr(inertia_mod, "eig_sym", fails_at_53_bits)
+    rep = verify_instance(make_point_config((1, 2, 3)), 2.5)
+    assert bits == [53, 128]
+    assert (rep.precision_bits, rep.escalations, rep.match, rep.computed.as_tuple()) == \
+        (128, 1, True, (2, 0, 1))
+
+
 @settings(deadline=None, max_examples=100)
 @given(nk=st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        side=st.sampled_from((-1, 1)), digits=st.integers(7, 13))
