@@ -120,7 +120,8 @@ def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
 
     Every entry is the plain quotient (p_i^r - p_j^r)/(p_i - p_j), with the
     limit r p_i^(r-1) on the diagonal: over the rationals nothing cancels,
-    and r = 0 gives the zero matrix by the same formula.
+    and r = 0 gives the zero matrix by the same formula.  Each node is
+    raised to r, and its diagonal value formed, once.
     """
     if config.exact is None:
         raise ValueError("exact Loewner matrix needs rational nodes")
@@ -129,11 +130,13 @@ def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
         raise ValueError(f"exact Loewner matrix needs an integer exponent, got {r!r}")
     m = ex.integer_value
     p = config.exact
+    pm = [x ** m for x in p]
+    diag = [m * x ** (m - 1) for x in p]
 
     def entry(i, j):
         if i == j:
-            return m * p[i] ** (m - 1)
-        return (p[i] ** m - p[j] ** m) / (p[i] - p[j])
+            return diag[i]
+        return (pm[i] - pm[j]) / (p[i] - p[j])
 
     return SymMatrix.build(config.n, entry)
 

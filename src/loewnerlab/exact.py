@@ -118,7 +118,10 @@ def rational_inertia(rows) -> Inertia:
     and eliminated over ints with Bareiss's update (Math. Comp. 22 (1968)
     565-578) a_ij <- (d a_ij - a_ik a_kj) // prev, exact because each entry
     is a minor; pivot d is then a leading principal minor, so the rational
-    pivot d / prev has the sign sign(d) * sign(prev).
+    pivot d / prev has the sign sign(d) * sign(prev).  The update is
+    symmetric in i and j, so it is computed on the upper triangle only, with
+    a_ik read as a_ki, and each value is mirrored: the matrix stays exactly
+    symmetric for the swaps and the pair congruence.
     """
     F = as_fraction_rows(rows)
     n = len(F)
@@ -155,9 +158,9 @@ def rational_inertia(rows) -> Inertia:
             pos += 1
         else:
             neg += 1
-        for row in A[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, n):
-                row[j] = (d * row[j] - c * top[j]) // prev
+        for i in range(k + 1, n):
+            row, c = A[i], top[i]
+            for j in range(i, n):
+                row[j] = A[j][i] = (d * row[j] - c * top[j]) // prev
         prev = d
     return Inertia(pos, zero, neg)

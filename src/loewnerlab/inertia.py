@@ -12,7 +12,9 @@ classified.  ``_settle`` climbs the one precision ladder,
 ``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
 between a lower start and the first doubling (53 -> 128 -> 256 -> 512 bits
 from the default), and ``_settle_loewner`` is that ladder on L_r: every
-Loewner verdict (verify, prop21, pr_compare's Loewner side) runs it.
+Loewner verdict (verify, prop21, pr_compare's Loewner side) runs it.  On
+a ladder toward a target (``verify_instance``), a rung whose LDL count
+misses it runs no eigenvalue route (see ``inertia``).
 
 The two float routes are written once against ``ToleranceContext.arith``
 and take whichever arithmetic it picks, unchanged:
@@ -25,13 +27,14 @@ and take whichever arithmetic it picks, unchanged:
   decimal ones, so eigenvalues sit within a few units of roundoff of
   mpmath's, not on the same bits.
 
-Entries are converted to floats once per matrix: each matrix decides once
-whether its entries lie in the float window, and when they do it keeps its
-rows as floats (``SymMatrix``; a matrix built on floats has them from the
-start).  ``ToleranceContext.arith`` judges those rows, on floats each route
-copies them, and on the other arithmetics each route converts the entries
-it works on.  Eigenvalues and residuals go back to mpf once, for the
-``Spectrum``, and at 53 bits the eigenvalues are classified as the floats
+Entries are converted once per matrix: each matrix decides once whether
+its entries lie in the float window, and when they do it keeps its rows as
+floats (``SymMatrix``; a matrix built on floats has them from the start),
+and it keeps its entries rounded into ``decimal`` once per precision.
+``ToleranceContext.arith`` judges those rows; on floats and on ``decimal``
+each route copies the matrix's image, and on mpmath each route converts the
+entries it works on.  Eigenvalues and residuals go back to mpf once, for
+the ``Spectrum``, and at 53 bits the eigenvalues are classified as the floats
 they were computed in, which round as 53-bit mpf does.  A NaN or infinite
 entry raises ValueError.  On ``decimal`` the eigenvalue route also uses the
 float rows, when all entries lie in the float window: a float Householder
@@ -107,10 +110,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class InertiaReport:
-    by_eigen: Inertia
+    """The routes' counts on one rung.  A rung ruled out by its target (see
+    ``inertia``) ran no eigenvalue route: ``by_eigen`` and ``spectrum`` are
+    None, and the report counts as a disagreement."""
+
+    by_eigen: Optional[Inertia]
     by_ldl: Inertia
     by_exact: Optional[Inertia]
-    spectrum: Spectrum
+    spectrum: Optional[Spectrum]
 
     @property
     def consensus(self) -> Inertia:
@@ -132,12 +139,15 @@ def _working_copy(A: SymMatrix, tol: ToleranceContext):
     entries in it, exactly symmetric, and its Frobenius norm.
 
     ``tol.arith`` judges A's faithful float rows where A has them (see
-    ``SymMatrix``), which are cheap to scan, and on ``FLOAT_ARITH`` the copy
-    is theirs.  Otherwise each upper-triangle entry is converted once and
-    mirrored."""
+    ``SymMatrix``), which are cheap to scan, on ``FLOAT_ARITH`` the copy is
+    theirs, and on ``DEC_ARITH`` it is A's decimal image at the current
+    precision, which A keeps for the other route.  On mpmath each
+    upper-triangle entry is converted once and mirrored."""
     rows = A._float_rows()
     ar = tol.arith(_upper(A.entries if rows is None else rows))
-    if ar is not FLOAT_ARITH:
+    if ar is DEC_ARITH:
+        rows = A._decimal_rows()
+    elif ar is not FLOAT_ARITH:
         entries = A.entries
         rows = _symmetric(A.order, lambda i, j: ar.num(entries[i][j]))
     M = [list(row) for row in rows]
@@ -493,16 +503,22 @@ def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[tuple]
     return None
 
 
-def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL) -> InertiaReport:
-    """Run the eigenvalue and congruence routes at ``tol``'s precision.
+def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
+            target: Optional[Inertia] = None) -> InertiaReport:
+    """Run the congruence and eigenvalue routes at ``tol``'s precision.
 
     Disagreement (the two routes differ) is data, not an error: the caller
     should raise precision.  The consensus is the eigenvalue route's; the
-    exact route joins a report only in ``_settle``.
+    exact route joins a report only in ``_settle``.  An LDL count other
+    than a given ``target`` rules the rung out: no eigenvalue count could
+    make both routes agree on a consensus equal to the target, so the
+    eigenvalue route does not run, and the report is a disagreement.
     """
+    by_ldl = inertia_ldl(A, tol)
+    if target is not None and by_ldl != target:
+        return InertiaReport(None, by_ldl, None, None)
     spec = eig_sym(A, tol)
-    by_eigen = inertia_from_spectrum(spec, spec.scale, tol)
-    return InertiaReport(by_eigen, inertia_ldl(A, tol), None, spec)
+    return InertiaReport(inertia_from_spectrum(spec, spec.scale, tol), by_ldl, None, spec)
 
 
 def _settle(build: Callable[[ToleranceContext], SymMatrix],
@@ -516,16 +532,21 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     without ``via``) builds the matrix with ``build(ctx)`` and runs
     ``inertia`` on it, until the routes agree on a consensus equal to
     ``target`` (if given) or the rungs run out.  Every rung's thresholds
-    come from ``at_bits``, and the stop test is the same at each.  An
-    ``EigenConvergenceError`` below the top rung is a cue to climb; on the
-    top rung it propagates.  This is the one place the exact route joins a
-    report: it runs once on ``exact_hint``, before the first rung, and joins
-    each rung's report.  (Private, so perfbench's tracer sees each
-    ``inertia`` under the caller.)"""
+    come from ``at_bits``, and the stop test is the same at each.  A rung
+    ruled out by the target (see ``inertia``) climbs, as it would whatever
+    its eigenvalues.  The ladder stays lazy, so the top rung is known only
+    once it has run: when it was ruled out, ``inertia`` runs there again
+    without the target, and an exhausted ladder still reports both routes
+    and a spectrum.  An ``EigenConvergenceError`` below the top rung is a cue to climb; on
+    the top rung it propagates.  This is the one place the exact route
+    joins a report: it runs once on ``exact_hint``, before the first rung,
+    and joins each rung's report.  (Private, so perfbench's tracer sees
+    each ``inertia`` under the caller.)"""
     by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
     for escalations, ctx in enumerate(tol.rungs(via=VERDICT_RUNG_BITS)):
+        A = build(ctx)
         try:
-            rep = replace(inertia(build(ctx), ctx), by_exact=by_exact)
+            rep = replace(inertia(A, ctx, target), by_exact=by_exact)
         except EigenConvergenceError as exc:
             failure = exc
             continue
@@ -534,6 +555,8 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
             break
     if failure is not None:
         raise failure
+    if rep.spectrum is None:
+        rep = replace(inertia(A, ctx), by_exact=by_exact)
     return rep, ctx, escalations
 
 

@@ -27,9 +27,10 @@ precision otherwise.
 
 Kernels are written once against that namespace and return mpf (mpc for
 the complex determinant).  A ``SymMatrix`` works out at most once what the
-inertia routes ask of it: whether its entries lie in the float window, and
-its rows as floats.  One that a builder computed on floats keeps those
-floats and makes its mpf entries only when they are read.  No context asks
+inertia routes ask of it: whether its entries lie in the float window, its
+rows as floats, and its rows in ``decimal`` at each precision.  One that a
+builder computed on floats keeps those floats and makes its mpf entries
+only when they are read.  No context asks
 for more than ``MAX_PRECISION_BITS`` bits, so no input causes unbounded work.
 """
 
@@ -432,11 +433,13 @@ class SymMatrix:
     Immutable, and equal (hash included) to any SymMatrix of the same order
     and entries.  It works out at most once what the inertia routes ask of
     it: whether its entries lie in the float window (``_in_window``, which
-    raises on a NaN or an infinity) and its faithful float rows
-    (``_float_rows``).  Those are the floats a float-tier builder computed
-    (``_build_floats``), which are its entries exactly and from which its
-    mpf ``entries`` are made when first read, or else the float images of
-    entries shown to lie in the window.
+    raises on a NaN or an infinity), its faithful float rows
+    (``_float_rows``) and its decimal image (``_decimal_rows``).  The float
+    rows are the floats a float-tier builder computed (``_build_floats``),
+    which are its entries exactly and from which its mpf ``entries`` are
+    made when first read, or else the float images of entries shown to lie
+    in the window.  The decimal image is kept per ``decimal`` precision, so
+    both routes of a rung above 53 bits read one conversion.
     """
 
     def __init__(self, order: int, entries: tuple[tuple, ...], _floats=None):
@@ -451,7 +454,8 @@ class SymMatrix:
                         if not mpmath.isfinite(v):
                             raise ValueError(f"entry ({a},{b}) is not finite: {v!r}")
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _fits=None)
+        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _fits=None,
+                             _decimals={})
 
     @classmethod
     def _build_floats(cls, n: int, entry) -> "SymMatrix":
@@ -479,6 +483,18 @@ class SymMatrix:
             rows = self._entries
             self.__dict__["_floats"] = _symmetric(self.order, lambda i, j: float(rows[i][j]))
         return self._floats
+
+    def _decimal_rows(self):
+        """The entries each rounded once (``DEC_ARITH.num``) into the current
+        ``decimal`` context, whose precision keys the kept image: every
+        context ``ToleranceContext.prec`` enters fixes the rest."""
+        prec = decimal.getcontext().prec
+        rows = self._decimals.get(prec)
+        if rows is None:
+            entries = self.entries
+            rows = self._decimals[prec] = _symmetric(
+                self.order, lambda i, j: DEC_ARITH.num(entries[i][j]))
+        return rows
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

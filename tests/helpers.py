@@ -99,3 +99,51 @@ def charpoly_inertia(rows):
     zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
     flipped = [c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
     return sign_changes(coeffs), zero, sign_changes(flipped)
+
+
+def bareiss_inertia_full_rows(rows):
+    """(pos, zero, neg) of a symmetric rational matrix by the fraction-free
+    symmetric congruence with Bareiss's update applied to whole rows: a
+    reference for ``exact.rational_inertia``, which updates one triangle.
+
+    Same pivot choice (first nonzero trailing diagonal entry, else the pair
+    congruence on the first nonzero upper entry) and same swaps, so its
+    pivots are the same integers.
+    """
+    import math
+    F = [[Fraction(v) for v in row] for row in rows]
+    n = len(F)
+    scale = math.lcm(*(e.denominator for row in F for e in row))
+    A = [[e.numerator * (scale // e.denominator) for e in row] for row in F]
+    pos = neg = zero = 0
+    prev = 1
+    for k in range(n):
+        piv = next((j for j in range(k, n) if A[j][j] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0),
+                        None)
+            if pair is None:
+                zero += n - k
+                break
+            i, j = pair
+            for t in range(k, n):
+                A[i][t] += A[j][t]
+            for t in range(k, n):
+                A[t][i] += A[t][j]
+            piv = i
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            for t in range(n):
+                A[t][k], A[t][piv] = A[t][piv], A[t][k]
+        top = A[k]
+        d = top[k]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for row in A[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (d * row[j] - c * top[j]) // prev
+        prev = d
+    return pos, zero, neg

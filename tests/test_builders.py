@@ -215,3 +215,17 @@ def test_cross_loewner_nonsingular_fractional_r():
 def test_cross_loewner_length_mismatch():
     with pytest.raises(ValueError):
         cross_loewner(make_point_config((1, 2)), make_point_config((1, 2, 3)), 2)
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1, 2, 11])
+@pytest.mark.parametrize("cfg", [
+    make_point_config((Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2), 5)),
+    make_point_config((0.7, 1.5, 2.3, 3.1, 3.9, 4.6, 5.4, 6.2, 7.1, 7.9, 8.8, 9.6)).ensure_exact(),
+], ids=["rational-5", "float-12"])
+def test_loewner_exact_equals_the_per_entry_formula(cfg, m):
+    p = cfg.exact
+    L = loewner_matrix_exact(cfg, m)
+    for i in range(cfg.n):
+        for j in range(cfg.n):
+            want = m * p[i] ** (m - 1) if i == j else (p[i] ** m - p[j] ** m) / (p[i] - p[j])
+            assert L[i, j] == want

@@ -2,10 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewnerlab.exact import det_fraction, rank_fraction, rational_inertia
 
-from helpers import charpoly_inertia, mat_mul, perm_det, random_symmetric_int, transpose
+from helpers import (
+    bareiss_inertia_full_rows,
+    charpoly_inertia,
+    mat_mul,
+    perm_det,
+    random_symmetric_int,
+    transpose,
+)
 
 
 def test_det_matches_permutation_expansion():
@@ -82,3 +90,33 @@ def test_inertia_matches_the_characteristic_polynomial():
                 v = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 64, 1024)))
                 rows[i][j] = rows[j][i] = v
         assert rational_inertia(rows).as_tuple() == charpoly_inertia(rows)
+
+
+@st.composite
+def _symmetric_rows(draw):
+    """Symmetric int or Fraction matrices of order 1..8, some with a zero
+    diagonal (the pair congruence) and some rank deficient (a product
+    X^T D X with fewer columns than rows)."""
+    n = draw(st.integers(1, 8))
+    fractions = draw(st.booleans())
+    value = (st.fractions(min_value=-6, max_value=6, max_denominator=5) if fractions
+             else st.integers(-6, 6))
+    kind = draw(st.sampled_from(("plain", "zero_diagonal", "low_rank")))
+    if kind == "low_rank":
+        k = draw(st.integers(0, n - 1))
+        X = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+        D = [draw(value) for _ in range(k)]
+        return [[sum(D[t] * X[t][i] * X[t][j] for t in range(k)) for j in range(n)]
+                for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if not (i == j and kind == "zero_diagonal"):
+                rows[i][j] = rows[j][i] = draw(value)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_rows())
+def test_one_triangle_elimination_matches_the_full_row_reference(rows):
+    assert rational_inertia(rows).as_tuple() == bareiss_inertia_full_rows(rows)

@@ -26,7 +26,7 @@ from loewnerlab import (
     verify_instance,
 )
 from loewnerlab import cli
-from loewnerlab.types import FLOAT_ARITH, MAX_PRECISION_BITS, MP_ARITH
+from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MAX_PRECISION_BITS, MP_ARITH
 
 from test_float_tier import CASES, chosen, mp_only  # noqa: F401  (fixtures)
 
@@ -90,6 +90,30 @@ def test_a_256_bit_rung_converts_each_entry_twice_in_all(conversions):
     inertia(L, CTX256)
     per_entry = Counter(id(x) for x, _ in imaged if id(x) in ids)
     assert set(per_entry) == ids and set(per_entry.values()) == {2}
+
+
+@pytest.fixture
+def decimal_roundings():
+    """Record every value ``DEC_ARITH.num`` rounds into ``decimal``."""
+    seen = []
+    original = DEC_ARITH.num
+
+    def spy(x):
+        seen.append(x)
+        return original(x)
+
+    object.__setattr__(DEC_ARITH, "num", spy)  # Arith is a frozen dataclass
+    yield seen
+    object.__setattr__(DEC_ARITH, "num", original)
+
+
+def test_a_256_bit_rung_rounds_each_entry_into_decimal_once(decimal_roundings):
+    # both routes copy the matrix's one decimal image at this precision
+    L = loewner_matrix(make_point_config((1, 2, 3, 4, 5)), 2.5, CTX256)
+    ids = {id(e) for row in L.entries for e in row}
+    inertia(L, CTX256)
+    per_entry = Counter(id(x) for x in decimal_roundings if id(x) in ids)
+    assert set(per_entry) == ids and set(per_entry.values()) == {1}
 
 
 def test_forced_mpmath_runs_both_routes_on_mpmath(monkeypatch, mp_only):
