@@ -224,8 +224,7 @@ def _as_rows(A: MatrixLike) -> tuple[tuple, ...]:
 def _det_any(rows, tol: ToleranceContext):
     """Determinant of a small matrix from the shared LU: exact on Fractions
     for rational entries, else on floats at 53 bits when the entries allow
-    it and on mpf otherwise (not on ``decimal``: ``det-id`` prints these
-    values in full, and decimal rounds them differently)."""
+    it and on mpf otherwise."""
     if all(isinstance(e, Rational) for row in rows for e in row):
         return det_fraction(rows)
     with tol.prec():

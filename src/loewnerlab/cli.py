@@ -26,6 +26,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import analysis, builders, oracle, sweep as sweep_mod
+from .exact import det_fraction
 from .inertia import EigenConvergenceError
 from .types import (
     DEFAULT_PRECISION_BITS,
@@ -33,6 +34,7 @@ from .types import (
     Inertia,
     ToleranceContext,
     make_point_config,
+    to_mpf,
 )
 
 SCHEMA_VERSION = 1
@@ -91,11 +93,15 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def _context(args) -> ToleranceContext:
-    bits = DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
+def _context(args, start=None) -> ToleranceContext:
+    """``start`` (by default the 53-bit context), or the context at
+    ``--precision-bits`` when that is given, with each tolerance flag given
+    in place of its threshold."""
+    if start is None or args.precision_bits is not None:
+        bits = DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
+        start = ToleranceContext.at_bits(bits)
     overrides = {"zero_rel_tol": args.zero_rel_tol, "residual_tol": args.residual_tol}
-    return dataclasses.replace(ToleranceContext.at_bits(bits),
-                               **{k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.replace(start, **{k: v for k, v in overrides.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +149,10 @@ def cmd_verify(args, ctx, values):
 def cmd_sweep(args, ctx, values):
     a, b, steps = parse_range(args.r_range)
     cfg = make_point_config(values)
-    explicit = (args.precision_bits is not None or args.zero_rel_tol is not None
-                or args.residual_tol is not None)
-    # Without an explicit precision the sweep picks its own.
-    s = sweep_mod.eigen_trajectories(cfg, a, b, steps, ctx if explicit else None)
+    # Only --precision-bits replaces the sweep's own start; a tolerance flag
+    # sets its threshold on whichever start holds.
+    s = sweep_mod.eigen_trajectories(cfg, a, b, steps,
+                                     _context(args, sweep_mod.start_context(cfg)))
     header, rows = sweep_mod.emit_figure1(s, scaling=args.scale)
     cells = [[repr(float(r))] + [_decimal(y, s.precision_bits) for y in ys[:cfg.n]]
              + list(ys[cfg.n:]) for r, *ys in rows]
@@ -197,16 +203,16 @@ def cmd_ssr(args, ctx, values):
 def cmd_det_id(args, ctx, values):
     cfg = make_point_config(values)
     exact = cfg.exact is not None
+    q = cfg.ensure_exact()  # float nodes are the binary rationals they denote
     payload = {"exact": exact}
     for m, closed_form in ((3, analysis.det_closed_form_L3), (4, analysis.det_closed_form_L4)):
-        with ctx.prec():  # a float closed form is rounded at the working precision
-            closed = closed_form(cfg)
-            L = (builders.loewner_matrix_exact(cfg, m) if exact
-                 else builders.loewner_matrix(cfg, m, ctx))
-            det = analysis._det_any(L.entries, ctx)
-            match = (det == closed if exact
-                     else abs(det - closed) <= ctx.residual_tol * (1 + abs(closed)) * 1e3)
-        payload.update({f"det_L{m}": det, f"closed_L{m}": closed, f"match_L{m}": bool(match)})
+        closed = closed_form(q)
+        det = det_fraction(builders.loewner_matrix_exact(q, m).entries)
+        match = det == closed
+        if not exact:
+            with ctx.prec():  # both values of float nodes print rounded once
+                det, closed = to_mpf(det), to_mpf(closed)
+        payload.update({f"det_L{m}": det, f"closed_L{m}": closed, f"match_L{m}": match})
     ok = payload["match_L3"] and payload["match_L4"]
     return {**payload, "ok": ok}, 0 if ok else 1
 

@@ -65,18 +65,24 @@ def exponent_grid(r_min: float, r_max: float, steps: int) -> list[float]:
     return [a + (b - a) * i / (steps - 1) for i in range(steps)]
 
 
+def start_context(config: PointConfig) -> ToleranceContext:
+    """The sweep's own starting context: 256 bits for n >= 6, because the
+    smallest nonzero eigenvalues between integers shrink rapidly with the
+    order, and the default 53-bit context below that."""
+    return ToleranceContext.at_bits(256) if config.n >= 6 else ToleranceContext()
+
+
 def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: int,
                        tol: Optional[ToleranceContext] = None) -> SpectrumSweep:
     """Sweep the exponent over a uniform grid and record spectra and inertias.
 
-    Precision defaults to 256 bits for n >= 6 because the smallest nonzero
-    eigenvalues between integers shrink rapidly with the order.  Eigensolver
+    ``tol`` defaults to ``start_context(config)``.  Eigensolver
     failures (the point has no row) and route disagreements (the point keeps
     an unsettled row) are recorded in ``failures`` and the sweep continues.
     """
     grid = exponent_grid(r_min, r_max, steps)
     if tol is None:
-        tol = ToleranceContext.at_bits(256) if config.n >= 6 else ToleranceContext()
+        tol = start_context(config)
 
     trajectories = []
     inertias = []

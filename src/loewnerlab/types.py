@@ -211,10 +211,10 @@ class ToleranceContext:
         if not DEFAULT_PRECISION_BITS <= self.precision_bits <= MAX_PRECISION_BITS:
             raise ValueError(f"precision_bits must lie in {DEFAULT_PRECISION_BITS} .. "
                              f"{MAX_PRECISION_BITS}, got {self.precision_bits}")
-        if not self.zero_rel_tol > 0:
-            raise ValueError("zero_rel_tol must be positive")
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be positive")
+        for name in ("zero_rel_tol", "residual_tol"):
+            v = getattr(self, name)
+            if not (v > 0 and mpmath.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @classmethod
     def at_bits(cls, bits: int) -> "ToleranceContext":

@@ -1,8 +1,10 @@
+import csv
 import decimal
 import functools
 import importlib
 import io
 import json
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from loewnerlab import analysis
-from loewnerlab.cli import main, parse_range, parse_scalar
+from loewnerlab import analysis, make_point_config
+from loewnerlab.builders import loewner_matrix_exact
+from loewnerlab.cli import _decimal, main, parse_range, parse_scalar
+from loewnerlab.exact import det_fraction
 from fractions import Fraction
 
 inertia_mod = importlib.import_module("loewnerlab.inertia")
@@ -141,6 +145,34 @@ def test_sweep_csv(capsys):
     assert tail == [["2", "0", "0"], ["1", "1", "0"], ["1", "0", "1"]]
 
 
+def _significant_digits(cell: str) -> int:
+    return len(cell.split("e")[0].lstrip("-").replace(".", "").lstrip("0"))
+
+
+def test_a_tolerance_flag_keeps_the_sweeps_start(capsys):
+    # six nodes start at 256 bits; a tolerance flag sets a threshold there,
+    # and only --precision-bits would replace the start
+    argv = ("sweep", "--points", "1,2,3,4,5,6", "--r-range", "0.5:1.5:2")
+    outputs = []
+    for extra in ((), ("--residual-tol", "1e-12")):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        outputs.append(list(csv.reader(io.StringIO(out)))[1:])
+    plain, flagged = outputs
+    assert ({_significant_digits(c) for row in flagged for c in row[1:7]}
+            == {_significant_digits(c) for row in plain for c in row[1:7]} == {80})
+    assert [row[7:] for row in flagged] == [row[7:] for row in plain]
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --points 1,2,3 --r-range 0.5:2.5:5 --precision-bits 256 --zero-rel-tol inf",
+    "det-id --points 1,2,3 --residual-tol inf",
+])
+def test_a_non_finite_tolerance_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "") and "must be positive and finite" in err
+
+
 def test_sweep_empty_range(capsys):
     code, _, err = run(capsys, "sweep", "--points", "1,2", "--r-range",
                        "1.5:0.5:3")
@@ -205,6 +237,27 @@ def test_det_id_closed_forms_follow_the_working_precision(capsys):
     with mp.workprec(256):
         printed = mpf(payload["closed_L3"])
         assert abs(printed - mp.mpmathify(closed)) <= mpf(2) ** -120 * abs(printed)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_det_id_is_exact_on_clustered_float_nodes(capsys, bits):
+    # a 53-bit LU loses every digit of det L_3 on such triples; the nodes'
+    # binary rationals give both determinants exactly, rounded once to print
+    rng = random.Random(22)
+    for _ in range(6):
+        x, d = rng.uniform(1, 2000), 10 ** rng.uniform(-6, -1)
+        nodes = (x, x + d, x + 2 * d)
+        code, out, _ = run(capsys, "det-id", "--points", ",".join(map(repr, nodes)),
+                           "--precision-bits", str(bits))
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True and payload["exact"] is False
+        cfg = make_point_config([Fraction(p) for p in nodes])
+        for m in (3, 4):
+            det = det_fraction(loewner_matrix_exact(cfg, m).entries)
+            with mp.workprec(bits):
+                v = mp.mpmathify(det)
+                want = float(v) if bits == 53 else _decimal(v, bits)
+            assert payload[f"det_L{m}"] == payload[f"closed_L{m}"] == want
 
 
 def test_det_id_needs_three_points(capsys):

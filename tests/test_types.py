@@ -100,6 +100,23 @@ def test_tolerance_validation():
         ToleranceContext(zero_rel_tol=0.0)
 
 
+@pytest.mark.parametrize("name", ["zero_rel_tol", "residual_tol"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf"),
+                                 mpf("inf"), mpf("nan")],
+                         ids=["inf", "nan", "-inf", "mpf-inf", "mpf-nan"])
+def test_tolerance_must_be_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        ToleranceContext(**{name: bad})
+
+
+def test_scaled_contexts_still_construct():
+    # at_bits gives mpf thresholds, down to far below the float range
+    for bits in (53, 128, 256, 4096):
+        ctx = ToleranceContext.at_bits(bits)
+        assert isinstance(ctx.zero_rel_tol, mpf) and isinstance(ctx.residual_tol, mpf)
+        assert 0 < ctx.residual_tol < ctx.zero_rel_tol
+
+
 def test_rungs_are_the_one_ladder():
     assert [c.precision_bits for c in ToleranceContext().rungs()] == [53, 256, 512]
     assert [c.precision_bits for c in ToleranceContext.at_bits(256).rungs()] == [256, 512, 1024]
