@@ -156,10 +156,20 @@ class ScanPolicy:
 
 @dataclass(frozen=True)
 class ZeroCountReport:
+    """The sign changes ``count_zeros`` found and its verdict.  A combination
+    of n divided differences has at most ``bound`` = n - 1 zeros at any r
+    but the integers 1..n-1, where the bound is not checked
+    (``bound_applies`` false); ``ok`` holds when the count keeps to the
+    bound or the bound does not apply."""
+
+    r: Scalar
     count: int
+    bound: int
+    bound_applies: bool
     brackets: tuple
     ambiguous: tuple
     grid: int
+    ok: bool
 
 
 def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
@@ -198,7 +208,10 @@ def count_zeros(f: ComboFunction, scan: Optional[ScanPolicy] = None,
             if prev_s is not None and s != prev_s:
                 brackets.append((float(prev_x), float(x)))
             prev_x, prev_s = x, s
-        return ZeroCountReport(len(brackets), tuple(brackets), tuple(ambiguous), N)
+        most = f.config.n - 1
+        applies = m is None or not 1 <= m <= most
+        return ZeroCountReport(f.r, len(brackets), most, applies, tuple(brackets),
+                               tuple(ambiguous), N, not applies or len(brackets) <= most)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +322,38 @@ def ssr_scan(A: MatrixLike, k_max: Optional[int] = None,
     else:
         cls = 'none'
     return SsrReport(n, tuple(verdicts), cls, k_max)
+
+
+@dataclass(frozen=True)
+class LoewnerSsrReport:
+    """The minor signs of L_r (``ssr_scan``) against the class the theorem
+    requires: SSR_m at an integer r = m in 1..n-1, else SSR."""
+
+    r: Scalar
+    exact: bool
+    per_k: tuple[str, ...]
+    ssr_class: str
+    required: str
+    ok: bool
+
+
+def loewner_ssr(config: PointConfig, r: Scalar, k_max: Optional[int] = None,
+                tol: ToleranceContext = DEFAULT_TOL) -> LoewnerSsrReport:
+    """Sign regularity of L_r, its minors scanned up to ``k_max``: exactly on
+    Fractions at an integer r on rational nodes, else on the matrix built
+    at ``tol``.  Below the required size every scanned size must have one
+    strict sign; SSR needs the scan to reach every size."""
+    m = Exponent.of(r).integer_value
+    exact = m is not None and config.exact is not None
+    M = builders.loewner_matrix_exact(config, m) if exact else builders.loewner_matrix(config, r, tol)
+    rep = ssr_scan(M, k_max, tol)
+    if m is not None and 1 <= m <= config.n - 1:
+        ok = all(v in ("+", "-") for v in rep.per_k[:m])
+        required = f"SSR_{m}"
+    else:
+        ok = rep.ssr_class == "SSR" and rep.k_max == config.n
+        required = "SSR"
+    return LoewnerSsrReport(r, exact, rep.per_k, rep.ssr_class, required, ok)
 
 
 def compound_matrix(A: MatrixLike, k: int,
@@ -569,10 +614,10 @@ class ZeroCell:
 
 @dataclass(frozen=True)
 class ComplexScanReport:
-    region: Rect
+    region: Rect  # the rectangle the winding was counted on, inflated by each regrid
     total_winding: int
-    cells: tuple[ZeroCell, ...]
     regrids: int
+    cells: tuple[ZeroCell, ...]
 
 
 class _BoundaryZero(Exception):
@@ -728,7 +773,7 @@ def complex_zero_scan(config: PointConfig, region, grid: int,
         try:
             total = _winding(phase, rect)
             cells = _subdivide(phase, rect, total, depth)
-            return ComplexScanReport(rect, total, tuple(cells), regrids)
+            return ComplexScanReport(rect, total, regrids, tuple(cells))
         except _BoundaryZero:
             rect = rect.inflated(1.0 + 0.017 * (regrids + 1))
     raise ArithmeticError("a determinant zero stayed on the contour after re-gridding")
@@ -773,16 +818,25 @@ def dk_apply_function(config: PointConfig, f, fprime, X: SymMatrix,
         return SymMatrix.build(config.n, entry)
 
 
+# The dk verdict's relative slack, in residual tolerances: the sampled bound
+# comes from eigensolves that stop at that tolerance.
+_DK_SLACK = 1e3
+
+
 @dataclass(frozen=True)
 class NormProbe:
+    """The sampled bound against the reference, and the verdict: the bound
+    is at least the reference, and at most it too for 0 < r <= 1 (the
+    ``equality_regime``), each within ``_DK_SLACK`` residual tolerances."""
+
+    r: Scalar
     bound: object      # sampled lower bound on the derivative norm
     reference: object  # max_i |r p_i^(r-1)|, the norm of r A^(r-1)
+    ratio: object
     samples: int
     seed: int
-
-    @property
-    def ratio(self):
-        return self.bound / self.reference
+    equality_regime: bool
+    ok: bool
 
 
 def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int = 0,
@@ -792,10 +846,13 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
     Maximizes the spectral norm of L_r o X over random unit-spectral-norm
     symmetric X, always including X = I (where the reference value is
     attained).  This is a lower bound by construction; equality with the
-    reference is the behavior under test for 0 < r <= 1.
+    reference is the behavior under test for 0 < r <= 1.  r = 0 raises
+    ValueError: L_0 is the zero matrix.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if r == 0:
+        raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
     n = config.n
     rng = random.Random(seed)
     with tol.prec():
@@ -817,7 +874,11 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
         with tol.prec():
             Xu = SymMatrix.build(n, lambda i, j: to_mpf(X.entries[i][j]) / nx)
         bound = max(bound, spectral(dk_apply(config, r, Xu, tol)))
-    return NormProbe(bound, reference, samples, seed)
+    margin = float(tol.residual_tol) * _DK_SLACK
+    equality_regime = 0 < r <= 1
+    ok = bound >= reference * (1 - margin) and (
+        not equality_regime or bound <= reference * (1 + margin))
+    return NormProbe(r, bound, reference, bound / reference, samples, seed, equality_regime, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +887,7 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
 
 @dataclass(frozen=True)
 class PrCompareReport:
+    r: Scalar
     power_sum: InertiaReport
     loewner: InertiaReport
 
@@ -849,4 +911,4 @@ def pr_compare(config: PointConfig, r: Scalar,
     if not r > 0:
         raise ValueError(f"exponent must be positive, got {r!r}")
     p_rep, _, _ = _settle(lambda ctx: builders.power_sum_matrix(config, r, ctx), tol)
-    return PrCompareReport(p_rep, _settle_loewner(config, r + 1, tol)[0])
+    return PrCompareReport(r, p_rep, _settle_loewner(config, r + 1, tol)[0])

@@ -1,15 +1,18 @@
 """Command-line surface: build matrices, verify predicted inertia, sweep
 eigenvalue trajectories, and run the analysis probes.
 
-Exit codes: 0 success / property holds, 1 property violation (a false ``ok``
-or ``match`` in the payload), 2 usage error or a computation that could not
-finish (an unreachable tolerance, an exhausted ladder, an arithmetic trap).
-Points written as integers or fractions (``3``, ``7/2``) parse as exact
-rationals and propagate exactness to the integer-exponent paths; decimal
-notation parses as floats.
+Exit codes: 0 success / property holds, 1 property violation (a false ``ok``,
+``match`` or ``all_match`` at the top of the payload), 2 usage error or a
+computation that could not finish (an unreachable tolerance, an exhausted
+ladder, an arithmetic trap).  Points written as integers or fractions
+(``3``, ``7/2``) parse as exact rationals and propagate exactness to the
+integer-exponent paths; decimal notation parses as floats.
 
-Each subcommand returns its payload (a dict, or CSV text) and an exit code;
-``main`` adds ``schema_version`` and ``command``, encodes and writes.
+Each JSON subcommand parses its arguments, calls the library and returns
+what it returns: a report, which carries its own verdict, or a dict.
+``main`` writes it through one serializer (``_json``), adds
+``schema_version`` and ``command``, and works out the exit code from the
+payload.  The CSV paths return their text with its exit code.
 """
 
 from __future__ import annotations
@@ -28,14 +31,7 @@ from mpmath import mp
 from . import analysis, builders, oracle, sweep as sweep_mod
 from .exact import det_fraction
 from .inertia import EigenConvergenceError
-from .types import (
-    DEFAULT_PRECISION_BITS,
-    Exponent,
-    Inertia,
-    ToleranceContext,
-    make_point_config,
-    to_mpf,
-)
+from .types import DEFAULT_PRECISION_BITS, Inertia, ToleranceContext, make_point_config, to_mpf
 
 SCHEMA_VERSION = 1
 
@@ -70,12 +66,25 @@ def _decimal(x, bits: int) -> str:
     return mp.nstr(x, int(bits * 0.30103) + 3, strip_zeros=False)
 
 
+# Payload keys of the reports whose keys differ from their field names:
+# ``key`` reads the attribute of that name, ``key=path`` a dotted path.
+_PAYLOAD = {
+    oracle.VerifyReport: "r rule=predicted.rule predicted=predicted.inertia computed match "
+                         "precision_bits escalations",
+    analysis.PrCompareReport: "r inertia_power_sum inertia_loewner_r_plus_1=inertia_loewner match",
+    analysis.ZeroCell: "re=center.real im=center.imag winding rect",
+}
+
+
 def _json(x, bits: int):
-    """JSON value of ``x``: an inertia as [pos, zero, neg], a Fraction as text,
-    containers recursively, and any other real (mpf) as a float at 53 bits
-    and decimal text beyond."""
-    if isinstance(x, Inertia):
-        return [x.pos, x.zero, x.neg]
+    """JSON value of ``x``: an inertia or a rectangle as a list, any other
+    report as an object (by ``_PAYLOAD``, else its fields in order), a
+    Fraction as text, containers recursively, and any other real (mpf) as a
+    float at 53 bits when the float holds it exactly and as decimal text
+    otherwise, so a finite value never prints as an infinity or a flushed
+    zero.  A NaN or an infinity stays a float, which ``main`` refuses."""
+    if isinstance(x, (Inertia, analysis.Rect)):
+        return list(dataclasses.astuple(x))
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, int, float, str)):
@@ -84,7 +93,11 @@ def _json(x, bits: int):
         return [_json(v, bits) for v in x]
     if isinstance(x, dict):
         return {k: _json(v, bits) for k, v in x.items()}
-    return float(x) if bits <= 53 else _decimal(x, bits)
+    if dataclasses.is_dataclass(x):
+        spec = _PAYLOAD.get(type(x)) or " ".join(f.name for f in dataclasses.fields(x))
+        return {key: _json(functools.reduce(getattr, (path or key).split("."), x), bits)
+                for key, _, path in (item.partition("=") for item in spec.split())}
+    return float(x) if not mp.isfinite(x) or bits <= 53 and float(x) == x else _decimal(x, bits)
 
 
 def _csv(rows) -> str:
@@ -105,7 +118,8 @@ def _context(args, start=None) -> ToleranceContext:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each takes (args, context, points) and returns (payload, exit code)
+# Subcommands: each takes (args, context, points) and returns its payload, a
+# report or a dict, or CSV text with its exit code
 
 
 def cmd_build(args, ctx, values):
@@ -126,24 +140,15 @@ def cmd_build(args, ctx, values):
     if args.format == "csv":
         return _csv([_decimal(e, ctx.precision_bits) for e in row] for row in rows), 0
     return {"kind": args.kind, "points": values, "r": r,
-            "precision_bits": ctx.precision_bits, "matrix": rows}, 0
+            "precision_bits": ctx.precision_bits, "matrix": rows}
 
 
 def cmd_verify(args, ctx, values):
     cfg = make_point_config(values)
-    if args.r is not None:
-        rs = [parse_scalar(args.r)]
-    else:
-        rs = sweep_mod.exponent_grid(*parse_range(args.r_range))
-    if any(r == 0 for r in rs):
-        raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
+    rs = ([parse_scalar(args.r)] if args.r is not None
+          else sweep_mod.exponent_grid(*parse_range(args.r_range)))
     reps = [oracle.verify_instance(cfg, r, ctx) for r in rs]
-    all_match = all(rep.match for rep in reps)
-    results = [{"r": r, "rule": rep.predicted.rule, "predicted": rep.predicted.inertia,
-                "computed": rep.computed, "match": rep.match,
-                "precision_bits": rep.precision_bits, "escalations": rep.escalations}
-               for r, rep in zip(rs, reps)]
-    return {"points": values, "all_match": all_match, "results": results}, 0 if all_match else 1
+    return {"points": values, "all_match": all(rep.match for rep in reps), "results": reps}
 
 
 def cmd_sweep(args, ctx, values):
@@ -165,39 +170,14 @@ def cmd_sweep(args, ctx, values):
 
 
 def cmd_zeros(args, ctx, values):
-    cfg = make_point_config(values)
-    coeffs = tuple(parse_point_list(args.coeffs))
-    r = parse_scalar(args.r)
-    f = analysis.ComboFunction(cfg, coeffs, r)
+    f = analysis.ComboFunction(make_point_config(values), tuple(parse_point_list(args.coeffs)),
+                               parse_scalar(args.r))
     scan = analysis.ScanPolicy(x_min=args.x_min, x_max=args.x_max, grid=args.grid)
-    rep = analysis.count_zeros(f, scan, ctx)
-    ex = Exponent.of(r)
-    bound_applies = not (ex.is_integer and 1 <= ex.integer_value <= cfg.n - 1)
-    ok = (not bound_applies) or rep.count <= cfg.n - 1
-    return {"r": r, "count": rep.count, "bound": cfg.n - 1, "bound_applies": bound_applies,
-            "brackets": rep.brackets, "ambiguous": rep.ambiguous, "grid": rep.grid,
-            "ok": ok}, 0 if ok else 1
+    return analysis.count_zeros(f, scan, ctx)
 
 
 def cmd_ssr(args, ctx, values):
-    cfg = make_point_config(values)
-    r = parse_scalar(args.r)
-    ex = Exponent.of(r)
-    exact = ex.is_integer and cfg.exact is not None
-    if exact:
-        M = builders.loewner_matrix_exact(cfg, ex.integer_value)
-    else:
-        M = builders.loewner_matrix(cfg, r, ctx)
-    rep = analysis.ssr_scan(M, args.k_max, ctx)
-    if ex.is_integer and 1 <= ex.integer_value <= cfg.n - 1:
-        need = min(ex.integer_value, rep.k_max)
-        ok = all(v in ("+", "-") for v in rep.per_k[:need])
-        required = f"SSR_{ex.integer_value}"
-    else:
-        ok = rep.ssr_class == "SSR" and rep.k_max == cfg.n
-        required = "SSR"
-    return {"r": r, "exact": exact, "per_k": rep.per_k, "ssr_class": rep.ssr_class,
-            "required": required, "ok": ok}, 0 if ok else 1
+    return analysis.loewner_ssr(make_point_config(values), parse_scalar(args.r), args.k_max, ctx)
 
 
 def cmd_det_id(args, ctx, values):
@@ -213,43 +193,24 @@ def cmd_det_id(args, ctx, values):
             with ctx.prec():  # both values of float nodes print rounded once
                 det, closed = to_mpf(det), to_mpf(closed)
         payload.update({f"det_L{m}": det, f"closed_L{m}": closed, f"match_L{m}": match})
-    ok = payload["match_L3"] and payload["match_L4"]
-    return {**payload, "ok": ok}, 0 if ok else 1
+    return {**payload, "ok": payload["match_L3"] and payload["match_L4"]}
 
 
 def cmd_dk(args, ctx, values):
-    cfg = make_point_config(values)
-    r = parse_scalar(args.r)
-    probe = analysis.dk_norm_probe(cfg, r, samples=args.samples, seed=args.seed, tol=ctx)
-    margin = float(ctx.residual_tol) * 1e3
-    equality_regime = 0 < r <= 1
-    ok = probe.bound >= probe.reference * (1 - margin)
-    if equality_regime:
-        ok = ok and probe.bound <= probe.reference * (1 + margin)
-    return {"r": r, "bound": probe.bound, "reference": probe.reference, "ratio": probe.ratio,
-            "samples": probe.samples, "seed": probe.seed, "equality_regime": equality_regime,
-            "ok": bool(ok)}, 0 if ok else 1
+    return analysis.dk_norm_probe(make_point_config(values), parse_scalar(args.r),
+                                  samples=args.samples, seed=args.seed, tol=ctx)
 
 
 def cmd_complex_zeros(args, ctx, values):
-    cfg = make_point_config(values)
-    parts = args.region.split(":")
+    cfg, parts = make_point_config(values), args.region.split(":")
     if len(parts) != 4:
         raise ValueError("region must be re_min:re_max:im_min:im_max")
-    rect = analysis.Rect(*(float(p) for p in parts))
-    rep = analysis.complex_zero_scan(cfg, rect, grid=args.grid, tol=ctx)
-    cells = [{"re": cell.center.real, "im": cell.center.imag, "winding": cell.winding,
-              "rect": dataclasses.astuple(cell.rect)} for cell in rep.cells]
-    return {"region": dataclasses.astuple(rect), "total_winding": rep.total_winding,
-            "regrids": rep.regrids, "cells": cells}, 0
+    return analysis.complex_zero_scan(cfg, analysis.Rect(*map(float, parts)), args.grid, ctx)
 
 
 def cmd_pr_compare(args, ctx, values):
     r = parse_scalar(args.r)
-    rep = analysis.pr_compare(make_point_config(values), r, ctx)
-    return {"r": r, "inertia_power_sum": rep.inertia_power_sum,
-            "inertia_loewner_r_plus_1": rep.inertia_loewner,
-            "match": rep.match}, 0 if rep.match else 1
+    return analysis.pr_compare(make_point_config(values), r, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +277,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         ctx = _context(args)
-        out, code = args.func(args, ctx, parse_point_list(args.points))
-        if isinstance(out, dict):
+        out = args.func(args, ctx, parse_point_list(args.points))
+        if isinstance(out, tuple):  # CSV text and its exit code
+            out, code = out
+        else:
+            payload = _json(out, ctx.precision_bits)
+            code = int(any(payload.get(k) is False for k in ("ok", "match", "all_match")))
             out = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
-                              **_json(out, ctx.precision_bits)}, indent=2) + "\n"
+                              **payload}, indent=2, allow_nan=False) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(out)
@@ -327,7 +292,7 @@ def main(argv=None) -> int:
             sys.stdout.write(out)
         return code
     except (ValueError, ArithmeticError, EigenConvergenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

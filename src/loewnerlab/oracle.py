@@ -89,8 +89,11 @@ def verify_instance(config: PointConfig, r: Scalar,
     inertia (53 -> 128 -> 256 -> 512 bits from the default start, so
     ``escalations`` is at most 3); a non-match is declared when it gives
     up.  Integer exponents run the exact rational route alongside the float
-    routes (see ``exact_route_hint``).
+    routes (see ``exact_route_hint``).  r = 0 raises ValueError: L_0 is the
+    zero matrix.
     """
+    if r == 0:
+        raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
     pred = predicted_inertia(config.n, r)
     rep, ctx, escalations = _settle_loewner(config, r, tol, target=pred.inertia)
     match = not rep.disagreement and rep.consensus == pred.inertia

@@ -837,3 +837,47 @@ def test_phase_keeps_the_range_of_mpc():
     for v in (mpc(-3, 4), mpc(mpf("-1.6e1006"), mpf("1e1005")),
               mpc(mpf("1e-400"), mpf("-2e-400")), mpc(mpf("1e-400"), 1)):
         assert analysis._phase(v) == pytest.approx(float(mp.arg(v)), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts carried by the reports, read without the CLI
+
+
+@pytest.mark.parametrize("r, applies", [(1, False), (2, False), (3, True), (2.5, True), (-1, True)])
+def test_count_zeros_decides_whether_its_bound_applies(r, applies):
+    # three nodes: the bound of 2 zeros is not checked at the integers 1 and 2
+    rep = count_zeros(ComboFunction(make_point_config((1, 2, 3)), (1, -1, 1), r), FAST_SCAN)
+    assert (rep.r, rep.bound, rep.bound_applies) == (r, 2, applies)
+    assert rep.count <= 2 and rep.ok is True
+
+
+def test_loewner_ssr_needs_every_size_off_the_integers():
+    rep = analysis.loewner_ssr(make_point_config((1, 2, 3)), 0.5, k_max=2)
+    assert (rep.r, rep.exact, rep.per_k, rep.ssr_class) == (0.5, False, ("+", "+"), "SSR_2")
+    assert (rep.required, rep.ok) == ("SSR", False)
+    assert analysis.loewner_ssr(make_point_config((1, 2, 3)), 0.5).ok is True
+
+
+def test_loewner_ssr_is_exact_at_an_integer_on_rational_nodes():
+    rep = analysis.loewner_ssr(make_point_config((Fraction(1, 2), 1, 3, 4)), 2)
+    assert rep.exact is True and rep.per_k[:2] == ("+", "-")
+    assert (rep.ssr_class, rep.required, rep.ok) == ("SSR_2", "SSR_2", True)
+
+
+@pytest.mark.parametrize("r, equality", [(0.5, True), (1.5, False)])
+def test_dk_norm_probe_carries_its_verdict(r, equality):
+    probe = dk_norm_probe(make_point_config((1, 2, 3)), r, samples=5, seed=9)
+    assert (probe.r, probe.equality_regime, probe.ok) == (r, equality, True)
+    assert probe.ratio == probe.bound / probe.reference
+
+
+def test_dk_norm_probe_fails_a_bound_past_its_slack(monkeypatch):
+    # the sampled bound at r = 1.5 meets the reference (X = I attains it); a
+    # negative slack asks for a bound a relative 1e-9 above it
+    monkeypatch.setattr(analysis, "_DK_SLACK", -1e3)
+    assert dk_norm_probe(make_point_config((1, 2, 3)), 1.5, samples=2).ok is False
+
+
+def test_dk_norm_probe_rejects_the_zero_exponent():
+    with pytest.raises(ValueError, match="L_0 is the zero matrix"):
+        dk_norm_probe(make_point_config((1, 2, 3)), 0)

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from loewnerlab import analysis, make_point_config
@@ -466,3 +466,72 @@ def test_a_count_under_its_minimum_exits_2_with_one_error_line(option, value):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert code in (0, 1, 2)
+
+
+# Every JSON subcommand at cheap sizes: {p} is the node list, {r} the
+# exponent and {c} one coefficient per node.
+JSON_ARGV = [
+    "build --points {p} --r {r}",
+    "build --points {p} --r {r} --kind power-sum",
+    "verify --points {p} --r {r}",
+    "zeros --points {p} --coeffs={c} --r {r} --grid 64",
+    "ssr --points {p} --r {r}",
+    "ssr --points {p} --r {r} --k-max 2",
+    "det-id --points {p}",
+    "dk --points {p} --r {r} --samples 2",
+    "complex-zeros --points {p} --region 0.6:1.4:-0.4:0.4 --grid 2",
+    "pr-compare --points {p} --r {r}",
+]
+# Decimal nodes are dyadic: a non-dyadic one such as 0.7 makes the exact
+# route at |r| = 2000 work on integers of about 10^5 bits, seconds a call.
+# 1/2 and 0.5 are the same node, so drawing both is a usage error.
+NODES = ["1/2", "0.5", "1", "1.25", "3/2", "2", "2.5", "3", "4"]
+EXPONENTS = ["0", "-1", "-2.5", "1", "2", "3", "0.5", "2.5", "7/2", "2000", "-2000"]
+
+
+@st.composite
+def json_argv(draw):
+    nodes = sorted(draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=4, unique=True)),
+                   key=Fraction)
+    coeffs = draw(st.lists(st.sampled_from(["1", "-1", "2", "0"]),
+                           min_size=len(nodes), max_size=len(nodes)))
+    return draw(st.sampled_from(JSON_ARGV)).format(
+        p=",".join(nodes), r=draw(st.sampled_from(EXPONENTS)), c=",".join(coeffs))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("r", [2000, -2000])
+def test_entries_beyond_the_float_range_print_as_text(capsys, r):
+    # the entries reach 1e957 at r = 2000 and 1e-952 at r = -2000, which as
+    # floats would print as Infinity and -0.0
+    code, out, _ = run(capsys, "build", "--points", "1,2,3", "--r", str(r))
+    assert code == 0
+    matrix = json.loads(out, parse_constant=_refuse_constant)["matrix"]
+    exact = loewner_matrix_exact(make_point_config((1, 2, 3)), r).entries
+    for row, want_row in zip(matrix, exact):
+        for got, want in zip(row, want_row):
+            want = mp.mpmathify(want)
+            assert isinstance(got, str) == (not 1e-300 < abs(want) < 1e300)
+            assert abs(mpf(got) - want) <= 32 * mp.eps * abs(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(argv=json_argv())
+@example(argv="build --points 1,2,3 --r 2000")   # entries beyond the float range
+@example(argv="build --points 1,2,3 --r -2000")  # entries below it
+@example(argv="dk --points 1,2,3 --r 0")         # an exception without a message
+def test_every_json_command_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv.split())
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and re.fullmatch(r"error: \S.*\n", err), err
+    else:
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        violated = any(payload.get(k) is False for k in ("ok", "match", "all_match"))
+        assert (code == 1) == violated and err == ""
