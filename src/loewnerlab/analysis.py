@@ -9,7 +9,13 @@ The complex determinant ``complex_det`` runs it on Python ``complex`` at 53
 bits when the nodes, z and every |p^z| lie in the float window
 (``ToleranceContext.complex_arith``), and on mpc otherwise, and pairs each
 value with a first-order bound on its error: the backward error of the
-factorisation plus the rounding of the entries (``_lu_relative_bound``).
+factorisation plus the rounding of the entries.  That bound is taken in two
+stages: an O(n^2) upper bound from triangular solves on the comparison
+matrices (``_lu_quick_bound``) accepts most samples, and only where it
+cannot does the bound through the explicit inverse (``_lu_relative_bound``,
+O(n^3)) decide; the quick bound is never smaller, so a sample is accepted
+exactly when the inverse bound alone would accept it.  The inverse
+stays because graded entries (large Re z) make the quick bound useless.
 A value inside its bound is retried on the next rung of the precision
 ladder (``ToleranceContext.rungs``) and comes out as 0 when no rung
 resolves it; the argument-principle scan reads a 0 as a zero on its
@@ -459,6 +465,48 @@ def _lu_relative_bound(F, order, entry_err, eps):
     return 2 * rel
 
 
+def _lu_quick_bound(F, order, entry_err, eps):
+    """An O(n^2) upper bound on ``_lu_relative_bound``, from the same
+    arguments, with no inverse (Higham, ch. 8).
+
+    With a = |F| and M(T) the comparison matrix of a triangular T,
+    |(PA)^-1| <= |U^-1||L^-1| <= M(U)^-1 M(L)^-1 entrywise, so column i of
+    |(PA)^-1| sums to at most w_i, from two triangular solves on nonnegative
+    data: v_j = (1 + sum_{k<j} a_kj v_k) / a_jj, then w_i = v_i + sum_{k>i}
+    a_ki w_k.  With mu_k = max_{j>=k} a_kj, (|L||U|)_ij <= mu_i + sum_{k<i}
+    a_ik mu_k, so row i of gamma |L||U| + E is at most beta_i = gamma (mu_i
+    + sum_{k<i} a_ik mu_k) + max_j entry_err_(order i) j, and the sum that
+    ``_lu_relative_bound`` doubles is at most n eps + sum_i beta_i w_i.
+    Each solve on an M-matrix loses at most about 2 n^2 eps to rounding (a
+    backward error of gamma_n per row), the rest a few n eps, so the factor
+    1 + 8 n^2 eps keeps the computed value above the exact one.  It pairs
+    each row's largest error with a whole column sum, so on graded entries
+    it can be loose by many orders of magnitude (nodes 1..8 at z = 60: 3e7
+    against 2.7e-9).
+    """
+    n = len(F)
+    a = [[abs(x) for x in row] for row in F]
+    gamma = 4 * n * eps / (1 - 4 * n * eps)
+    w = [1] * n  # v, then w, each solve run a row at a time
+    for k, row in enumerate(a):
+        w[k] = vk = w[k] / row[k]
+        for j in range(k + 1, n):
+            w[j] += row[j] * vk
+    for k in range(n - 1, 0, -1):
+        row, wk = a[k], w[k]
+        for i in range(k):
+            w[i] += row[i] * wk
+    rel = n * eps
+    mu = []
+    for i, row in enumerate(a):
+        lu = max(row[i:])
+        mu.append(lu)
+        for k in range(i):
+            lu += row[k] * mu[k]
+        rel += (gamma * lu + max(entry_err[order[i]])) * w[i]
+    return 2 * rel * (1 + 8 * n * n * eps)
+
+
 # The float rung's stand-in for ``tol.prec()`` while mpmath is already at 53 bits.
 _AT_53_BITS = contextlib.nullcontext()
 
@@ -496,7 +544,12 @@ def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext,
     off-diagonal entry carries 4 eps ((|p_i^z| (1 + |z log p_i|) + |p_j^z|
     (1 + |z log p_j|)) / |p_i - p_j| + |entry|), and a diagonal entry
     z p^(z-1) carries 4 eps |entry| (1 + |(z-1) log p|).  The nodes are
-    taken as held at working precision.  ``table`` is this precision's
+    taken as held at working precision.  The bound is
+    ``_lu_quick_bound`` when that accepts the value (lies under |det|), and
+    ``_lu_relative_bound`` otherwise: the quick bound is never smaller, so
+    the rung accepts what the inverse bound alone would, and the inverse
+    still decides graded samples, where the quick bound is far too loose
+    (nodes 1..8 at z = 60).  ``table`` is this precision's
     ``_NodeTable`` for ``config``; without one the call builds its own.
     The float rung is Python floats throughout and runs outside
     ``tol.prec()``: only a product of pivots beyond the float range reads
@@ -529,7 +582,11 @@ def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext,
         if not sign:
             return 0, 0
         det = _pivot_product(A, sign)
-        return det, abs(det) * _lu_relative_bound(A, order, err, eps)
+        mag = abs(det)
+        bound = mag * _lu_quick_bound(A, order, err, eps)
+        if not bound < mag:
+            bound = mag * _lu_relative_bound(A, order, err, eps)
+        return det, bound
 
 
 def _complex_det_ladder(config: PointConfig, z, tol: ToleranceContext, tables: dict):
@@ -878,7 +935,9 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
     equality_regime = 0 < r <= 1
     ok = bound >= reference * (1 - margin) and (
         not equality_regime or bound <= reference * (1 + margin))
-    return NormProbe(r, bound, reference, bound / reference, samples, seed, equality_regime, ok)
+    with tol.prec():
+        ratio = bound / reference
+    return NormProbe(r, bound, reference, ratio, samples, seed, equality_regime, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,30 @@ def _opt(flag: str, **kwargs):
     return flag, kwargs
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors reach ``main`` as ArgumentError, so they
+    print as one ``error:`` line and return 2 like every other usage error."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _join_values(argv: list) -> list:
+    """``argv`` with ``--flag value`` written ``--flag=value`` wherever the
+    value starts with '-' and is not a flag name (``--...`` or ``-h``), so
+    negative lists and ranges such as ``--coeffs -1,1,1`` parse: argparse
+    reads those tokens as flags."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev != "--help"
+        if takes_value and tok.startswith("-") and not tok.startswith("--") and tok != "-h":
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (``main`` runs in-process
@@ -234,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
     common.add_argument("--points", required=True)
 
-    top = argparse.ArgumentParser(prog="loewnerlab",
-                                  description="Loewner matrix builders, inertia checks, and sweeps")
+    top = _Parser(prog="loewnerlab",
+                  description="Loewner matrix builders, inertia checks, and sweeps")
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *options):
@@ -274,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         ctx = _context(args)
         out = args.func(args, ctx, parse_point_list(args.points))
         if isinstance(out, tuple):  # CSV text and its exit code
@@ -291,7 +315,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(out)
         return code
-    except (ValueError, ArithmeticError, EigenConvergenceError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, ArithmeticError, EigenConvergenceError,
+            OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -50,8 +50,12 @@ def _lu_factor(A) -> tuple[list, int]:
     order = list(range(n))
     sign = 1
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(A[i][k]))
-        if not A[p][k]:
+        p, best = k, abs(A[k][k])
+        for i in range(k + 1, n):  # a tie keeps the first row
+            m = abs(A[i][k])
+            if m > best:
+                p, best = i, m
+        if not best:
             return order, 0
         if p != k:
             A[k], A[p] = A[p], A[k]

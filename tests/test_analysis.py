@@ -527,6 +527,15 @@ def test_dk_probe_bound_never_below_reference():
         assert probe.bound >= probe.reference * (1 - 1e-9)
 
 
+def test_dk_probe_ratio_is_taken_at_the_working_precision():
+    # bound and reference differ in the 17th digit: a 53-bit quotient reads 1
+    probe = dk_norm_probe(make_point_config((1, 2, 3)), 1.5, samples=5, seed=4,
+                          tol=ToleranceContext.at_bits(100))
+    with mp.workprec(100):
+        assert probe.ratio == probe.bound / probe.reference
+        assert probe.ratio > 1
+
+
 def test_pr_compare_examples():
     cfg = make_point_config((1, 2, 3))
     rep = pr_compare(cfg, 1.5)
@@ -831,6 +840,62 @@ def test_lu_bound_covers_the_factorisation_error():
         rel = analysis._lu_relative_bound(F, order, [[0.0] * n for _ in range(n)], 2.0 ** -52)
         err = abs(Fraction(det) - exact) / abs(exact)
         assert 2 * n * 2.0 ** -52 < err <= rel
+
+
+def _random_lu(rng, n, graded, cnum):
+    """A factored random complex matrix, its entries' magnitudes spread over
+    1e+-30 when ``graded``, with entry errors up to 1e-15 relative."""
+    rows = [[cnum(complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+             * (10 ** rng.uniform(-30, 30) if graded else 1) for _ in range(n)] for _ in range(n)]
+    err = [[abs(v) * rng.uniform(0, 1e-15) for v in row] for row in rows]
+    order, sign = analysis._lu_factor(rows)
+    return rows, order, err
+
+
+def test_quick_lu_bound_dominates_the_inverse_bound():
+    rng = random.Random(2401)
+    for trial in range(400):
+        F, order, err = _random_lu(rng, 1 + trial % 10, trial % 20 >= 10, complex)
+        eps = 2.0 ** -53
+        assert analysis._lu_quick_bound(F, order, err, eps) >= \
+            analysis._lu_relative_bound(F, order, err, eps)
+    with mp.workprec(256):
+        for trial in range(40):
+            F, order, err = _random_lu(rng, 1 + trial % 8, trial % 2, mpc)
+            assert analysis._lu_quick_bound(F, order, err, mp.eps) >= \
+                analysis._lu_relative_bound(F, order, err, mp.eps)
+
+
+@pytest.mark.parametrize("nodes, z, runs", [
+    (range(1, 9), 60, True),                # entries span about 1e54: only the inverse decides
+    ((1, 2, 3), complex(1.3, 0.2), False),  # the O(n^2) bound accepts
+])
+def test_the_inverse_bound_runs_only_where_the_quick_bound_cannot_accept(
+        monkeypatch, nodes, z, runs):
+    calls = []
+    original = analysis._lu_relative_bound
+
+    def spy(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(analysis, "_lu_relative_bound", spy)
+    value, bound = analysis._complex_det_rung(make_point_config(nodes), z, ToleranceContext())
+    assert abs(value) > bound
+    assert len(calls) == runs
+
+
+@pytest.mark.parametrize("column, first", [
+    ([1.0, -1.0, 0.5], 0),
+    ([0.5, -2.0, 2.0], 1),
+    ([1j, 1.0, -1.0], 0),
+    ([Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)], 1),
+])
+def test_lu_pivot_ties_pick_the_first_row(column, first):
+    n = len(column)
+    A = [[v] + [j + i * n for j in range(1, n)] for i, v in enumerate(column)]
+    order, _ = analysis._lu_factor(A)
+    assert order[0] == first == max(range(n), key=lambda i: abs(column[i]))
 
 
 def test_phase_keeps_the_range_of_mpc():

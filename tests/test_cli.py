@@ -173,6 +173,23 @@ def test_a_non_finite_tolerance_is_a_usage_error(capsys, argv):
     assert (code, out) == (2, "") and "must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("zeros --points 1,2,3 --coeffs -1,1,1 --r 0.5", "--coeffs"),
+    ("complex-zeros --points 1,2,3 --region -0.45:0.45:-0.45:0.45 --grid 4", "--region"),
+    ("sweep --points 1,2,3 --r-range -1.5:-0.5:3", "--r-range"),
+])
+def test_a_value_starting_with_a_minus_parses(capsys, argv, flag):
+    separate = run(capsys, *argv.split())
+    joined = run(capsys, *argv.replace(f"{flag} ", f"{flag}=").split())
+    assert separate == joined and separate[0] == 0
+
+
+def test_a_missing_required_flag_is_one_error_line(capsys):
+    code, out, err = run(capsys, "zeros", "--points", "1,2,3", "--r", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: the following arguments are required: --coeffs\n"
+
+
 def test_sweep_empty_range(capsys):
     code, _, err = run(capsys, "sweep", "--points", "1,2", "--r-range",
                        "1.5:0.5:3")
