@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the six-node eigenvalue-trajectory picture as a CSV dataset.
 
-Sweeps the exponent for the nodes 1..6, snapping grid points to integers so
-the zero counts there come from exact rational arithmetic, and writes the
-signed-log scaled trajectories plus the inertia transition table.
+Sweeps the exponent for the nodes 1..6 and writes the signed-log scaled
+trajectories plus the inertia transition table. The exponent grid returns
+a point within 1e-9 of an integer as that integer, and the sweep takes the
+zero counts at integers from exact rational arithmetic.
 
 Usage:
     python scripts/figure1_demo.py [--out figure1.csv] [--steps 140]

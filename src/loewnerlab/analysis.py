@@ -348,7 +348,11 @@ def loewner_ssr(config: PointConfig, r: Scalar, k_max: Optional[int] = None,
     """Sign regularity of L_r, its minors scanned up to ``k_max``: exactly on
     Fractions at an integer r on rational nodes, else on the matrix built
     at ``tol``.  Below the required size every scanned size must have one
-    strict sign; SSR needs the scan to reach every size."""
+    strict sign; SSR needs the scan to reach every size.
+
+    This is the one Loewner caller that does not take ``exact_route_hint``:
+    float nodes stay on the float minors until a bound on the work lands,
+    since the exact minors of five float nodes take about 11 s at r = 300."""
     m = Exponent.of(r).integer_value
     exact = m is not None and config.exact is not None
     M = builders.loewner_matrix_exact(config, m) if exact else builders.loewner_matrix(config, r, tol)

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 
 from . import builders
 # perfbench's tracer test looks up ``inertia_report`` here.
-from .inertia import _settle, _settle_loewner, inertia as inertia_report
+from .inertia import _settle, _settle_loewner, exact_route_hint, inertia as inertia_report
 from .types import (
     DEFAULT_TOL,
     Exponent,
@@ -190,9 +190,10 @@ def verify_identities(config: PointConfig, r: Scalar,
                       tol: ToleranceContext = DEFAULT_TOL) -> IdentityResiduals:
     """Evaluate the three identities and report max relative residuals.
 
-    The power-step identity is evaluated in exact rational arithmetic when
-    the nodes are rational and r is an integer >= 2 (the residual is then
-    exactly zero or the identity is genuinely violated).
+    The power-step identity is evaluated in exact rational arithmetic
+    wherever ``exact_route_hint`` gives an integer r >= 2, on float nodes
+    too (they are the binary rationals they denote); the residual is then
+    exactly zero or the identity is genuinely violated.
     """
     n = config.n
     ex = Exponent.of(r)
@@ -217,11 +218,12 @@ def verify_identities(config: PointConfig, r: Scalar,
             for i in range(n)
         ]) / scale_L
 
-        if ex.is_integer and ex.integer_value >= 2 and config.exact is not None:
-            m = ex.integer_value
-            q = config.exact
-            Le = builders.loewner_matrix_exact(config, m).entries
-            Lm2 = builders.loewner_matrix_exact(config, m - 2).entries
+        hint = exact_route_hint(config, ex)
+        if hint is not None and hint[1] >= 2:
+            exact_config, m = hint
+            q = exact_config.exact
+            Le = builders.loewner_matrix_exact(exact_config, m).entries
+            Lm2 = builders.loewner_matrix_exact(exact_config, m - 2).entries
             worst = max(
                 abs(Le[i][j] - (q[i] ** (m - 1) + q[i] * Lm2[i][j] * q[j] + q[j] ** (m - 1)))
                 for i in range(n) for j in range(n)

@@ -1,9 +1,10 @@
 """Eigenvalue trajectories of L_r over an exponent grid.
 
 The sweep records sorted eigenvalues and the inertia at every grid point,
-solving each point's matrix once; grid points that land on integers (within
-1e-9) are snapped and routed through the exact rational inertia, so zero
-counts at integers are exact rather than threshold classifications.
+solving each point's matrix once.  ``exponent_grid`` returns a value within
+``INTEGER_SNAP_WINDOW`` (1e-9) of an integer as that integer, and every
+integer point takes the exact rational inertia (``exact_route_hint``), so
+zero counts at integers are exact rather than threshold classifications.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from mpmath import mp, mpf
 from . import builders
 from .inertia import EigenConvergenceError, eig_sym, exact_route_hint, inertia_exact_integer
 from .inertia import inertia as inertia_report
+from .oracle import predicted_inertia
 from .types import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_ZERO_REL_TOL,
@@ -57,12 +59,17 @@ def _check_range(a: float, b: float, steps: int) -> None:
 
 
 def exponent_grid(r_min: float, r_max: float, steps: int) -> list[float]:
-    """``steps`` evenly spaced exponents from r_min to r_max inclusive."""
+    """``steps`` evenly spaced exponents from r_min to r_max inclusive.
+
+    A value within ``INTEGER_SNAP_WINDOW`` of an integer is returned as that
+    integer (as an integral float), so every value is an exact integer or at
+    least the window away from every integer: 0.1:1.0:10 ends at 1.0, not at
+    the roundoff 0.9999999999999999.
+    """
     a, b = float(r_min), float(r_max)
     _check_range(a, b, steps)
-    if steps == 1:
-        return [a]
-    return [a + (b - a) * i / (steps - 1) for i in range(steps)]
+    grid = [a] if steps == 1 else [a + (b - a) * i / (steps - 1) for i in range(steps)]
+    return [float(round(r)) if abs(r - round(r)) < INTEGER_SNAP_WINDOW else r for r in grid]
 
 
 def start_context(config: PointConfig) -> ToleranceContext:
@@ -76,7 +83,10 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
                        tol: Optional[ToleranceContext] = None) -> SpectrumSweep:
     """Sweep the exponent over a uniform grid and record spectra and inertias.
 
-    ``tol`` defaults to ``start_context(config)``.  Eigensolver
+    ``tol`` defaults to ``start_context(config)``.  A point where
+    ``exact_route_hint`` answers (an integer of the grid) takes its inertia
+    from the exact rational route and its eigenvalues from ``eig_sym``; the
+    others take both routes' consensus.  Eigensolver
     failures (the point has no row) and route disagreements (the point keeps
     an unsettled row) are recorded in ``failures`` and the sweep continues.
     """
@@ -88,13 +98,12 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
     inertias = []
     failures = []
     for idx, r in enumerate(grid):
-        m = round(r)
-        snapped = abs(r - m) < INTEGER_SNAP_WINDOW
+        hint = exact_route_hint(config, Exponent.of(r))
         try:
-            L = builders.loewner_matrix(config, m if snapped else r, tol)
-            if snapped:
+            L = builders.loewner_matrix(config, r, tol)
+            if hint is not None:
                 spec = eig_sym(L, tol)
-                ine = inertia_exact_integer(*exact_route_hint(config, Exponent.of(m)))
+                ine = inertia_exact_integer(*hint)
             else:
                 rep = inertia_report(L, tol)
                 spec, ine = rep.spectrum, rep.consensus
@@ -126,8 +135,10 @@ def sign_change_report(s: SpectrumSweep) -> tuple[SignChange, ...]:
     """Intervals where consecutive inertias differ.
 
     Eigenvalues can only change sign where the matrix goes singular, which
-    happens exactly at integer exponents in (0, n); an interval not
-    containing such an integer is flagged anomalous.
+    happens exactly at the integers m with a zero count in
+    ``predicted_inertia(n, m)``: 0 and +-1..+-(n-1).  An interval [a, b]
+    (grid values, so integers are exact) that contains no such integer is
+    flagged anomalous.  Only the integers in [-n, n] are scanned.
     """
     n = s.n
     changes = []
@@ -137,9 +148,8 @@ def sign_change_report(s: SpectrumSweep) -> tuple[SignChange, ...]:
             continue
         if prev_idx is not None and s.inertias[prev_idx] != ine:
             a, b = s.grid[prev_idx], s.grid[idx]
-            lo = math.ceil(a - 1e-12)
-            hi = math.floor(b + 1e-12)
-            has_integer = any(0 < m < n for m in range(lo, hi + 1))
+            has_integer = any(predicted_inertia(n, m).inertia.zero > 0
+                              for m in range(max(math.ceil(a), -n), min(math.floor(b), n) + 1))
             changes.append(SignChange((a, b), s.inertias[prev_idx], ine, has_integer))
         prev_idx = idx
     return tuple(changes)
@@ -175,7 +185,8 @@ def emit_figure1(s: SpectrumSweep, scaling: str = "signed-log",
 
     Under signed-log scaling y = sign(lambda) * log10(1 + |lambda|/tau),
     an odd strictly increasing map that keeps near-zero trajectories
-    visible; tau defaults to the zero-threshold scale of the sweep.
+    visible; tau defaults to ``DEFAULT_ZERO_REL_TOL`` (the 53-bit relative
+    zero threshold, at every precision) times n times the largest |lambda|.
     Failed grid points are omitted; values keep the sweep's precision.
     """
     if scaling not in ("signed-log", "none"):

@@ -69,10 +69,16 @@ VERDICT_RUNG_BITS = 128
 MAX_PRECISION_BITS = 4096
 
 
+def _mpf_from_rational(p: int, q: int) -> mpf:
+    """p/q (q > 0) rounded once, to nearest, at the current mpmath precision."""
+    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+
+
 def to_mpf(x) -> mpf:
-    """Convert ints, floats, Fractions, or mpf to mpf at the current precision."""
+    """Convert ints, floats, Fractions, or mpf to mpf at the current precision,
+    rounded to nearest."""
     if isinstance(x, Fraction):
-        return mpmath.mpmathify(x)
+        return _mpf_from_rational(x.numerator, x.denominator)
     return mpf(x)
 
 
@@ -131,9 +137,8 @@ def _to_decimal(x) -> decimal.Decimal:
 
 
 def _mpf_from_decimal(d: decimal.Decimal) -> mpf:
-    """d rounded once to the current mpmath precision."""
-    p, q = d.as_integer_ratio()
-    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+    """d rounded once, to nearest, at the current mpmath precision."""
+    return _mpf_from_rational(*d.as_integer_ratio())
 
 
 def _decimal_fsum(terms) -> decimal.Decimal:

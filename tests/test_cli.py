@@ -122,6 +122,23 @@ def test_verify_range(capsys):
     assert len(json.loads(out)["results"]) == 5
 
 
+def test_verify_range_verifies_the_integer_not_its_roundoff(capsys):
+    # the grid's last value rounds to 0.9999999999999999, which clause (iii)
+    # would predict for; the grid returns the integer 1
+    code, out, _ = run(capsys, "verify", "--points", "1,2,3", "--r-range", "0.1:1.0:10")
+    assert code == 0
+    last = json.loads(out)["results"][-1]
+    assert (last["r"], last["rule"], last["computed"], last["precision_bits"]) == (
+        1.0, "ii", [1, 2, 0], 53)
+
+
+def test_verify_range_through_zero_names_zero(capsys):
+    # -0.1 + 0.3 / 3 rounds to 1.4e-17: the grid returns 0, which verify refuses
+    code, out, err = run(capsys, "verify", "--points", "1,2,3", "--r-range", "-0.1:0.2:4")
+    assert (code, out) == (2, "")
+    assert "exponent 0" in err
+
+
 @pytest.mark.parametrize("flags, bits, escalations", [
     (("--precision-bits", "512"), 512, 0),  # the ladder starts at the rung asked for
     (("--zero-rel-tol", "0.5"), 128, 1),    # the start's own override runs first
@@ -259,7 +276,8 @@ def test_det_id_closed_forms_follow_the_working_precision(capsys):
 @pytest.mark.parametrize("bits", [53, 256])
 def test_det_id_is_exact_on_clustered_float_nodes(capsys, bits):
     # a 53-bit LU loses every digit of det L_3 on such triples; the nodes'
-    # binary rationals give both determinants exactly, rounded once to print
+    # binary rationals give both determinants exactly, rounded once (to
+    # nearest) to print
     rng = random.Random(22)
     for _ in range(6):
         x, d = rng.uniform(1, 2000), 10 ** rng.uniform(-6, -1)
@@ -272,7 +290,7 @@ def test_det_id_is_exact_on_clustered_float_nodes(capsys, bits):
         for m in (3, 4):
             det = det_fraction(loewner_matrix_exact(cfg, m).entries)
             with mp.workprec(bits):
-                v = mp.mpmathify(det)
+                v = mp.fdiv(det.numerator, det.denominator, rounding="n")
                 want = float(v) if bits == 53 else _decimal(v, bits)
             assert payload[f"det_L{m}"] == payload[f"closed_L{m}"] == want
 

@@ -224,6 +224,14 @@ def test_identities_exact_power_step():
     assert res.power_step == 0
 
 
+@pytest.mark.parametrize("points, r", [((0.5, 1.25, 3.0), 3), ((0.7, 1.5, 2.3), 4)])
+def test_identities_exact_power_step_on_float_nodes(points, r):
+    # float nodes are the binary rationals they denote, so the exact route applies
+    res = verify_identities(make_point_config(points), r)
+    assert res.power_step_exact
+    assert res.power_step == 0
+
+
 def test_identities_residuals_random():
     rng = random.Random(53)
     for _ in range(10):

@@ -2,7 +2,7 @@ import importlib
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from loewnerlab import (
@@ -191,3 +191,48 @@ def test_snapped_points_run_the_exact_route_once_each(monkeypatch):
 def test_exponent_grid_rejects_bad_ranges(a, b, steps):
     with pytest.raises(ValueError):
         sweep_mod.exponent_grid(a, b, steps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=st.floats(min_value=-50, max_value=50, allow_nan=False),
+       width=st.floats(min_value=1e-12, max_value=20),
+       steps=st.integers(min_value=2, max_value=60))
+@example(a=0.1, width=0.9, steps=10)  # the plain formula's last value is 0.9999999999999999
+@example(a=-0.1, width=0.30000000000000004, steps=4)  # and its second here is 1.4e-17
+def test_exponent_grid_values_are_integers_or_off_the_window(a, width, steps):
+    for r in sweep_mod.exponent_grid(a, a + width, steps):
+        assert r == round(r) or abs(r - round(r)) >= sweep_mod.INTEGER_SNAP_WINDOW
+
+
+@pytest.mark.parametrize("a, b, steps", [
+    (2.5, 2.9999999995, 2),    # a grid point within the window of 3
+    (3.0000000005, 3.5, 2),
+    (-0.5, 0.5, 3),            # L_0 = 0 is singular
+    (-3.5, -0.5, 7),           # L_{-m} is singular with L_m
+])
+def test_every_transition_brackets_a_singular_integer(a, b, steps):
+    s = eigen_trajectories(make_point_config((1, 2, 3, 4)), a, b, steps)
+    changes = sign_change_report(s)
+    assert changes and not any(c.anomalous for c in changes)
+
+
+def test_sign_change_scan_is_bounded_by_the_order(monkeypatch):
+    # only the 2n + 1 integers in [-n, n] can be singular; a scan of every
+    # integer in this interval would never end
+    from loewnerlab import Inertia
+    asked = []
+
+    def spy(n, m):
+        asked.append(m)
+        assert len(asked) <= 2 * n + 1
+        return predicted_inertia(n, m)
+
+    monkeypatch.setattr(sweep_mod, "predicted_inertia", spy)
+    s = SpectrumSweep(
+        make_point_config((1, 2)),
+        (-1e300, 1e300),
+        ((mpf(-1), mpf(2)), (mpf(1), mpf(2))),
+        (Inertia(1, 0, 1), Inertia(2, 0, 0)),
+    )
+    (change,) = sign_change_report(s)
+    assert change.brackets_integer

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from loewnerlab import (
     Exponent,
@@ -12,6 +12,7 @@ from loewnerlab import (
     ToleranceContext,
     make_point_config,
 )
+from loewnerlab.types import to_mpf
 
 
 def test_valid_ascending_ints():
@@ -178,3 +179,12 @@ def test_config_is_value_like():
     a = make_point_config((1, 2))
     b = make_point_config((1, 2))
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("q", [3, 10])
+def test_to_mpf_rounds_a_fraction_to_nearest(bits, q):
+    # rounded toward zero, 1/3 is one ulp low at 256 bits and 1/10 at both
+    with mp.workprec(bits):
+        assert to_mpf(Fraction(1, q)) == mpf(1) / q
+        assert to_mpf(Fraction(-1, q)) == -mpf(1) / q
