@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the verdicts of a fixed probe grid, or check a fresh run against the record.
 
-Three grids, 1,084 rows in all, each row one JSON object on one line of the
+Four grids, 1,244 rows in all, each row one JSON object on one line of the
 record file, so a moved verdict shows as a one-line diff:
 
 - verify: ``verify_instance`` on nodes 1..n for n = 3..18 at r in
@@ -11,10 +11,14 @@ record file, so a moved verdict shows as a one-line diff:
   d in {+-1e-7, +-1e-9, +-1e-11, +-1e-13};
 - pr_compare: ``pr_compare`` on nodes 1..n for n = 3..12 at
   r in {1.0001, 1.01, 1.5, 2.5, 3.5, 4.5, 5.5}, one row per side, each
-  against the theorem's inertia of L_{r+1}.
+  against the theorem's inertia of L_{r+1};
+- sweep: ``eigen_trajectories`` on nodes 1..n for n = 3..12 from an
+  explicit 53-bit ``ToleranceContext()`` over 0.5:n+0.5:2n+1, one row per
+  grid point, with the failure the sweep recorded there (if any).
 
 Only long-standing public calls are used (``verify_instance``,
-``pr_compare``, ``predicted_inertia``, ``make_point_config``), so the same
+``pr_compare``, ``eigen_trajectories``, ``ToleranceContext``,
+``predicted_inertia``, ``make_point_config``), so the same
 script runs on both sides of a change and its record can be made on either.
 
 Usage:
@@ -27,7 +31,14 @@ import json
 import sys
 from pathlib import Path
 
-from loewnerlab import make_point_config, pr_compare, predicted_inertia, verify_instance
+from loewnerlab import (
+    ToleranceContext,
+    eigen_trajectories,
+    make_point_config,
+    pr_compare,
+    predicted_inertia,
+    verify_instance,
+)
 
 RECORDS = Path(__file__).with_name("verdict_grid.jsonl")
 OFFSETS = (1e-7, -1e-7, 1e-9, -1e-9, 1e-11, -1e-11, 1e-13, -1e-13)
@@ -47,7 +58,7 @@ def _verify_row(grid, nodes, values, r):
 
 
 def _probes():
-    """Yield every row of the three grids, in a fixed order."""
+    """Yield every row of the four grids, in a fixed order."""
     for n in range(3, 19):
         for r in (0.5, 1.5, 2.5, 3.5, 4.5, 7.5, 2, 3, 5, n - 0.5, n + 0.5, 40.5, 300.5):
             yield _verify_row("verify", "1..n", list(range(1, n + 1)), r)
@@ -70,6 +81,14 @@ def _probes():
                        "by_eigen": _triple(ir.by_eigen), "by_ldl": _triple(ir.by_ldl),
                        "by_exact": _triple(ir.by_exact), "disagreement": ir.disagreement,
                        "differs": ir.consensus != theorem}
+    for n in range(3, 13):
+        s = eigen_trajectories(make_point_config(range(1, n + 1)), 0.5, n + 0.5, 2 * n + 1,
+                               ToleranceContext())
+        failures = dict(s.failures)
+        for idx, (r, ir) in enumerate(zip(s.grid, s.inertias)):
+            yield {"grid": "sweep", "nodes": "1..n", "n": n, "r": r,
+                   "theorem": _triple(predicted_inertia(n, r).inertia),
+                   "computed": _triple(ir), "failure": failures.get(idx)}
 
 
 def _probe_key(row):
@@ -81,13 +100,17 @@ def _equal_to_theorem(row):
 
 
 def _summary(rows):
-    verify = [r for r in rows if r["grid"] != "pr_compare"]
+    verify = [r for r in rows if r["grid"] in ("verify", "near-integer")]
     sides = [r for r in rows if r["grid"] == "pr_compare"]
+    points = [r for r in rows if r["grid"] == "sweep"]
     probes = {(r["n"], r["r"]) for r in sides if r["differs"]}
     return (f"{len(rows)} rows: {sum(not r['match'] for r in verify)} of {len(verify)} "
             f"verify and near-integer rows mismatch; {len(probes)} pr_compare probes "
             f"differ from the theorem ({sum(r['differs'] for r in sides)} sides, "
-            f"{sum(r['differs'] and r['disagreement'] for r in sides)} of them flagged)")
+            f"{sum(r['differs'] and r['disagreement'] for r in sides)} of them flagged); "
+            f"{sum(not _equal_to_theorem(r) for r in points)} of {len(points)} sweep points "
+            f"differ from the theorem, {sum(r['failure'] is not None for r in points)} "
+            f"flagged")
 
 
 def _check(rows, path: Path) -> int:

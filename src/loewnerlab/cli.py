@@ -154,15 +154,16 @@ def cmd_verify(args, ctx, values):
 def cmd_sweep(args, ctx, values):
     a, b, steps = parse_range(args.r_range)
     cfg = make_point_config(values)
-    # Only --precision-bits replaces the sweep's own start; a tolerance flag
-    # sets its threshold on whichever start holds.
+    # Only --precision-bits replaces the sweep's own start, the first rung of
+    # each point's ladder; a tolerance flag sets its threshold on that start.
     s = sweep_mod.eigen_trajectories(cfg, a, b, steps,
                                      _context(args, sweep_mod.start_context(cfg)))
     header, rows = sweep_mod.emit_figure1(s, scaling=args.scale)
     cells = [[repr(float(r))] + [_decimal(y, s.precision_bits) for y in ys[:cfg.n]]
              + list(ys[cfg.n:]) for r, *ys in rows]
-    # A point whose eigensolve failed has no row, and a point whose routes
-    # disagree keeps an unsettled row; say so rather than exit 0.
+    # A point whose eigensolve failed on the top rung has no row, and a point
+    # whose float routes still disagree there, with no exact route, keeps an
+    # unsettled row; say so rather than exit 0.
     for idx, msg in s.failures:
         fate = "dropped" if s.inertias[idx] is None else "kept"
         print(f"error: r={s.grid[idx]!r} {fate}: {msg}", file=sys.stderr)

@@ -12,7 +12,9 @@ classified.  ``_settle`` climbs the one precision ladder,
 ``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
 between a lower start and the first doubling (53 -> 128 -> 256 -> 512 bits
 from the default), and ``_settle_loewner`` is that ladder on L_r: every
-Loewner verdict (verify, prop21, pr_compare's Loewner side) runs it.  On
+Loewner verdict (verify, prop21, pr_compare's Loewner side, each sweep
+point) runs it.  A float zero count never settles a rung: without the
+exact route, a rung stops only on a consensus with no zero eigenvalue.  On
 a ladder toward a target (``verify_instance``), a rung whose LDL count
 misses it runs no eigenvalue route (see ``inertia``).
 
@@ -531,7 +533,9 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     from the default; a start at or above 128 bits climbs as it would
     without ``via``) builds the matrix with ``build(ctx)`` and runs
     ``inertia`` on it, until the routes agree on a consensus equal to
-    ``target`` (if given) or the rungs run out.  Every rung's thresholds
+    ``target`` (if given) that has no zero eigenvalue unless the exact route
+    ran, or the rungs run out: a float zero count only says that this
+    precision did not resolve an eigenvalue.  Every rung's thresholds
     come from ``at_bits``, and the stop test is the same at each.  A rung
     ruled out by the target (see ``inertia``) climbs, as it would whatever
     its eigenvalues.  The ladder stays lazy, so the top rung is known only
@@ -551,7 +555,8 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
             failure = exc
             continue
         failure = None
-        if not rep.disagreement and (target is None or rep.consensus == target):
+        if (not rep.disagreement and (target is None or rep.consensus == target)
+                and (by_exact is not None or rep.consensus.zero == 0)):
             break
     if failure is not None:
         raise failure

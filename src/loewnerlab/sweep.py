@@ -1,10 +1,11 @@
 """Eigenvalue trajectories of L_r over an exponent grid.
 
 The sweep records sorted eigenvalues and the inertia at every grid point,
-solving each point's matrix once.  ``exponent_grid`` returns a value within
-``INTEGER_SNAP_WINDOW`` (1e-9) of an integer as that integer, and every
-integer point takes the exact rational inertia (``exact_route_hint``), so
-zero counts at integers are exact rather than threshold classifications.
+each settled on the verdict ladder (``inertia._settle_loewner``) from the
+sweep's start.  ``exponent_grid`` returns a value within
+``INTEGER_SNAP_WINDOW`` (1e-9) of an integer as that integer, and the
+ladder takes the exact rational inertia at every integer point, so zero
+counts at integers are exact rather than threshold classifications.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from . import builders
-from .inertia import EigenConvergenceError, eig_sym, exact_route_hint, inertia_exact_integer
-from .inertia import inertia as inertia_report
+# Not called here: perfbench's tracer test looks up ``eig_sym`` and
+# ``inertia_report`` here, and a CLI test fixture patches ``eig_sym`` here.
+from .inertia import EigenConvergenceError, _settle_loewner, eig_sym, inertia as inertia_report
 from .oracle import predicted_inertia
 from .types import (
     DEFAULT_PRECISION_BITS,
     DEFAULT_ZERO_REL_TOL,
-    Exponent,
     Inertia,
     PointConfig,
     ToleranceContext,
@@ -83,12 +83,13 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
                        tol: Optional[ToleranceContext] = None) -> SpectrumSweep:
     """Sweep the exponent over a uniform grid and record spectra and inertias.
 
-    ``tol`` defaults to ``start_context(config)``.  A point where
-    ``exact_route_hint`` answers (an integer of the grid) takes its inertia
-    from the exact rational route and its eigenvalues from ``eig_sym``; the
-    others take both routes' consensus.  Eigensolver
-    failures (the point has no row) and route disagreements (the point keeps
-    an unsettled row) are recorded in ``failures`` and the sweep continues.
+    ``tol`` defaults to ``start_context(config)`` and is the first rung of
+    each point's ladder (``_settle_loewner``); a point keeps the spectrum and
+    consensus of the rung that settled, so an integer point takes the exact
+    inertia.  Two outcomes of the top rung are recorded in ``failures``, and
+    the sweep continues: an eigensolver failure (the point has no row) and
+    float routes that still disagree where no exact route ran (the point
+    keeps an unsettled row).
     """
     grid = exponent_grid(r_min, r_max, steps)
     if tol is None:
@@ -98,23 +99,17 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
     inertias = []
     failures = []
     for idx, r in enumerate(grid):
-        hint = exact_route_hint(config, Exponent.of(r))
         try:
-            L = builders.loewner_matrix(config, r, tol)
-            if hint is not None:
-                spec = eig_sym(L, tol)
-                ine = inertia_exact_integer(*hint)
-            else:
-                rep = inertia_report(L, tol)
-                spec, ine = rep.spectrum, rep.consensus
-                if rep.disagreement:
-                    failures.append((idx, "route disagreement"))
-            trajectories.append(tuple(spec.eigenvalues))
-            inertias.append(ine)
+            rep = _settle_loewner(config, r, tol)[0]
         except EigenConvergenceError as exc:
             trajectories.append(None)
             inertias.append(None)
             failures.append((idx, str(exc)))
+            continue
+        trajectories.append(rep.spectrum.eigenvalues)
+        inertias.append(rep.consensus)
+        if rep.disagreement and rep.by_exact is None:
+            failures.append((idx, "route disagreement"))
     return SpectrumSweep(config, tuple(grid), tuple(trajectories), tuple(inertias),
                          tuple(failures), tol.precision_bits)
 

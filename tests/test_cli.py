@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from loewnerlab import analysis, make_point_config
+from loewnerlab import Inertia, analysis, make_point_config, predicted_inertia
 from loewnerlab.builders import loewner_matrix_exact
 from loewnerlab.cli import _decimal, main, parse_range, parse_scalar
 from loewnerlab.exact import det_fraction
@@ -395,14 +395,45 @@ def test_sweep_reports_each_dropped_point(capsys, stalled_eigensolver):
         "error: r=0.5", "error: r=1.5", "error: r=2.5"]
 
 
-def test_sweep_reports_each_route_disagreement(capsys):
-    # at 53 bits the routes disagree at r = 3.5 and 4.5; the rows stay, unsettled
+def _sweep_inertias(out):
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    return {float(row[0]): tuple(map(int, row[-3:])) for row in rows}
+
+
+def test_sweep_reports_each_route_disagreement(capsys, monkeypatch):
+    # at 53 bits the routes disagree at r = 3.5 and 4.5; both points climb the
+    # ladder and settle with the theorem's inertia
     code, out, err = run(capsys, "sweep", "--points", "1,2,3,4,5,6", "--r-range", "0.5:6.5:13",
                          "--precision-bits", "53")
+    assert (code, err) == (0, "")
+    by_r = _sweep_inertias(out)
+    assert len(by_r) == 13
+    for r in (3.5, 4.5):
+        assert by_r[r] == predicted_inertia(6, r).inertia.as_tuple()
+    # routes that still disagree on the top rung keep an unsettled row, except
+    # where the exact route ran (r = 1)
+    monkeypatch.setattr(inertia_mod, "inertia_ldl", lambda A, tol: Inertia(0, 0, A.order))
+    code, out, err = run(capsys, "sweep", "--points", "1,2,3", "--r-range", "0.5:1.5:3")
     assert code == 2
-    assert len(out.splitlines()) == 14
-    assert err.splitlines() == ["error: r=3.5 kept: route disagreement",
-                                "error: r=4.5 kept: route disagreement"]
+    assert _sweep_inertias(out) == {0.5: (3, 0, 0), 1.0: (1, 2, 0), 1.5: (1, 0, 2)}
+    assert err.splitlines() == ["error: r=0.5 kept: route disagreement",
+                                "error: r=1.5 kept: route disagreement"]
+
+
+def test_sweep_settles_a_53_bit_start_on_the_ladder(capsys):
+    # without the ladder, L_0.5 (positive definite) printed as (5, 1, 0)
+    code, out, err = run(capsys, "sweep", "--points", "1,2,3,4,5,6", "--r-range", "0.5:1.5:3",
+                         "--precision-bits", "53")
+    assert (code, err) == (0, "")
+    assert _sweep_inertias(out) == {0.5: (6, 0, 0), 1.0: (1, 5, 0), 1.5: (1, 0, 5)}
+
+
+def test_sweep_keeps_the_exact_inertia_where_the_float_routes_cannot_resolve(capsys):
+    # near r = 2000 the float routes cannot resolve L_r; the exact route's
+    # inertia stands at every integer point
+    code, out, err = run(capsys, "sweep", "--points", "1,2,3", "--r-range", "1998:2002:5")
+    assert (code, err) == (0, "")
+    assert _sweep_inertias(out) == {float(r): (2, 0, 1) for r in range(1998, 2003)}
 
 
 def test_complex_zeros_far_right_has_no_zero(capsys):

@@ -162,14 +162,14 @@ def test_emit_keeps_the_sweep_precision():
 
 
 def test_snapped_points_run_the_exact_route_once_each(monkeypatch):
-    assert sweep_mod.inertia_exact_integer is inertia_mod.inertia_exact_integer
     calls = []
+    exact_integer = inertia_mod.inertia_exact_integer
 
     def spy(config, m):
         calls.append(m)
-        return inertia_mod.inertia_exact_integer(config, m)
+        return exact_integer(config, m)
 
-    monkeypatch.setattr(sweep_mod, "inertia_exact_integer", spy)
+    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", spy)
     cfg = make_point_config((0.5, 1.25, 3.0, 4.0))  # float nodes take the exact route too
     s = eigen_trajectories(cfg, -2.0, 3.0, 11)
     assert calls == [-2, -1, 0, 1, 2, 3]
