@@ -1,8 +1,10 @@
 """Inertia of symmetric matrices by three independent routes.
 
-Route one diagonalizes with cyclic orthogonal (Jacobi) rotations and counts
-eigenvalue signs; each rotation is one symmetric update that computes every
-entry it touches once and writes it to both triangles.  Route two runs a
+Route one computes eigenvalues and counts their signs: at 53 bits by cyclic
+orthogonal (Jacobi) rotations, each one symmetric update that computes
+every entry it touches once and writes it to both triangles, and above 53
+bits by Householder tridiagonalization and implicit-shift QL, eigenvalues
+only (see ``eig_sym``).  Route two runs a
 completely pivoted (Bunch-Parlett) block congruence elimination with 1x1
 and 2x2 pivots and counts pivot signs, which preserves inertia by
 Sylvester's law.  Route three, available at every integer exponent,
@@ -32,28 +34,20 @@ and take whichever arithmetic it picks, unchanged:
 Entries are converted once per matrix: each matrix decides once whether
 its entries lie in the float window, and when they do it keeps its rows as
 floats (``SymMatrix``; a matrix built on floats has them from the start),
-and it keeps its entries rounded into ``decimal`` once per precision.
+and it keeps its entries rounded into ``decimal``, with their norm, once
+per precision.
 ``ToleranceContext.arith`` judges those rows; on floats and on ``decimal``
 each route copies the matrix's image, and on mpmath each route converts the
 entries it works on.  Eigenvalues and residuals go back to mpf once, for
 the ``Spectrum``, and at 53 bits the eigenvalues are classified as the floats
 they were computed in, which round as 53-bit mpf does.  A NaN or infinite
-entry raises ValueError.  On ``decimal`` the eigenvalue route also uses the
-float rows, when all entries lie in the float window: a float Householder
-tridiagonalization and QL pass finds an approximate eigenvector basis, and
-the working sweeps start from the matrix rotated into it (see ``eig_sym``).
-That pass only sets where the working sweeps start; their stop test, and
-so every eigenvalue and verdict, is decided at working precision, where a
-rotation whose off-diagonal entry is tiny against its diagonal gap takes
-square-root-free series parameters (``_series_rotation``).  The exact
-route (Fractions) shares nothing with them, and its answer does not depend
-on precision, so the ladder computes it once, before its first rung, for
-every integer exponent.
+entry raises ValueError.  The exact route (Fractions) shares nothing with
+them, and its answer does not depend on precision, so the ladder computes
+it once, before its first rung, for every integer exponent.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
@@ -83,22 +77,18 @@ from .types import (
 # Bunch-Parlett pivot constant: bounds element growth in the 1x1/2x2 choice.
 _BP_ALPHA = (1 + math.sqrt(17)) / 8
 
-# QL steps per eigenvalue in the float pass that preconditions ``eig_sym`` on
-# ``decimal``, and the relative size under which an off-diagonal entry of its
-# tridiagonal matrix counts as zero.
-_QL_ITERATIONS = 30
-_QL_EPS = math.ulp(1.0) / 2
-
 
 class EigenConvergenceError(RuntimeError):
-    """Rotation sweeps failed to drive the off-diagonal mass under tolerance."""
+    """The eigenvalue route reached its step limit with the off-diagonal mass
+    above tolerance."""
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues plus the eigensolver's final off-diagonal mass,
-    and the same eigenvalues as floats when the eigensolver ran on floats
-    (``inertia_from_spectrum`` classifies those)."""
+    """Ascending eigenvalues plus the off-diagonal mass the eigensolver left
+    (of the rotated matrix after Jacobi sweeps, of the tridiagonal's
+    couplings after QL), and the same eigenvalues as floats when the
+    eigensolver ran on floats (``inertia_from_spectrum`` classifies those)."""
 
     eigenvalues: tuple
     offdiag_residual: object
@@ -143,39 +133,18 @@ def _working_copy(A: SymMatrix, tol: ToleranceContext):
     ``tol.arith`` judges A's faithful float rows where A has them (see
     ``SymMatrix``), which are cheap to scan, on ``FLOAT_ARITH`` the copy is
     theirs, and on ``DEC_ARITH`` it is A's decimal image at the current
-    precision, which A keeps for the other route.  On mpmath each
-    upper-triangle entry is converted once and mirrored."""
+    precision, which A keeps with its norm for the other route.  On mpmath
+    each upper-triangle entry is converted once and mirrored."""
     rows = A._float_rows()
     ar = tol.arith(_upper(A.entries if rows is None else rows))
     if ar is DEC_ARITH:
-        rows = A._decimal_rows()
-    elif ar is not FLOAT_ARITH:
+        rows, norm = A._decimal_image()
+        return ar, [list(row) for row in rows], norm
+    if ar is not FLOAT_ARITH:
         entries = A.entries
         rows = _symmetric(A.order, lambda i, j: ar.num(entries[i][j]))
     M = [list(row) for row in rows]
     return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
-
-
-def _series_cutoff():
-    """The |theta| above which ``_series_rotation`` holds to working
-    precision in the current ``decimal`` context of p digits: 10^ceil(p/4).
-
-    Its truncation errors are t/(8 theta^4) in t and 3/(128 theta^4) in c,
-    so above 10^(p/4) both lie under 1/40 of the unit roundoff 10^(1-p)/2."""
-    return decimal.Decimal(10) ** -(-decimal.getcontext().prec // 4)
-
-
-def _series_rotation(theta):
-    """The Jacobi rotation's t = sign(theta)/(|theta| + sqrt(1 + theta^2))
-    and c = 1/sqrt(1 + t^2) by their leading series terms in 1/theta,
-    t = (1 - 1/(4 theta^2))/(2 theta) and c = 1 - t^2/2, which need no
-    square root (Rutishauser, *Handbook for Automatic Computation* II,
-    contribution II/1, 1971).  For |theta| above ``_series_cutoff`` their
-    truncation error lies far under the unit roundoff, so they differ from
-    the square-root formulas by roundings alone: within one unit of working
-    precision (10^(1-p) relative)."""
-    t = (1 - 1 / (4 * theta * theta)) / (2 * theta)
-    return t, 1 - t * t / 2
 
 
 def _sweeps(M, n, ar, thresh, max_sweeps):
@@ -190,14 +159,10 @@ def _sweeps(M, n, ar, thresh, max_sweeps):
     one (p, q) value in both triangles.  So M stays exactly symmetric, and a
     rotation computes 2(n - 2) entries plus its block.  The (p, q) entry is
     not set to zero: the residual is the mass the rotations left.
-
-    On ``DEC_ARITH`` a rotation whose |theta| lies above ``_series_cutoff``
-    takes ``_series_rotation`` instead of two square roots.
     """
     off = _offdiag_mass(M, n, ar)
     sweeps = 0
     skip = thresh / (2 * n)
-    series_from = _series_cutoff() if ar is DEC_ARITH else math.inf
     while off > thresh and sweeps < max_sweeps:
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -207,14 +172,10 @@ def _sweeps(M, n, ar, thresh, max_sweeps):
                     continue
                 app, aqq = Mp[p], Mq[q]
                 theta = (aqq - app) / (2 * apq)
-                at = abs(theta)
-                if at > series_from:
-                    t, c = _series_rotation(theta)
-                else:
-                    t = 1 / (at + ar.sqrt(1 + theta * theta))
-                    if theta < 0:
-                        t = -t
-                    c = 1 / ar.sqrt(1 + t * t)
+                t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
+                if theta < 0:
+                    t = -t
+                c = 1 / ar.sqrt(1 + t * t)
                 s = t * c
                 for k in range(n):
                     if k != p and k != q:
@@ -231,152 +192,132 @@ def _sweeps(M, n, ar, thresh, max_sweeps):
     return off
 
 
-def _float_basis(rows):
-    """The rows of an orthogonal Q (up to float roundoff) with Q F Q^T nearly
-    diagonal, for the symmetric float matrix F given by its rows.
+def _tridiagonal(M, n, ar):
+    """The diagonal d and couplings e of a tridiagonal T = H M H^T, H
+    orthogonal, for the exactly symmetric M: e[i] couples i and i + 1, and
+    e[n - 1] = 0.
 
-    Householder reflections H_m, from the last row up, take F to a
-    tridiagonal T = H F H^T, and H = H_2 ... H_(n-1) is accumulated from its
-    smallest reflector; implicit-shift QL then diagonalizes T, applying each
-    plane rotation to H's rows (Golub & Van Loan, *Matrix Computations*, 4th
-    ed., section 8.3).  Working from the last row suits Loewner matrices of
-    increasing nodes, whose large entries lie at the lower right.
-
-    It never raises on entries in the float window: every divisor is
-    nonzero (a column's largest entry, a reflector's h >= 1, an off-diagonal
-    entry that failed the deflation test, a shift denominator of magnitude
-    at least 1, a nonzero hypot), and every value stays within a small
-    multiple of F's norm or of 1/eps, so nothing overflows.  Each eigenvalue
-    gets at most ``_QL_ITERATIONS`` QL steps; at that cap the basis is used
-    as it stands.
+    Householder reflections H_m, from the last row up, each zero row m of
+    the leading (m + 1) x (m + 1) block left of its subdiagonal entry
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., section 8.3).  Working
+    from the last row suits Loewner matrices of increasing nodes, whose
+    large entries lie at the lower right.  The rank-two update forms each
+    entry as a - (v_i w_j + w_i v_j), which rounds alike at (i, j) and
+    (j, i), so the block stays exactly symmetric.  No column is scaled
+    first: ``decimal`` and mpmath cannot overflow, and squares of entries in
+    the float window stay in the float range.
     """
-    n = len(rows)
-    d, e = [0.0] * n, [0.0] * n  # e[i] couples i and i + 1
-    reflectors = []
-    B = [list(row) for row in rows]
-    for m in range(n - 1, 1, -1):  # B is the leading (m + 1) x (m + 1) block
+    zero = ar.num(0)
+    d, e = [zero] * n, [zero] * n
+    B = M
+    for m in range(n - 1, 1, -1):  # B's leading (m + 1) x (m + 1) block is left to reduce
         x = B[m][:m]
         d[m] = B[m][m]
-        scale = max(map(abs, x))
-        if scale == 0:
-            B = [row[:m] for row in B[:m]]
+        sigma = sum(map(mul, x, x))
+        if not sigma:
             continue
-        v = [a / scale for a in x]
-        alpha = -math.copysign(math.sqrt(sum(map(mul, v, v))), v[-1])
-        e[m - 1] = alpha * scale
-        h = alpha * alpha - alpha * v[-1]  # v^T v / 2 after the next line; >= 1
-        v[-1] -= alpha
+        alpha = ar.sqrt(sigma)
+        if x[-1] >= 0:
+            alpha = -alpha
+        e[m - 1] = alpha
+        h = sigma - alpha * x[-1]  # v^T v / 2 for v = x - alpha e_(m-1); h >= sigma > 0
+        v = x[:-1] + [x[-1] - alpha]
         p = [sum(map(mul, row, v)) / h for row in B[:m]]
         K = sum(map(mul, p, v)) / (2 * h)
         w = [a - K * b for a, b in zip(p, v)]
-        B = [[a - vi * wj - wi * vj for a, vj, wj in zip(row, v, w)]
-             for row, vi, wi in zip(B[:m], v, w)]
-        reflectors.append((m, v, h))
+        B = [[a - (vi * wj + wi * vj) for a, vj, wj in zip(row, v, w)]
+             for row, vi, wi in zip(B, v, w)]
     if n > 1:
         d[1], e[0] = B[1][1], B[1][0]
     d[0] = B[0][0]
-    Q = [[float(i == j) for j in range(n)] for i in range(n)]
-    for m, v, h in reversed(reflectors):  # Q <- Q H_m; rows from m on are unit rows
-        for row in Q[:m]:
-            g = sum(map(mul, row, v)) / h
-            row[:m] = [a - g * b for a, b in zip(row, v)]
+    return d, e
+
+
+def _ql(d, e, n, ar, skip, max_steps):
+    """Implicit-shift QL on the tridiagonal (d, e) of ``_tridiagonal``, in
+    place, eigenvalues only (Golub & Van Loan, section 8.3).
+
+    For each index lo in turn, QL steps on the block from lo down to the
+    first coupling at most ``skip`` (a deflated coupling) take e[lo] under
+    ``skip``, which leaves d[lo] an eigenvalue.  A deflated coupling is left
+    in place, unchanged: each step restores the one it used as scratch, so
+    the off-diagonal mass of (d, e) when this returns is what the route
+    left.  Each index gets at most ``max_steps`` steps; at that cap this
+    returns at once, with its couplings above ``skip`` in place.  Every
+    divisor is nonzero: 2 e[lo] (above ``skip``), a shift denominator of
+    magnitude at least 1, and each rotation's r >= |s e[i]|, where s is
+    nonzero and e[i] lies above ``skip`` (``decimal`` and mpmath do not
+    underflow).
+    """
     for lo in range(n):
-        for _ in range(_QL_ITERATIONS):
+        steps = 0
+        while True:
             m = lo
-            while m < n - 1 and abs(e[m]) > _QL_EPS * (abs(d[m]) + abs(d[m + 1])):
+            while m < n - 1 and abs(e[m]) > skip:
                 m += 1
             if m == lo:
                 break
+            if steps == max_steps:
+                return
+            steps += 1
+            kept = e[m]
             g = (d[lo + 1] - d[lo]) / (2 * e[lo])
-            g = d[m] - d[lo] + e[lo] / (g + math.copysign(math.hypot(g, 1.0), g))
-            s = c = 1.0
-            p = 0.0
+            r = ar.sqrt(g * g + 1)
+            g = d[m] - d[lo] + e[lo] / (g + r if g >= 0 else g - r)
+            s = c = ar.num(1)
+            p = ar.num(0)
             for i in range(m - 1, lo - 1, -1):
                 f, b = s * e[i], c * e[i]
-                r = e[i + 1] = math.hypot(f, g)
-                if r == 0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
+                r = e[i + 1] = ar.sqrt(f * f + g * g)
                 s, c = f / r, g / r
                 g = d[i + 1] - p
                 r = (d[i] - g) * s + 2 * c * b
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                Qi, Qj = Q[i], Q[i + 1]
-                Q[i] = [c * a - s * z for a, z in zip(Qi, Qj)]
-                Q[i + 1] = [s * a + c * z for a, z in zip(Qi, Qj)]
-            else:
-                d[lo] -= p
-                e[lo] = g
-                e[m] = 0.0
-    return Q
-
-
-def _float_preconditioned(A: SymMatrix, M, n, ar):
-    """Q M Q^T at working precision, where M is A in ``ar`` and Q's rows are
-    an eigenvector basis of float(A) (A's float rows, see ``_float_basis``),
-    made orthonormal at working precision.
-
-    The basis is orthogonal to float roundoff, so one pass of modified
-    Gram-Schmidt makes it orthonormal to working precision, and Q M Q^T has
-    M's eigenvalues up to the roundoff of the product, whichever basis the
-    float pass found.
-    """
-    Q = []
-    for row in _float_basis(A._float_rows()):
-        q = [ar.num(v) for v in row]
-        for u in Q:
-            d = sum(map(mul, q, u))
-            q = [a - d * b for a, b in zip(q, u)]
-        h = ar.sqrt(sum(map(mul, q, q)))
-        Q.append([a / h for a in q])
-    W = [[sum(map(mul, q, m)) for m in M] for q in Q]  # Q M (M is symmetric)
-    return [list(row) for row in _symmetric(n, lambda i, j: sum(map(mul, W[i], Q[j])))]
+            d[lo] -= p
+            e[lo] = g
+            e[m] = kept
 
 
 def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
             max_sweeps: int = 30) -> Spectrum:
-    """Eigenvalues by cyclic Jacobi rotations at working precision.
+    """Eigenvalues at working precision, on the arithmetic
+    ``ToleranceContext.arith`` picks; the eigenvalues are mpf either way.
+    Precision picks the algorithm.  Both algorithms leave alone an
+    off-diagonal entry of magnitude at most residual_tol * |A|_F / (2n),
+    report the off-diagonal mass they left as the residual, and raise
+    EigenConvergenceError when ``max_sweeps`` runs out with that mass above
+    residual_tol * |A|_F.
 
-    Sweeps (``_sweeps``) rotate every off-diagonal pair in fixed order until
-    the off-diagonal Frobenius mass drops below residual_tol times the
-    matrix norm.  Convergence is quadratic once the mass is small, so
-    ``max_sweeps`` is generous; hitting it raises EigenConvergenceError.
-    The rotations run on the arithmetic ``ToleranceContext.arith`` picks
-    (floats at 53 bits when the entries allow it, ``decimal`` above 53
-    bits); the eigenvalues are mpf either way.
+    At 53 bits (floats, or mpmath outside the float window), cyclic Jacobi
+    sweeps (``_sweeps``) rotate every off-diagonal pair in fixed order, at
+    most ``max_sweeps`` times; convergence is quadratic once the mass is
+    small, so the limit is generous.
 
-    On ``decimal``, when every entry lies in the float window, a float pass
-    (``_float_basis``: Householder tridiagonalization, then implicit QL)
-    first diagonalizes float(A), and the working sweeps start from Q A Q^T
-    with Q its basis made orthonormal at working precision
-    (``_float_preconditioned``).  The float pass does the slow, linear part
-    of the convergence, taking the relative mass from about 1 to float
-    roundoff, so the working sweeps are left with the quadratic part: 3 to
-    5 of them instead of 7 to 10 on Loewner matrices at 256 bits.  Entries
-    outside the window skip the float pass (Q = I).  The float pass is only
-    a preconditioner and cannot change a verdict: it never raises, Q A Q^T
-    has A's eigenvalues whatever basis it found, and the working sweeps, with
-    ``max_sweeps`` counting only them, stop by the same test against A's
-    norm.  A working rotation whose off-diagonal entry is tiny against its
-    diagonal gap takes ``_series_rotation`` (see ``_sweeps``), which agrees
-    with the square-root formulas to working precision.
+    On ``decimal`` (every rung above 53 bits), Householder reflections take
+    A to a tridiagonal T (``_tridiagonal``) and implicit-shift QL finds T's
+    eigenvalues (``_ql``), with at most ``max_sweeps`` QL steps per
+    eigenvalue; Loewner matrices need at most about 5.  The residual is the
+    mass of T's couplings left in place.
     """
     n = A.order
     with tol.prec():
         ar, M, norm = _working_copy(A, tol)
         thresh = ar.num(tol.residual_tol) * norm
-        if ar is DEC_ARITH and A._in_window():
-            M = _float_preconditioned(A, M, n, ar)
-        off = _sweeps(M, n, ar, thresh, max_sweeps)
+        if ar is DEC_ARITH:
+            diag, e = _tridiagonal(M, n, ar)
+            _ql(diag, e, n, ar, thresh / (2 * n), max_sweeps)
+            off = ar.sqrt(2 * ar.fsum(x * x for x in e))
+        else:
+            off = _sweeps(M, n, ar, thresh, max_sweeps)
+            diag = [M[i][i] for i in range(n)]
         if off > thresh:
             raise EigenConvergenceError(
                 f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
                 f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (the sweep limit)"
             )
-        diag = sorted(M[i][i] for i in range(n))
+        diag.sort()
         return Spectrum(tuple(map(ar.out, diag)), ar.out(off),
                         tuple(diag) if ar is FLOAT_ARITH else None)
 

@@ -8,7 +8,7 @@ The policy includes the arithmetic the kernels run on, one of three:
   hands a kernel the float namespace there whenever its inputs are finite
   and every nonzero magnitude lies in [2^-200, 2^200] (a product of five
   such values can neither overflow nor go subnormal);
-- above 53 bits a kernel without an exponent (the Jacobi and LDL routes)
+- above 53 bits a kernel without an exponent (the eigenvalue and LDL routes)
   gets the stdlib ``decimal`` module (libmpdec, C code) with
   ceil(bits*log10 2) + 2 digits, so its unit roundoff stays at or below
   2^(1-bits) and every threshold keeps its meaning.  Its exponent range is
@@ -28,9 +28,9 @@ precision otherwise.
 Kernels are written once against that namespace and return mpf (mpc for
 the complex determinant).  A ``SymMatrix`` works out at most once what the
 inertia routes ask of it: whether its entries lie in the float window, its
-rows as floats, and its rows in ``decimal`` at each precision.  One that a
-builder computed on floats keeps those floats and makes its mpf entries
-only when they are read.  No context asks
+rows as floats, and its rows in ``decimal`` and their norm at each
+precision.  One that a builder computed on floats keeps those floats and
+makes its mpf entries only when they are read.  No context asks
 for more than ``MAX_PRECISION_BITS`` bits, so no input causes unbounded work.
 """
 
@@ -439,12 +439,13 @@ class SymMatrix:
     and entries.  It works out at most once what the inertia routes ask of
     it: whether its entries lie in the float window (``_in_window``, which
     raises on a NaN or an infinity), its faithful float rows
-    (``_float_rows``) and its decimal image (``_decimal_rows``).  The float
+    (``_float_rows``) and its decimal image (``_decimal_image``).  The float
     rows are the floats a float-tier builder computed (``_build_floats``),
     which are its entries exactly and from which its mpf ``entries`` are
     made when first read, or else the float images of entries shown to lie
-    in the window.  The decimal image is kept per ``decimal`` precision, so
-    both routes of a rung above 53 bits read one conversion.
+    in the window.  The decimal image and its Frobenius norm are kept per
+    ``decimal`` precision, so both routes of a rung above 53 bits read one
+    conversion and one norm.
     """
 
     def __init__(self, order: int, entries: tuple[tuple, ...], _floats=None):
@@ -489,17 +490,19 @@ class SymMatrix:
             self.__dict__["_floats"] = _symmetric(self.order, lambda i, j: float(rows[i][j]))
         return self._floats
 
-    def _decimal_rows(self):
+    def _decimal_image(self):
         """The entries each rounded once (``DEC_ARITH.num``) into the current
-        ``decimal`` context, whose precision keys the kept image: every
-        context ``ToleranceContext.prec`` enters fixes the rest."""
+        ``decimal`` context, and their Frobenius norm in it.  The context's
+        precision keys the kept pair: every context ``ToleranceContext.prec``
+        enters fixes the rest."""
         prec = decimal.getcontext().prec
-        rows = self._decimals.get(prec)
-        if rows is None:
+        image = self._decimals.get(prec)
+        if image is None:
             entries = self.entries
-            rows = self._decimals[prec] = _symmetric(
-                self.order, lambda i, j: DEC_ARITH.num(entries[i][j]))
-        return rows
+            rows = _symmetric(self.order, lambda i, j: DEC_ARITH.num(entries[i][j]))
+            image = self._decimals[prec] = (
+                rows, DEC_ARITH.sqrt(DEC_ARITH.fsum(v * v for row in rows for v in row)))
+        return image
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

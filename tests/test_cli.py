@@ -359,7 +359,7 @@ def stalled_eigensolver(monkeypatch):
 @pytest.mark.parametrize("argv", [
     "verify --points 1,2,3 --r 2.5",
     "dk --points 1,2,3 --r 0.5 --samples 3",
-    # on decimal the float pass runs first; max_sweeps counts working sweeps only
+    # on decimal max_sweeps caps the QL steps per eigenvalue
     "verify --points 1,2,3 --r 2.5 --precision-bits 256",
 ])
 def test_eigensolver_stall_is_a_usage_error(capsys, stalled_eigensolver, argv):

@@ -1,19 +1,18 @@
-"""The decimal tier: above 53 bits the Jacobi and LDL routes run on the C
-``decimal`` module, with at least as many digits as the bits ask for, and
+"""The decimal tier: above 53 bits the eigenvalue and LDL routes run on the
+C ``decimal`` module, with at least as many digits as the bits ask for, and
 give mpmath's answers.
 
 Conversions into and out of ``decimal`` round once and keep the sign, the
 context traps what would produce a NaN, and the parity tests run the same
 public functions on ``decimal`` and, through the ``mp_only`` fixture of
-``test_float_tier``, on mpmath.  On ``decimal`` a float pass (Householder
-tridiagonalization and QL, ``_float_basis``) preconditions ``eig_sym``; its
-tests pin that it saves working sweeps, that it never raises and returns an
-orthonormal basis, and that no basis it could return, nor skipping it, moves
-an eigenvalue.  Rotations far from the diagonal's gap take square-root-free
-series parameters, which agree with the square-root formulas.
+``test_float_tier``, on mpmath.  On ``decimal`` ``eig_sym`` takes the
+matrix to tridiagonal form by Householder reflections and runs implicit
+QL on it; its tests pin each eigenvalue within the 640-bit bound of
+``test_accuracy`` on edge cases (orders 1 and 2, zero, diagonal and
+all-ones matrices, a tridiagonal that splits, entries at 2^+-200 and
+2^1100, graded rows) and the QL steps each eigenvalue takes.
 """
 
-import dataclasses
 import decimal
 import importlib
 import re
@@ -37,7 +36,7 @@ from loewnerlab import (
     make_point_config,
     predicted_inertia,
 )
-from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MP_ARITH, _in_float_window, to_mpf
+from loewnerlab.types import DEC_ARITH, MP_ARITH, to_mpf
 
 from test_float_tier import CASES, chosen, mp_only  # noqa: F401  (fixtures)
 
@@ -94,12 +93,11 @@ def test_prec_restores_both_contexts():
     assert (mp.prec, decimal.getcontext().prec) == before
 
 
-def test_convergence_failure_names_its_numbers(float_passes):
-    # max_sweeps counts the working sweeps alone: the float pass runs first
+def test_convergence_failure_names_its_numbers():
+    # on decimal max_sweeps caps the QL steps per eigenvalue
     L = loewner_matrix(make_point_config((1, 2, 3)), 2.5, CTX256)
     with pytest.raises(EigenConvergenceError) as info:
         eig_sym(L, CTX256, max_sweeps=0)
-    assert float_passes == [3]
     found = re.fullmatch(r"off-diagonal mass (\S+) above (\S+) after 0 sweeps.*", str(info.value))
     assert found
     off, thresh = (float(v) for v in found.groups())
@@ -169,14 +167,14 @@ def test_decimal_has_no_kernel_functions():
 
 
 # ---------------------------------------------------------------------------
-# The float pass that preconditions eig_sym on decimal
+# Householder tridiagonalization and QL at working precision
 
 
-def _loewner(nodes, r, ctx=CTX256):
+def _loewner(nodes, r, ctx):
     return loewner_matrix(make_point_config(nodes), r, ctx)
 
 
-def _graded(nodes, r, powers, ctx=CTX256):
+def _graded(nodes, r, powers, ctx):
     """The Loewner matrix with row and column i scaled by 2^powers[i]."""
     L = _loewner(nodes, r, ctx)
     with ctx.prec():
@@ -193,203 +191,93 @@ def _within_640_bits(A, ctx, spec):
         return all(abs(a - b) <= bound for a, b in zip(spec.eigenvalues, ref))
 
 
-@pytest.fixture
-def float_passes(monkeypatch):
-    """Record each float pass (a ``_float_basis`` call) by its order."""
-    seen = []
-    original = inertia_mod._float_basis
-
-    def spy(rows):
-        seen.append(len(rows))
-        return original(rows)
-
-    monkeypatch.setattr(inertia_mod, "_float_basis", spy)
-    return seen
+def _rows(rows):
+    """A builder of the matrix with these rows, rounded at the context's
+    precision."""
+    def build(ctx):
+        with ctx.prec():
+            return SymMatrix.from_rows([[to_mpf(v) for v in row] for row in rows])
+    return build
 
 
-def test_float_pass_leaves_at_most_five_working_sweeps(monkeypatch):
-    # The off-diagonal mass is measured once before the sweeps and once after
-    # each; the spy skips the measurements in floats, so it counts only the
-    # working-precision sweeps (11 without the float pass).
-    masses = []
-    original = inertia_mod._offdiag_mass
-
-    def spy(M, n, ar):
-        if ar is not FLOAT_ARITH:
-            masses.append(n)
-        return original(M, n, ar)
-
-    monkeypatch.setattr(inertia_mod, "_offdiag_mass", spy)
-    L = _loewner(range(1, 13), 2.5)
-    spec = eig_sym(L, CTX256)
-    assert 1 <= len(masses) - 1 <= 5
-    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(12, 2.5).inertia
+def _block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    rows = [[0] * n for _ in range(n)]
+    k = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[k + i][k:k + len(row)] = row
+        k += len(block)
+    return rows
 
 
-def _identity(n):
-    return [[float(i == j) for j in range(n)] for i in range(n)]
+BIG, TINY = 2 ** 200, Fraction(1, 2 ** 200)
+
+# Each case builds its matrix at the context's precision.
+QL_CASES = {
+    "L2.5-on-1..12": lambda ctx: _loewner(range(1, 13), 2.5, ctx),
+    "L4.5-on-1..8": lambda ctx: _loewner(range(1, 9), 4.5, ctx),
+    "L2-on-1,2,3": lambda ctx: _loewner((1, 2, 3), 2, ctx),
+    "L2.5-on-1,2,3": lambda ctx: _loewner((1, 2, 3), 2.5, ctx),
+    "gap-2^-30": lambda ctx: _loewner((1, 1 + 2 ** -30, 2, 3), 2.5, ctx),
+    "r300.5": lambda ctx: _loewner((1, 2, 3), 300.5, ctx),
+    "graded-2^400": lambda ctx: _graded((1, 2, 3, 4), 2.5, (200, -200, 200, -200), ctx),
+    "edge-of-window": _rows([[BIG, 1, TINY], [1, 3, Fraction(BIG, 3)],
+                             [TINY, Fraction(BIG, 3), TINY]]),
+    "2^200-and-2^-200": _rows([[BIG, TINY, -BIG], [TINY, TINY, TINY], [-BIG, TINY, BIG]]),
+    "all-2^-200": _rows([[TINY, -TINY, TINY], [-TINY, TINY, TINY], [TINY, TINY, -TINY]]),
+    "2^1100": _rows([[2 ** 1100, 1, 0], [1, 2, 0], [0, 0, 3]]),
+    "order-1": _rows([[TINY]]),
+    "order-1-zero": _rows([[0]]),
+    "order-2": _rows([[1, 2], [2, 1]]),
+    "order-2-2^200": _rows([[TINY, BIG], [BIG, 0]]),
+    "diagonal": _rows(_block_diagonal([[3]], [[-1]], [[2]], [[0]], [[5]])),
+    "zero": _rows([[0] * 3 for _ in range(3)]),
+    "split-in-the-middle": _rows(_block_diagonal([[4, 1, 2], [1, 3, 1], [2, 1, 2]],
+                                                 [[1, 2, 0], [2, -1, 1], [0, 1, 5]])),
+    "all-ones": _rows([[1] * 4 for _ in range(4)]),
+}
 
 
-def _reversal(n):
-    return [[float(j == n - 1 - i) for j in range(n)] for i in range(n)]
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("build", QL_CASES.values(), ids=QL_CASES)
+def test_eigenvalues_meet_the_640_bit_bound(build, bits):
+    ctx = ToleranceContext.at_bits(bits)
+    A = build(ctx)
+    rep = inertia(A, ctx)
+    assert _within_640_bits(A, ctx, rep.spectrum)
+    assert not rep.disagreement
 
 
-def _reflector(n):
-    """I - 2 v v^T / v^T v in floats: far from any eigenvector basis, and
-    orthogonal only up to float roundoff."""
-    v = [1.0 + 0.1 * i for i in range(n)]
-    vv = sum(x * x for x in v)
-    return [[float(i == j) - 2 * v[i] * v[j] / vv for j in range(n)] for i in range(n)]
+# QL steps per eigenvalue, and inertia, at 256 bits
+QL_STEPS = {
+    "L2.5-on-1..12": (5, (11, 0, 1)),
+    "diagonal": (0, (3, 1, 1)),
+    "zero": (0, (0, 3, 0)),
+    "order-1": (0, (1, 0, 0)),
+}
 
 
-@pytest.mark.parametrize("basis", [_identity, _reversal, _reflector],
-                         ids=["identity", "reversal", "reflector"])
-@pytest.mark.parametrize("nodes, r", [(range(1, 13), 2.5), (range(1, 9), 4.5), ((1, 2, 3), 2)])
-def test_a_poor_float_basis_changes_no_eigenvalue(monkeypatch, basis, nodes, r):
-    # The float pass only picks where the working sweeps start: with its
-    # basis replaced by a poor one, the eigenvalues still meet the 640-bit
-    # bound and the inertia is the theorem's.
-    replaced = []
-
-    def poor(rows):
-        n = len(rows)
-        replaced.append(n)
-        return basis(n)
-
-    monkeypatch.setattr(inertia_mod, "_float_basis", poor)
-    L = _loewner(nodes, r)
-    spec = eig_sym(L, CTX256)
-    assert replaced == [L.order]
-    assert _within_640_bits(L, CTX256, spec)
-    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(L.order, r).inertia
-
-
-@pytest.mark.parametrize("A", [
-    _loewner((1, 2, 3), 300.5),
-    _graded((1, 2, 3, 4), 2.5, (200, -200, 200, -200)),
-], ids=["r300.5", "graded-2^400"])
-def test_entries_outside_the_float_window_skip_the_float_pass(float_passes, A):
-    assert not _in_float_window(e for row in A.entries for e in row)
+@pytest.mark.parametrize("case", QL_STEPS)
+def test_no_eigenvalue_takes_more_than_its_ql_steps(case):
+    # A cap of ``steps`` QL steps per eigenvalue leaves every step the
+    # uncapped run took, so the spectra are equal.
+    steps, expected = QL_STEPS[case]
+    A = QL_CASES[case](CTX256)
     spec = eig_sym(A, CTX256)
-    assert float_passes == []
-    assert _within_640_bits(A, CTX256, spec)
+    assert eig_sym(A, CTX256, max_sweeps=steps) == spec
+    assert inertia_from_spectrum(spec, spec.scale, CTX256).as_tuple() == expected
 
 
-def test_float_pass_at_the_edge_of_the_window(float_passes):
-    # entries of 2^200 and 2^-200, the largest and smallest the window takes
+def test_ql_leaves_a_deflated_coupling_in_place():
+    # e[1] lies under the deflation level, so the block 0..1 takes QL steps
+    # on its own and e[1], which each step uses as scratch, is restored: the
+    # residual counts it
     with CTX256.prec():
-        big, tiny = mpf(2) ** 200, mpf(2) ** -200
-        A = SymMatrix.from_rows([[big, 1, tiny], [1, 3, big / 3], [tiny, big / 3, tiny]])
-    spec = eig_sym(A, CTX256)
-    assert float_passes == [3]
-    assert _within_640_bits(A, CTX256, spec)
-
-
-# ---------------------------------------------------------------------------
-# The float pass's kernel: Householder tridiagonalization and implicit QL
-
-EPS = 2.0 ** -52
-BIG, TINY = 2.0 ** 200, 2.0 ** -200
-
-
-def _mp_rows(rows):
-    return [[mpf(v) for v in row] for row in rows]
-
-
-@pytest.mark.parametrize("F", [
-    [[BIG, 1.0, TINY], [1.0, 3.0, BIG / 3], [TINY, BIG / 3, TINY]],
-    [[BIG, TINY, -BIG], [TINY, TINY, TINY], [-BIG, TINY, BIG]],
-    [[TINY, -TINY, TINY], [-TINY, TINY, TINY], [TINY, TINY, -TINY]],
-    [[TINY]],
-    [[0.0]],
-    [[1.0, 2.0], [2.0, 1.0]],
-    [[TINY, BIG], [BIG, 0.0]],
-    [[float(i == j) * v for j in range(5)] for i, v in enumerate((3.0, -1.0, 2.0, 0.0, 5.0))],
-    [[0.0] * 3 for _ in range(3)],
-    _loewner((1, 2, 3), 2)._float_rows(),
-    _loewner((1, 1 + 2 ** -30, 2, 3), 2.5)._float_rows(),
-    _loewner(range(1, 13), 2.5)._float_rows(),
-], ids=["edge-of-window", "2^200-and-2^-200", "all-2^-200", "order-1", "order-1-zero",
-        "order-2", "order-2-2^200", "diagonal", "zero", "L2-on-1,2,3",
-        "gap-2^-30", "L2.5-on-1..12"])
-def test_float_basis_is_orthonormal_and_diagonalizes(F):
-    n = len(F)
-    Q = inertia_mod._float_basis(F)
-    assert len(Q) == n and all(len(row) == n and all(type(v) is float for v in row) for row in Q)
-    with mp.workprec(200):
-        Qm, Fm = _mp_rows(Q), _mp_rows(F)
-        for i in range(n):
-            for j in range(n):
-                assert abs(mp.fsum(a * b for a, b in zip(Qm[i], Qm[j])) - (i == j)) <= 4 * n * EPS
-        norm = mp.sqrt(mp.fsum(v * v for row in Fm for v in row))
-        QF = [[mp.fsum(q * f for q, f in zip(row, col)) for col in zip(*Fm)] for row in Qm]
-        off = mp.sqrt(mp.fsum(mp.fsum(a * b for a, b in zip(QF[i], Qm[j])) ** 2
-                              for i in range(n) for j in range(n) if i != j))
-        assert off <= 4 * n * EPS * norm
-
-
-@pytest.mark.parametrize("nodes, r", [(range(1, 13), 2.5), ((1, 2, 3), 2), ((1, 2, 3), 2.5)])
-def test_a_float_basis_at_its_iteration_cap_changes_no_eigenvalue(monkeypatch, nodes, r):
-    # with no QL step the basis is the Householder transform alone
-    monkeypatch.setattr(inertia_mod, "_QL_ITERATIONS", 0)
-    L = _loewner(nodes, r)
-    spec = eig_sym(L, CTX256)
-    assert _within_640_bits(L, CTX256, spec)
-    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(L.order, r).inertia
-
-
-# ---------------------------------------------------------------------------
-# Square-root-free rotations of the working sweeps
-
-
-def _sqrt_rotation(theta):
-    t = 1 / (abs(theta) + (1 + theta * theta).sqrt())
-    if theta < 0:
-        t = -t
-    return t, 1 / (1 + t * t).sqrt()
-
-
-@pytest.mark.parametrize("bits", [128, 256, 512, 4096])
-def test_series_rotation_agrees_with_the_square_root_formulas(bits):
-    with ToleranceContext.at_bits(bits).prec():
-        ctx = decimal.getcontext()
-        unit = decimal.Decimal(10) ** (1 - ctx.prec)
-        cut = inertia_mod._series_cutoff()
-        assert cut ** 4 >= decimal.Decimal(10) ** ctx.prec
-        just_above = [cut * decimal.Decimal("1.0001"), cut + 1, cut * decimal.Decimal("1.7")]
-        far_above = [cut * 10 ** 7, cut ** 2 / 3, cut ** 5]
-        for theta in just_above + far_above:
-            for theta in (+theta, -theta):
-                t, c = inertia_mod._series_rotation(theta)
-                ts, cs = _sqrt_rotation(theta)
-                assert abs(t - ts) <= unit * abs(ts) and abs(c - cs) <= unit * cs
-                with decimal.localcontext() as exact:
-                    exact.prec = 3 * ctx.prec
-                    tx, cx = _sqrt_rotation(theta)
-                    assert abs(t - tx) <= unit * abs(tx) and abs(c - cx) <= unit * cx
-
-
-def _counting_sqrt(monkeypatch):
-    """Make ``_sweeps`` see a ``DEC_ARITH`` whose sqrt calls are counted."""
-    calls = []
-
-    def sqrt(x):
-        calls.append(x)
-        return x.sqrt()
-
-    monkeypatch.setattr(inertia_mod, "DEC_ARITH", dataclasses.replace(DEC_ARITH, sqrt=sqrt))
-    return inertia_mod.DEC_ARITH, calls
-
-
-@pytest.mark.parametrize("gap, roots", [("1e30", 0), ("1", 2)], ids=["series", "square-roots"])
-def test_a_series_rotation_takes_no_square_root(monkeypatch, gap, roots):
-    # One rotation on [[0, 1], [1, 2 theta]] with theta = gap; the off-diagonal
-    # mass, measured before and after the sweep, takes one square root each.
-    ar, calls = _counting_sqrt(monkeypatch)
-    with ToleranceContext.at_bits(128).prec():
-        theta = ar.num(gap)
-        assert (theta > inertia_mod._series_cutoff()) == (roots == 0)
-        M = [[ar.num(0), ar.num(1)], [ar.num(1), 2 * theta]]
-        inertia_mod._sweeps(M, 2, ar, ar.num(0), 1)
-    assert len(calls) == 2 + roots
-
+        num = DEC_ARITH.num
+        skip, delta = num(10) ** -70, num(10) ** -80
+        d = [num(2), num(1), num(3), num(-1)]
+        e = [num(1), delta, num(1), num(0)]
+        inertia_mod._ql(d, e, 4, DEC_ARITH, skip, 30)
+        assert e[1] == delta and e[3] == 0
+        assert all(abs(x) <= skip for x in e)

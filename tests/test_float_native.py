@@ -26,7 +26,7 @@ from loewnerlab import (
     verify_instance,
 )
 from loewnerlab import cli
-from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MAX_PRECISION_BITS, MP_ARITH
+from loewnerlab.types import DEC_ARITH, MAX_PRECISION_BITS, MP_ARITH
 
 from test_float_tier import CASES, chosen, mp_only  # noqa: F401  (fixtures)
 
@@ -140,23 +140,6 @@ def test_an_entry_under_the_window_takes_mpmath_at_53_bits(chosen):
     eig_sym(A)
     inertia_ldl(A)
     assert chosen == [MP_ARITH, MP_ARITH]
-
-
-def test_an_entry_over_the_window_skips_the_float_pass(monkeypatch):
-    passes = []
-    original = inertia_mod._sweeps
-
-    def spy(M, n, ar, *args, **kwargs):
-        passes.append(ar)
-        return original(M, n, ar, *args, **kwargs)
-
-    monkeypatch.setattr(inertia_mod, "_sweeps", spy)
-    with CTX256.prec():
-        big = mpf(2) ** 1100
-    A = SymMatrix.from_rows([[big, 1, 0], [1, 2, 0], [0, 0, 3]])
-    rep = inertia(A, CTX256)
-    assert passes and FLOAT_ARITH not in passes
-    assert not rep.disagreement
 
 
 def test_float_native_matrix_equals_its_entries():
