@@ -10,7 +10,11 @@ matrix to tridiagonal form by Householder reflections and runs implicit
 QL on it; its tests pin each eigenvalue within the 640-bit bound of
 ``test_accuracy`` on edge cases (orders 1 and 2, zero, diagonal and
 all-ones matrices, a tridiagonal that splits, entries at 2^+-200 and
-2^1100, graded rows) and the QL steps each eigenvalue takes.
+2^1100, graded rows) and on Loewner matrices written in other bases (a
+reversal, a float reflector), the QL steps each eigenvalue takes, and that
+every cap on those steps either raises or meets the bound.  At 53 bits the
+float window decides between Jacobi on floats and on mpmath; its edge and
+entries outside it are pinned last.
 """
 
 import decimal
@@ -36,7 +40,7 @@ from loewnerlab import (
     make_point_config,
     predicted_inertia,
 )
-from loewnerlab.types import DEC_ARITH, MP_ARITH, to_mpf
+from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MP_ARITH, _in_float_window, to_mpf
 
 from test_float_tier import CASES, chosen, mp_only  # noqa: F401  (fixtures)
 
@@ -249,6 +253,65 @@ def test_eigenvalues_meet_the_640_bit_bound(build, bits):
     assert not rep.disagreement
 
 
+def _identity(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+def _reversal(n):
+    return [[float(j == n - 1 - i) for j in range(n)] for i in range(n)]
+
+
+def _reflector(n):
+    """I - 2 v v^T / v^T v in floats: far from any eigenvector basis, and
+    orthogonal only up to float roundoff."""
+    v = [1.0 + 0.1 * i for i in range(n)]
+    vv = sum(x * x for x in v)
+    return [[float(i == j) - 2 * v[i] * v[j] / vv for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("basis", [_identity, _reversal, _reflector],
+                         ids=["identity", "reversal", "reflector"])
+@pytest.mark.parametrize("nodes, r", [(range(1, 13), 2.5), (range(1, 9), 4.5), ((1, 2, 3), 2)])
+def test_a_poor_float_basis_changes_no_eigenvalue(basis, nodes, r):
+    # L written in a basis Q given in floats, Q L Q^T rounded once at 256
+    # bits: the reversal puts the large entries at the upper left, where the
+    # reflections from the last row up meet them last, and the reflector
+    # mixes every row.  The eigenvalues still meet the 640-bit bound, and,
+    # Q being nonsingular, the inertia is the theorem's (Sylvester).
+    L = _loewner(nodes, r, CTX256)
+    n = L.order
+    with mp.workprec(640):
+        Q = [[mpf(v) for v in row] for row in basis(n)]
+        QL = [[mp.fsum(q * a for q, a in zip(row, col)) for col in zip(*L.entries)] for row in Q]
+        upper = {(i, j): mp.fsum(a * q for a, q in zip(QL[i], Q[j]))
+                 for i in range(n) for j in range(i, n)}
+    with CTX256.prec():
+        B = SymMatrix.build(n, lambda i, j: +upper[min(i, j), max(i, j)])
+    spec = eig_sym(B, CTX256)
+    assert _within_640_bits(B, CTX256, spec)
+    assert inertia_from_spectrum(spec, spec.scale, CTX256) == predicted_inertia(n, r).inertia
+
+
+@pytest.mark.parametrize("nodes, r", [(range(1, 13), 2.5), ((1, 2, 3), 2), ((1, 2, 3), 2.5)])
+def test_a_float_basis_at_its_iteration_cap_changes_no_eigenvalue(nodes, r):
+    # Under every cap of QL steps per eigenvalue, from none up to the steps
+    # the uncapped run takes, eig_sym either raises or returns eigenvalues
+    # within the 640-bit bound of the residual it reports; at the last cap
+    # the spectrum is the uncapped one.
+    L = _loewner(nodes, r, CTX256)
+    full = eig_sym(L, CTX256)
+    for cap in range(31):
+        try:
+            spec = eig_sym(L, CTX256, max_sweeps=cap)
+        except EigenConvergenceError:
+            continue
+        assert _within_640_bits(L, CTX256, spec)
+        if spec == full:
+            break
+    assert spec == full and cap <= 5
+    assert inertia_from_spectrum(full, full.scale, CTX256) == predicted_inertia(L.order, r).inertia
+
+
 # QL steps per eigenvalue, and inertia, at 256 bits
 QL_STEPS = {
     "L2.5-on-1..12": (5, (11, 0, 1)),
@@ -281,3 +344,29 @@ def test_ql_leaves_a_deflated_coupling_in_place():
         inertia_mod._ql(d, e, 4, DEC_ARITH, skip, 30)
         assert e[1] == delta and e[3] == 0
         assert all(abs(x) <= skip for x in e)
+
+
+# ---------------------------------------------------------------------------
+# The float window at 53 bits: Jacobi on floats inside it, on mpmath outside
+
+CTX53 = ToleranceContext.at_bits(53)
+
+
+@pytest.mark.parametrize("build", [QL_CASES["r300.5"], QL_CASES["graded-2^400"]],
+                         ids=["r300.5", "graded-2^400"])
+def test_entries_outside_the_float_window_skip_the_float_pass(chosen, build):
+    A = build(CTX53)
+    assert not _in_float_window(e for row in A.entries for e in row)
+    chosen.clear()
+    spec = eig_sym(A, CTX53)
+    assert chosen == [MP_ARITH]
+    assert _within_640_bits(A, CTX53, spec)
+
+
+def test_float_pass_at_the_edge_of_the_window(chosen):
+    # entries of 2^200 and 2^-200, the largest and smallest the window takes
+    A = QL_CASES["edge-of-window"](CTX53)
+    chosen.clear()
+    spec = eig_sym(A, CTX53)
+    assert chosen == [FLOAT_ARITH]
+    assert _within_640_bits(A, CTX53, spec)

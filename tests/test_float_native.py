@@ -142,6 +142,18 @@ def test_an_entry_under_the_window_takes_mpmath_at_53_bits(chosen):
     assert chosen == [MP_ARITH, MP_ARITH]
 
 
+def test_an_entry_over_the_window_skips_the_float_pass(chosen):
+    # 53 bits takes mpmath and 256 bits decimal: neither route runs on floats
+    for ctx, ar in ((ToleranceContext.at_bits(53), MP_ARITH), (CTX256, DEC_ARITH)):
+        with ctx.prec():
+            big = mpf(2) ** 1100
+        A = SymMatrix.from_rows([[big, 1, 0], [1, 2, 0], [0, 0, 3]])
+        chosen.clear()
+        rep = inertia(A, ctx)
+        assert chosen == [ar, ar]
+        assert not rep.disagreement
+
+
 def test_float_native_matrix_equals_its_entries():
     cfg, r = CASES[4]
     L = loewner_matrix(cfg, r)
