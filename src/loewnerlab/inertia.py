@@ -1,16 +1,13 @@
 """Inertia of symmetric matrices by three independent routes.
 
-Route one computes eigenvalues and counts their signs: at 53 bits by cyclic
-orthogonal (Jacobi) rotations, each one symmetric update that computes
-every entry it touches once and writes it to both triangles, and above 53
-bits by Householder tridiagonalization and implicit-shift QL, eigenvalues
-only (see ``eig_sym``).  Route two runs a
-completely pivoted (Bunch-Parlett) block congruence elimination with 1x1
-and 2x2 pivots and counts pivot signs, which preserves inertia by
-Sylvester's law.  Route three, available at every integer exponent,
-eliminates the exact rational matrix.  A report derives its verdicts from
-whichever routes ran and keeps the spectrum its eigenvalue route
-classified.  ``_settle`` climbs the one precision ladder,
+Route one computes eigenvalues and counts their signs, at every precision
+by Householder tridiagonalization and implicit-shift QL, eigenvalues only
+(see ``eig_sym``).  Route two runs a completely pivoted (Bunch-Parlett)
+block congruence elimination with 1x1 and 2x2 pivots and counts pivot
+signs, which preserves inertia by Sylvester's law.  Route three, available
+at every integer exponent, eliminates the exact rational matrix.  A report
+derives its verdicts from whichever routes ran and keeps the spectrum its
+eigenvalue route classified.  ``_settle`` climbs the one precision ladder,
 ``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
 between a lower start and the first doubling (53 -> 128 -> 256 -> 512 bits
 from the default), and ``_settle_loewner`` is that ladder on L_r: every
@@ -86,9 +83,9 @@ class EigenConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues plus the off-diagonal mass the eigensolver left
-    (of the rotated matrix after Jacobi sweeps, of the tridiagonal's
-    couplings after QL), and the same eigenvalues as floats when the
-    eigensolver ran on floats (``inertia_from_spectrum`` classifies those)."""
+    (of the tridiagonal's couplings after QL), and the same eigenvalues as
+    floats when the eigensolver ran on floats (``inertia_from_spectrum``
+    classifies those)."""
 
     eigenvalues: tuple
     offdiag_residual: object
@@ -120,12 +117,6 @@ class InertiaReport:
         return self.by_ldl != self.by_eigen or self.by_exact not in (None, self.by_eigen)
 
 
-def _offdiag_mass(A, n, ar):
-    """Off-diagonal Frobenius mass of the exactly symmetric A, from its upper
-    triangle."""
-    return ar.sqrt(2 * ar.fsum(A[i][j] * A[i][j] for i in range(n) for j in range(i + 1, n)))
-
-
 def _working_copy(A: SymMatrix, tol: ToleranceContext):
     """The arithmetic for A (ValueError on a NaN or infinite entry), A's
     entries in it, exactly symmetric, and its Frobenius norm.
@@ -145,51 +136,6 @@ def _working_copy(A: SymMatrix, tol: ToleranceContext):
         rows = _symmetric(A.order, lambda i, j: ar.num(entries[i][j]))
     M = [list(row) for row in rows]
     return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
-
-
-def _sweeps(M, n, ar, thresh, max_sweeps):
-    """Cyclic Jacobi sweeps on the exactly symmetric M, in place, until its
-    off-diagonal mass is at most ``thresh`` or ``max_sweeps`` sweeps have
-    run; returns that mass.  Pairs of magnitude at most thresh/(2n) are
-    skipped.
-
-    Each rotation is one symmetric update: for every other index k it
-    computes the new (k, p) and (k, q) entries once and writes each to both
-    triangles, and it forms the 2x2 block on p, q in locals and stores its
-    one (p, q) value in both triangles.  So M stays exactly symmetric, and a
-    rotation computes 2(n - 2) entries plus its block.  The (p, q) entry is
-    not set to zero: the residual is the mass the rotations left.
-    """
-    off = _offdiag_mass(M, n, ar)
-    sweeps = 0
-    skip = thresh / (2 * n)
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                Mp, Mq = M[p], M[q]
-                apq = Mp[q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = Mp[p], Mq[q]
-                theta = (aqq - app) / (2 * apq)
-                t = 1 / (abs(theta) + ar.sqrt(1 + theta * theta))
-                if theta < 0:
-                    t = -t
-                c = 1 / ar.sqrt(1 + t * t)
-                s = t * c
-                for k in range(n):
-                    if k != p and k != q:
-                        akp, akq = Mp[k], Mq[k]
-                        Mp[k] = M[k][p] = c * akp - s * akq
-                        Mq[k] = M[k][q] = s * akp + c * akq
-                bpp, bpq = c * app - s * apq, s * app + c * apq
-                bqp, bqq = c * apq - s * aqq, s * apq + c * aqq
-                Mp[p] = c * bpp - s * bqp
-                Mq[q] = s * bpq + c * bqq
-                Mp[q] = Mq[p] = c * bpq - s * bqq
-        sweeps += 1
-        off = _offdiag_mass(M, n, ar)
-    return off
 
 
 def _tridiagonal(M, n, ar):
@@ -243,11 +189,18 @@ def _ql(d, e, n, ar, skip, max_steps):
     in place, unchanged: each step restores the one it used as scratch, so
     the off-diagonal mass of (d, e) when this returns is what the route
     left.  Each index gets at most ``max_steps`` steps; at that cap this
-    returns at once, with its couplings above ``skip`` in place.  Every
-    divisor is nonzero: 2 e[lo] (above ``skip``), a shift denominator of
-    magnitude at least 1, and each rotation's r >= |s e[i]|, where s is
-    nonzero and e[i] lies above ``skip`` (``decimal`` and mpmath do not
-    underflow).
+    returns at once, with its couplings above ``skip`` in place.
+
+    Every divisor is nonzero in exact arithmetic: 2 e[lo] (above ``skip``),
+    a shift denominator of magnitude at least 1, and each rotation's
+    r = sqrt(f^2 + g^2) >= |f| > 0, where f = s e[i] with s nonzero and e[i]
+    above ``skip``.  ``decimal`` and mpmath do not underflow.  On floats r
+    rounds to 0 once f and g both lie under 2^-537.  The float tier's
+    ``skip`` is at least 2^-400 / (2n) (entries and thresholds are at least
+    2^-200), which keeps 2 e[lo], the shift and the first rotation
+    (f = e[m - 1]) clear of that; a later rotation's f shrinks with s, and
+    no bound keeps f and g from underflowing together, though no float-tier
+    matrix has been seen to.
     """
     for lo in range(n):
         steps = 0
@@ -281,41 +234,31 @@ def _ql(d, e, n, ar, skip, max_steps):
 
 
 def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
-            max_sweeps: int = 30) -> Spectrum:
+            max_steps: int = 30) -> Spectrum:
     """Eigenvalues at working precision, on the arithmetic
-    ``ToleranceContext.arith`` picks; the eigenvalues are mpf either way.
-    Precision picks the algorithm.  Both algorithms leave alone an
-    off-diagonal entry of magnitude at most residual_tol * |A|_F / (2n),
-    report the off-diagonal mass they left as the residual, and raise
-    EigenConvergenceError when ``max_sweeps`` runs out with that mass above
-    residual_tol * |A|_F.
+    ``ToleranceContext.arith`` picks (floats, mpmath or ``decimal``); the
+    eigenvalues are mpf either way.
 
-    At 53 bits (floats, or mpmath outside the float window), cyclic Jacobi
-    sweeps (``_sweeps``) rotate every off-diagonal pair in fixed order, at
-    most ``max_sweeps`` times; convergence is quadratic once the mass is
-    small, so the limit is generous.
-
-    On ``decimal`` (every rung above 53 bits), Householder reflections take
-    A to a tridiagonal T (``_tridiagonal``) and implicit-shift QL finds T's
-    eigenvalues (``_ql``), with at most ``max_sweeps`` QL steps per
-    eigenvalue; Loewner matrices need at most about 5.  The residual is the
-    mass of T's couplings left in place.
+    Householder reflections take A to a tridiagonal T (``_tridiagonal``) and
+    implicit-shift QL finds T's eigenvalues (``_ql``), with at most
+    ``max_steps`` QL steps per eigenvalue; Loewner matrices need at most
+    about 5.  A coupling of magnitude at most residual_tol * |A|_F / (2n) is
+    left alone, the residual is the mass of T's couplings left in place, and
+    EigenConvergenceError is raised when the step limit leaves that mass
+    above residual_tol * |A|_F.
     """
     n = A.order
     with tol.prec():
         ar, M, norm = _working_copy(A, tol)
         thresh = ar.num(tol.residual_tol) * norm
-        if ar is DEC_ARITH:
-            diag, e = _tridiagonal(M, n, ar)
-            _ql(diag, e, n, ar, thresh / (2 * n), max_sweeps)
-            off = ar.sqrt(2 * ar.fsum(x * x for x in e))
-        else:
-            off = _sweeps(M, n, ar, thresh, max_sweeps)
-            diag = [M[i][i] for i in range(n)]
+        diag, e = _tridiagonal(M, n, ar)
+        _ql(diag, e, n, ar, thresh / (2 * n), max_steps)
+        off = ar.sqrt(2 * ar.fsum(x * x for x in e))
         if off > thresh:
             raise EigenConvergenceError(
                 f"off-diagonal mass {mp.nstr(ar.out(off), 5)} above "
-                f"{mp.nstr(ar.out(thresh), 5)} after {max_sweeps} sweeps (the sweep limit)"
+                f"{mp.nstr(ar.out(thresh), 5)} after {max_steps} QL steps per eigenvalue "
+                "(the step limit)"
             )
         diag.sort()
         return Spectrum(tuple(map(ar.out, diag)), ar.out(off),

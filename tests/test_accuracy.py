@@ -1,5 +1,5 @@
 """Accuracy of the divided-difference kernel, of the congruence route and
-of the Jacobi eigenvalues.
+of the QL eigenvalues.
 
 Kernel references are evaluated by plain subtraction at four times the
 working precision, where the cancellation still leaves over 100 correct
@@ -158,7 +158,7 @@ def _random_symmetric(rng, n, bits, graded):
 
 
 # Loewner matrices whose smallest eigenvalues lie far below float roundoff,
-# where the float pass of ``eig_sym`` on decimal sees none of them.
+# where only the working precision of ``eig_sym`` resolves them.
 LOEWNER_EIG_CASES = ((range(1, 13), 2.5), (range(1, 17), 3.5))
 
 

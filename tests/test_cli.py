@@ -350,8 +350,8 @@ def test_readme_examples_are_pinned():
 
 @pytest.fixture
 def stalled_eigensolver(monkeypatch):
-    """``eig_sym`` allowed no sweep, wherever the commands look it up."""
-    stalled = functools.partial(inertia_mod.eig_sym, max_sweeps=0)
+    """``eig_sym`` allowed no QL step, wherever the commands look it up."""
+    stalled = functools.partial(inertia_mod.eig_sym, max_steps=0)
     for mod in (inertia_mod, analysis, sweep_mod):
         monkeypatch.setattr(mod, "eig_sym", stalled)
 
@@ -359,7 +359,7 @@ def stalled_eigensolver(monkeypatch):
 @pytest.mark.parametrize("argv", [
     "verify --points 1,2,3 --r 2.5",
     "dk --points 1,2,3 --r 0.5 --samples 3",
-    # on decimal max_sweeps caps the QL steps per eigenvalue
+    # max_steps caps the QL steps per eigenvalue on decimal as on floats
     "verify --points 1,2,3 --r 2.5 --precision-bits 256",
 ])
 def test_eigensolver_stall_is_a_usage_error(capsys, stalled_eigensolver, argv):
@@ -369,8 +369,8 @@ def test_eigensolver_stall_is_a_usage_error(capsys, stalled_eigensolver, argv):
 
 
 def test_a_tight_residual_tolerance_converges_at_53_bits(capsys):
-    # the rotations keep the working matrix exactly symmetric, so the sweeps
-    # drive its off-diagonal mass under 1e-30 of the norm at 53 bits
+    # the reflections keep the working matrix exactly symmetric, and QL
+    # drives the tridiagonal's couplings under 1e-30 of the norm at 53 bits
     code, out, _ = run(capsys, "verify", "--points", "1,2,3", "--r", "2.5",
                        "--residual-tol", "1e-30")
     assert code == 0

@@ -5,16 +5,17 @@ give mpmath's answers.
 Conversions into and out of ``decimal`` round once and keep the sign, the
 context traps what would produce a NaN, and the parity tests run the same
 public functions on ``decimal`` and, through the ``mp_only`` fixture of
-``test_float_tier``, on mpmath.  On ``decimal`` ``eig_sym`` takes the
+``test_float_tier``, on mpmath.  At every precision ``eig_sym`` takes the
 matrix to tridiagonal form by Householder reflections and runs implicit
 QL on it; its tests pin each eigenvalue within the 640-bit bound of
 ``test_accuracy`` on edge cases (orders 1 and 2, zero, diagonal and
 all-ones matrices, a tridiagonal that splits, entries at 2^+-200 and
 2^1100, graded rows) and on Loewner matrices written in other bases (a
 reversal, a float reflector), the QL steps each eigenvalue takes, and that
-every cap on those steps either raises or meets the bound.  At 53 bits the
-float window decides between Jacobi on floats and on mpmath; its edge and
-entries outside it are pinned last.
+every cap on those steps either raises or meets the bound; the bound and
+the steps hold at 53 bits too.  At 53 bits the float window decides whether
+the same route runs on floats or on mpmath; its edge and entries outside it
+are pinned last.
 """
 
 import decimal
@@ -98,11 +99,12 @@ def test_prec_restores_both_contexts():
 
 
 def test_convergence_failure_names_its_numbers():
-    # on decimal max_sweeps caps the QL steps per eigenvalue
+    # max_steps caps the QL steps per eigenvalue
     L = loewner_matrix(make_point_config((1, 2, 3)), 2.5, CTX256)
     with pytest.raises(EigenConvergenceError) as info:
-        eig_sym(L, CTX256, max_sweeps=0)
-    found = re.fullmatch(r"off-diagonal mass (\S+) above (\S+) after 0 sweeps.*", str(info.value))
+        eig_sym(L, CTX256, max_steps=0)
+    found = re.fullmatch(r"off-diagonal mass (\S+) above (\S+) after 0 QL steps per "
+                         r"eigenvalue \(the step limit\)", str(info.value))
     assert found
     off, thresh = (float(v) for v in found.groups())
     assert off > thresh > 0
@@ -243,7 +245,7 @@ QL_CASES = {
 }
 
 
-@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("bits", [53, 128, 256])
 @pytest.mark.parametrize("build", QL_CASES.values(), ids=QL_CASES)
 def test_eigenvalues_meet_the_640_bit_bound(build, bits):
     ctx = ToleranceContext.at_bits(bits)
@@ -302,7 +304,7 @@ def test_a_float_basis_at_its_iteration_cap_changes_no_eigenvalue(nodes, r):
     full = eig_sym(L, CTX256)
     for cap in range(31):
         try:
-            spec = eig_sym(L, CTX256, max_sweeps=cap)
+            spec = eig_sym(L, CTX256, max_steps=cap)
         except EigenConvergenceError:
             continue
         assert _within_640_bits(L, CTX256, spec)
@@ -312,12 +314,13 @@ def test_a_float_basis_at_its_iteration_cap_changes_no_eigenvalue(nodes, r):
     assert inertia_from_spectrum(full, full.scale, CTX256) == predicted_inertia(L.order, r).inertia
 
 
-# QL steps per eigenvalue, and inertia, at 256 bits
+# QL steps per eigenvalue (at most; 53 bits takes fewer), and inertia at 53
+# and at 256 bits: 53 bits leaves six of L's eigenvalues under its zero threshold
 QL_STEPS = {
-    "L2.5-on-1..12": (5, (11, 0, 1)),
-    "diagonal": (0, (3, 1, 1)),
-    "zero": (0, (0, 3, 0)),
-    "order-1": (0, (1, 0, 0)),
+    "L2.5-on-1..12": (5, {53: (5, 6, 1), 256: (11, 0, 1)}),
+    "diagonal": (0, {53: (3, 1, 1), 256: (3, 1, 1)}),
+    "zero": (0, {53: (0, 3, 0), 256: (0, 3, 0)}),
+    "order-1": (0, {53: (1, 0, 0), 256: (1, 0, 0)}),
 }
 
 
@@ -326,10 +329,12 @@ def test_no_eigenvalue_takes_more_than_its_ql_steps(case):
     # A cap of ``steps`` QL steps per eigenvalue leaves every step the
     # uncapped run took, so the spectra are equal.
     steps, expected = QL_STEPS[case]
-    A = QL_CASES[case](CTX256)
-    spec = eig_sym(A, CTX256)
-    assert eig_sym(A, CTX256, max_sweeps=steps) == spec
-    assert inertia_from_spectrum(spec, spec.scale, CTX256).as_tuple() == expected
+    for bits in (53, 256):
+        ctx = ToleranceContext.at_bits(bits)
+        A = QL_CASES[case](ctx)
+        spec = eig_sym(A, ctx)
+        assert eig_sym(A, ctx, max_steps=steps) == spec
+        assert inertia_from_spectrum(spec, spec.scale, ctx).as_tuple() == expected[bits]
 
 
 def test_ql_leaves_a_deflated_coupling_in_place():
@@ -346,8 +351,23 @@ def test_ql_leaves_a_deflated_coupling_in_place():
         assert all(abs(x) <= skip for x in e)
 
 
+def test_ql_on_floats_divides_by_zero_once_squares_underflow():
+    # d = (1, 1) makes the first rotation's f and g both e[0]; at 1e-170
+    # their squares underflow and r rounds to 0.  The deflation level of
+    # 1e-200 lies outside the float tier, whose level is at least
+    # 2^-400 / (2n).  decimal does not underflow and deflates the coupling.
+    with pytest.raises(ZeroDivisionError):
+        inertia_mod._ql([1.0, 1.0], [1e-170, 0.0], 2, FLOAT_ARITH, 1e-200, 30)
+    with CTX256.prec():
+        num = DEC_ARITH.num
+        skip = num(10) ** -200
+        d, e = [num(1), num(1)], [num(10) ** -170, num(0)]
+        inertia_mod._ql(d, e, 2, DEC_ARITH, skip, 30)
+        assert abs(e[0]) <= skip and d == [1, 1]
+
+
 # ---------------------------------------------------------------------------
-# The float window at 53 bits: Jacobi on floats inside it, on mpmath outside
+# The float window at 53 bits: QL on floats inside it, on mpmath outside
 
 CTX53 = ToleranceContext.at_bits(53)
 

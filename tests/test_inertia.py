@@ -69,7 +69,7 @@ def test_eig_matches_numpy_on_random_matrices():
 
 def test_eig_nonconvergence_raises():
     with pytest.raises(EigenConvergenceError):
-        eig_sym(ones_E(3), max_sweeps=0)
+        eig_sym(ones_E(3), max_steps=0)
 
 
 def test_inertia_from_spectrum_cases():

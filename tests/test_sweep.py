@@ -91,11 +91,22 @@ def test_emit_signed_log_fixes_origin_and_parity():
     header, rows = emit_figure1(s)
     assert header == ["r", "lambda_1", "lambda_2", "pos", "zero", "neg"]
     assert len(rows) == 3
-    # row at the snapped integer r=1: one eigenvalue is exactly zero
+    # the grid snaps r = 1 to the integer, where the exact route finds L_1's
+    # zero eigenvalue (the eigenvalue route leaves it within roundoff of 0)
     row = rows[1]
     assert row[0] == 1.0
-    assert row[1] == 0
     assert row[-3:] == (1, 1, 0)
+    # an exact zero eigenvalue goes to the origin, and -lambda to -y(lambda)
+    from loewnerlab import Inertia
+    exact = SpectrumSweep(
+        make_point_config((1, 2)),
+        (1.0, 1.5),
+        ((mpf(0), mpf(2)), (mpf(-2), mpf(0))),
+        (Inertia(1, 1, 0), Inertia(0, 1, 1)),
+    )
+    _, (at_one, after) = emit_figure1(exact)
+    assert at_one[1] == 0 and after[2] == 0
+    assert after[1] == -at_one[2] < 0
 
 
 @settings(deadline=None, max_examples=40)
