@@ -14,8 +14,6 @@ import argparse
 import csv
 import sys
 
-from mpmath import mp
-
 from loewnerlab import (
     eigen_trajectories,
     emit_figure1,
@@ -37,7 +35,7 @@ def main() -> int:
     header, rows = emit_figure1(sweep, scaling="signed-log")
 
     # str(mpf) prints at the working precision: keep the sweep's.
-    with open(args.out, "w", newline="") as fh, mp.workprec(sweep.precision_bits):
+    with open(args.out, "w", newline="") as fh, sweep.tol.prec():
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -4,7 +4,8 @@ derivative action of matrix powers, and the power-sum comparison.
 
 Every determinant other than the closed forms comes from one LU with
 partial pivoting (``exact._lu_factor``), written once for floats, complex,
-mpf, mpc and Fractions.
+``decimal``, mpf, mpc and Fractions, on the arithmetic ``ToleranceContext``
+picks.
 The complex determinant ``complex_det`` runs it on Python ``complex`` at 53
 bits when the nodes, z and every |p^z| lie in the float window
 (``ToleranceContext.complex_arith``), and on mpc otherwise, and pairs each
@@ -30,7 +31,6 @@ whose cells would be narrower than 4096 ulps of the region's coordinates.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 import random
@@ -47,7 +47,6 @@ from . import builders
 from .exact import _DET_FLOAT_MAX, _DET_FLOAT_MIN, _lu_factor, _pivot_product, det_fraction
 from .inertia import InertiaReport, _settle, _settle_loewner, eig_sym
 from .types import (
-    DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
     FLOAT_ARITH,
     Exponent,
@@ -242,15 +241,16 @@ def _as_rows(A: MatrixLike) -> tuple[tuple, ...]:
 
 def _det_any(rows, tol: ToleranceContext):
     """Determinant of a small matrix from the shared LU: exact on Fractions
-    for rational entries, else on floats at 53 bits when the entries allow
-    it and on mpf otherwise."""
+    for rational entries, else an mpf from the LU on the arithmetic
+    ``tol.arith`` picks for the entries (floats at 53 bits inside the float
+    window, ``decimal`` above 53 bits, mpmath otherwise)."""
     if all(isinstance(e, Rational) for row in rows for e in row):
         return det_fraction(rows)
     with tol.prec():
-        ar = FLOAT_ARITH if tol.arith(e for row in rows for e in row) is FLOAT_ARITH else MP_ARITH
+        ar = tol.arith(e for row in rows for e in row)
         A = [[ar.num(e) for e in row] for row in rows]
         _, sign = _lu_factor(A)
-        return mpf(_pivot_product(A, sign))
+        return ar.out(_pivot_product(A, sign))
 
 
 def _minor_sign(rows, tol: ToleranceContext) -> int:
@@ -352,7 +352,9 @@ def loewner_ssr(config: PointConfig, r: Scalar, k_max: Optional[int] = None,
 
     This is the one Loewner caller that does not take ``exact_route_hint``:
     float nodes stay on the float minors until a bound on the work lands,
-    since the exact minors of five float nodes take about 11 s at r = 300."""
+    since the exact minors of five float nodes take about 11 s at r = 300.
+    r = 0 raises ValueError: L_0 is the zero matrix."""
+    builders.refuse_zero_exponent(r)
     m = Exponent.of(r).integer_value
     exact = m is not None and config.exact is not None
     M = builders.loewner_matrix_exact(config, m) if exact else builders.loewner_matrix(config, r, tol)
@@ -511,10 +513,6 @@ def _lu_quick_bound(F, order, entry_err, eps):
     return 2 * rel * (1 + 8 * n * n * eps)
 
 
-# The float rung's stand-in for ``tol.prec()`` while mpmath is already at 53 bits.
-_AT_53_BITS = contextlib.nullcontext()
-
-
 class _NodeTable:
     """What the complex determinant needs of the nodes at one precision,
     computed once and shared by every z: the nodes as floats for the window
@@ -555,16 +553,15 @@ def _complex_det_rung(config: PointConfig, z, tol: ToleranceContext,
     still decides graded samples, where the quick bound is far too loose
     (nodes 1..8 at z = 60).  ``table`` is this precision's
     ``_NodeTable`` for ``config``; without one the call builds its own.
-    The float rung is Python floats throughout and runs outside
-    ``tol.prec()``: only a product of pivots beyond the float range reads
-    mpmath's precision, and that is 53 bits unless a caller changed it.
+    The float rung is Python floats throughout: only a product of pivots
+    beyond the float range reads mpmath's precision, which ``tol.prec()``
+    holds at 53 bits.
     """
     if table is None:
         table = _NodeTable(config, tol)
     ar = tol.complex_arith(table.window_nodes, z)
     eps, p, logs = table[ar]
-    float_rung = ar is FLOAT_ARITH and mp.prec == DEFAULT_PRECISION_BITS
-    with _AT_53_BITS if float_rung else tol.prec():
+    with tol.prec():
         zz = ar.cnum(z)
         n = config.n
         w = [zz * lg for lg in logs]
@@ -912,8 +909,7 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if r == 0:
-        raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
+    builders.refuse_zero_exponent(r)
     n = config.n
     rng = random.Random(seed)
     with tol.prec():

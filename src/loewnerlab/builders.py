@@ -115,6 +115,13 @@ def loewner_matrix(config: PointConfig, r: Scalar,
         return SymMatrix.build(config.n, lambda i, j: mpf(entry(i, j)))
 
 
+def refuse_zero_exponent(r: Scalar) -> None:
+    """ValueError at r = 0, for every caller that checks a property of L_r:
+    L_0 is the zero matrix, so no such property can hold or fail there."""
+    if r == 0:
+        raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
+
+
 def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
     """Loewner matrix for integer r over the rationals, exactly.
 

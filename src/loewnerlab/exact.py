@@ -1,9 +1,9 @@
 """Exact linear algebra on small dense matrices, and the one LU that every
 determinant in the package comes from (``_lu_factor``, partial pivoting on
-float, complex, mpf, mpc or ``fractions.Fraction`` entries; exact on
-Fractions).  Inertia comes from one fraction-free symmetric congruence over
-Python ints, and the rank of A is the positive count of the positive
-semidefinite A A^T.
+float, complex, ``decimal``, mpf, mpc or ``fractions.Fraction`` entries;
+exact on Fractions).  Inertia comes from one fraction-free symmetric
+congruence over Python ints, and the rank of A is the positive count of
+the positive semidefinite A A^T.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _integer_rows(F) -> list[list[int]]:
 
 def _lu_factor(A) -> tuple[list, int]:
     """Factor the square matrix A (row lists, entries all of one arithmetic:
-    float, complex, mpf, mpc or Fraction) in place as P A = L U, pivoting.
+    float, complex, Decimal, mpf, mpc or Fraction) in place as P A = L U,
+    pivoting.
 
     A ends holding U on and above the diagonal and the multipliers of the
     unit lower triangle L below it, its rows in pivot order, so det A is
@@ -82,7 +83,7 @@ _DET_FLOAT_MAX = 2.0 ** 1000
 def _pivot_product(F, sign):
     """det A = sign * prod U_kk from a finished factorisation: a float or
     complex when it lies in the float range, else an mpf or mpc at the
-    working precision (a Fraction for Fraction entries)."""
+    working precision (a Fraction or a Decimal for such entries)."""
     if not sign:
         return 0
     pivots = [F[k][k] for k in range(len(F))]

@@ -194,13 +194,12 @@ def _ql(d, e, n, ar, skip, max_steps):
     Every divisor is nonzero in exact arithmetic: 2 e[lo] (above ``skip``),
     a shift denominator of magnitude at least 1, and each rotation's
     r = sqrt(f^2 + g^2) >= |f| > 0, where f = s e[i] with s nonzero and e[i]
-    above ``skip``.  ``decimal`` and mpmath do not underflow.  On floats r
-    rounds to 0 once f and g both lie under 2^-537.  The float tier's
-    ``skip`` is at least 2^-400 / (2n) (entries and thresholds are at least
-    2^-200), which keeps 2 e[lo], the shift and the first rotation
-    (f = e[m - 1]) clear of that; a later rotation's f shrinks with s, and
-    no bound keeps f and g from underflowing together, though no float-tier
-    matrix has been seen to.
+    above ``skip``.  ``decimal`` and mpmath do not underflow.  On floats the
+    squares underflow once f and g both lie under 2^-537, and r rounds to
+    0; in that case only, r is formed again from f and g scaled by
+    max(|f|, |g|), as ``hypot`` does, so every other rotation rounds as
+    before.  Only f = g = 0 exactly, which needs s to have underflowed
+    first, would still leave r = 0.
     """
     for lo in range(n):
         steps = 0
@@ -221,7 +220,11 @@ def _ql(d, e, n, ar, skip, max_steps):
             p = ar.num(0)
             for i in range(m - 1, lo - 1, -1):
                 f, b = s * e[i], c * e[i]
-                r = e[i + 1] = ar.sqrt(f * f + g * g)
+                r = ar.sqrt(f * f + g * g)
+                if not r:  # floats only: f^2 and g^2 both underflowed
+                    t = max(abs(f), abs(g))
+                    r = t * ar.sqrt((f / t) ** 2 + (g / t) ** 2)
+                e[i + 1] = r
                 s, c = f / r, g / r
                 g = d[i + 1] - p
                 r = (d[i] - g) * s + 2 * c * b

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
@@ -92,8 +91,7 @@ def verify_instance(config: PointConfig, r: Scalar,
     routes (see ``exact_route_hint``).  r = 0 raises ValueError: L_0 is the
     zero matrix.
     """
-    if r == 0:
-        raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
+    builders.refuse_zero_exponent(r)
     pred = predicted_inertia(config.n, r)
     rep, ctx, escalations = _settle_loewner(config, r, tol, target=pred.inertia)
     match = not rep.disagreement and rep.consensus == pred.inertia
@@ -190,11 +188,14 @@ def verify_identities(config: PointConfig, r: Scalar,
                       tol: ToleranceContext = DEFAULT_TOL) -> IdentityResiduals:
     """Evaluate the three identities and report max relative residuals.
 
-    The power-step identity is evaluated in exact rational arithmetic
-    wherever ``exact_route_hint`` gives an integer r >= 2, on float nodes
-    too (they are the binary rationals they denote); the residual is then
-    exactly zero or the identity is genuinely violated.
+    The power-step residual is one expression over nodes q, L_r, L_(r-2)
+    and the power q^(r-1).  Wherever ``exact_route_hint`` gives an integer
+    r >= 2 they are exact rationals, on float nodes too (the binary
+    rationals they denote), and the residual is then exactly zero or the
+    identity is genuinely violated; elsewhere they are mpf at working
+    precision.  r = 0 raises ValueError: L_0 is the zero matrix.
     """
+    builders.refuse_zero_exponent(r)
     n = config.n
     ex = Exponent.of(r)
     with tol.prec():
@@ -219,23 +220,18 @@ def verify_identities(config: PointConfig, r: Scalar,
         ]) / scale_L
 
         hint = exact_route_hint(config, ex)
-        if hint is not None and hint[1] >= 2:
+        exact = hint is not None and hint[1] >= 2
+        if exact:
             exact_config, m = hint
-            q = exact_config.exact
-            Le = builders.loewner_matrix_exact(exact_config, m).entries
-            Lm2 = builders.loewner_matrix_exact(exact_config, m - 2).entries
-            worst = max(
-                abs(Le[i][j] - (q[i] ** (m - 1) + q[i] * Lm2[i][j] * q[j] + q[j] ** (m - 1)))
-                for i in range(n) for j in range(n)
-            )
-            power_res = to_mpf(Fraction(worst)) / to_mpf(scale_L)
-            return IdentityResiduals(refl, sinh_res, power_res, True)
-
-        Lm2 = builders.loewner_matrix(config, r - 2, tol).entries
-        pr1 = [x ** (rr - 1) for x in p]
-        power_res = _max_abs([
-            [to_mpf(L[i][j]) - (pr1[i] + p[i] * to_mpf(Lm2[i][j]) * p[j] + pr1[j])
-             for j in range(n)]
+            q, k = exact_config.exact, m - 1
+            Lr = builders.loewner_matrix_exact(exact_config, m).entries
+            Lr2 = builders.loewner_matrix_exact(exact_config, m - 2).entries
+        else:
+            q, k, Lr = p, rr - 1, L
+            Lr2 = builders.loewner_matrix(config, r - 2, tol).entries
+        qk = [x ** k for x in q]
+        power_res = to_mpf(_max_abs([
+            [Lr[i][j] - (qk[i] + q[i] * Lr2[i][j] * q[j] + qk[j]) for j in range(n)]
             for i in range(n)
-        ]) / scale_L
-        return IdentityResiduals(refl, sinh_res, power_res, False)
+        ])) / scale_L
+        return IdentityResiduals(refl, sinh_res, power_res, exact)

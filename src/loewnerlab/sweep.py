@@ -20,30 +20,31 @@ from mpmath import mp, mpf
 # ``inertia_report`` here, and a CLI test fixture patches ``eig_sym`` here.
 from .inertia import EigenConvergenceError, _settle_loewner, eig_sym, inertia as inertia_report
 from .oracle import predicted_inertia
-from .types import (
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_ZERO_REL_TOL,
-    Inertia,
-    PointConfig,
-    ToleranceContext,
-    to_mpf,
-)
+from .types import DEFAULT_TOL, Inertia, PointConfig, ToleranceContext, to_mpf
 
 INTEGER_SNAP_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectrumSweep:
+    """The spectra and inertias of a sweep, and ``tol``, the context it
+    started each point's ladder at: the precision and zero threshold its
+    values are printed and scaled with (see ``emit_figure1``)."""
+
     config: PointConfig
     grid: tuple[float, ...]
     trajectories: tuple  # per grid point: ascending eigenvalue tuple, or None on failure
     inertias: tuple      # per grid point: Inertia, or None on failure
     failures: tuple = ()
-    precision_bits: int = DEFAULT_PRECISION_BITS
+    tol: ToleranceContext = DEFAULT_TOL
 
     @property
     def n(self) -> int:
         return self.config.n
+
+    @property
+    def precision_bits(self) -> int:
+        return self.tol.precision_bits
 
 
 def _check_range(a: float, b: float, steps: int) -> None:
@@ -111,7 +112,7 @@ def eigen_trajectories(config: PointConfig, r_min: float, r_max: float, steps: i
         if rep.disagreement and rep.by_exact is None:
             failures.append((idx, "route disagreement"))
     return SpectrumSweep(config, tuple(grid), tuple(trajectories), tuple(inertias),
-                         tuple(failures), tol.precision_bits)
+                         tuple(failures), tol)
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,14 @@ def emit_figure1(s: SpectrumSweep, scaling: str = "signed-log",
 
     Under signed-log scaling y = sign(lambda) * log10(1 + |lambda|/tau),
     an odd strictly increasing map that keeps near-zero trajectories
-    visible; tau defaults to ``DEFAULT_ZERO_REL_TOL`` (the 53-bit relative
-    zero threshold, at every precision) times n times the largest |lambda|.
+    visible; tau defaults to the sweep's own zero threshold,
+    ``s.tol.zero_rel_tol`` times n times the largest |lambda|, so an
+    eigenvalue that extended precision resolves is not flattened to zero.
     Failed grid points are omitted; values keep the sweep's precision.
     """
     if scaling not in ("signed-log", "none"):
         raise ValueError(f"unknown scaling {scaling!r}")
-    with mp.workprec(s.precision_bits):
+    with s.tol.prec():
         n = s.n
         header = ["r"] + [f"lambda_{i + 1}" for i in range(n)] + ["pos", "zero", "neg"]
         if tau is None:
@@ -194,7 +196,7 @@ def emit_figure1(s: SpectrumSweep, scaling: str = "signed-log",
             for traj in s.trajectories:
                 if traj is not None:
                     peak = max(peak, max(abs(to_mpf(v)) for v in traj))
-            tau = DEFAULT_ZERO_REL_TOL * n * peak if peak > 0 else mpf(1)
+            tau = s.tol.zero_rel_tol * n * peak if peak > 0 else mpf(1)
         tau = to_mpf(tau)
 
         def shape(lam):

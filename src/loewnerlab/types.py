@@ -25,8 +25,9 @@ The complex determinant picks between two of them with
 |p^z| = p^(Re z) lie in the float window, and ``mpc`` at the context's
 precision otherwise.
 
-Kernels are written once against that namespace and return mpf (mpc for
-the complex determinant).  A ``SymMatrix`` works out at most once what the
+Kernels are written once against that namespace, enter their precision
+only through ``ToleranceContext.prec``, and return mpf (mpc for the
+complex determinant).  A ``SymMatrix`` works out at most once what the
 inertia routes ask of it: whether its entries lie in the float window, its
 rows as floats, and its rows in ``decimal`` and their norm at each
 precision.  One that a builder computed on floats keeps those floats and
@@ -115,6 +116,10 @@ def _extended_precision(bits: int):
     )
     with mp.workprec(bits), decimal.localcontext(dec):
         yield
+
+
+# ``ToleranceContext.prec`` at 53 bits while mpmath is already there.
+_NO_SWITCH = contextlib.nullcontext()
 
 
 def _to_decimal(x) -> decimal.Decimal:
@@ -252,11 +257,16 @@ class ToleranceContext:
             yield ToleranceContext.at_bits(bits)
 
     def prec(self):
-        """Context manager for this precision: ``mp.workprec``, and above 53
-        bits also the matching ``decimal`` context that ``DEC_ARITH`` uses."""
-        if self.precision_bits == DEFAULT_PRECISION_BITS:
-            return mp.workprec(self.precision_bits)
-        return _extended_precision(self.precision_bits)
+        """Context manager for this precision, and the only way into one:
+        ``mp.workprec``, and above 53 bits also the matching ``decimal``
+        context that ``DEC_ARITH`` uses.  At 53 bits with mpmath already
+        there it changes nothing and costs nothing, so a float kernel nested
+        in another kernel's precision pays no second switch."""
+        if self.precision_bits > DEFAULT_PRECISION_BITS:
+            return _extended_precision(self.precision_bits)
+        if mp.prec == DEFAULT_PRECISION_BITS:
+            return _NO_SWITCH
+        return mp.workprec(DEFAULT_PRECISION_BITS)
 
     def eps(self) -> mpf:
         """Unit roundoff of the working reals."""
@@ -437,15 +447,14 @@ class SymMatrix:
 
     Immutable, and equal (hash included) to any SymMatrix of the same order
     and entries.  It works out at most once what the inertia routes ask of
-    it: whether its entries lie in the float window (``_in_window``, which
-    raises on a NaN or an infinity), its faithful float rows
-    (``_float_rows``) and its decimal image (``_decimal_image``).  The float
-    rows are the floats a float-tier builder computed (``_build_floats``),
-    which are its entries exactly and from which its mpf ``entries`` are
-    made when first read, or else the float images of entries shown to lie
-    in the window.  The decimal image and its Frobenius norm are kept per
-    ``decimal`` precision, so both routes of a rung above 53 bits read one
-    conversion and one norm.
+    it: its faithful float rows (``_float_rows``, one method that gives the
+    window verdict and the float image together) and its decimal image
+    (``_decimal_image``).  The float rows are the floats a float-tier
+    builder computed (``_build_floats``), which are its entries exactly and
+    from which its mpf ``entries`` are made when first read, or else the
+    float images of entries shown to lie in the window.  The decimal image
+    and its Frobenius norm are kept per ``decimal`` precision, so both
+    routes of a rung above 53 bits read one conversion and one norm.
     """
 
     def __init__(self, order: int, entries: tuple[tuple, ...], _floats=None):
@@ -460,8 +469,7 @@ class SymMatrix:
                         if not mpmath.isfinite(v):
                             raise ValueError(f"entry ({a},{b}) is not finite: {v!r}")
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _fits=None,
-                             _decimals={})
+        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _decimals={})
 
     @classmethod
     def _build_floats(cls, n: int, entry) -> "SymMatrix":
@@ -476,19 +484,18 @@ class SymMatrix:
                 self.order, lambda i, j: mpf(rows[i][j], prec=DEFAULT_PRECISION_BITS))
         return self._entries
 
-    def _in_window(self) -> bool:
-        if self._fits is None:
-            rows = self._floats if self._floats is not None else self._entries
-            self.__dict__["_fits"] = _in_float_window(_upper(rows))
-        return self._fits
-
     def _float_rows(self):
-        """The faithful float rows, or None when there are none (entries that
-        are not floats and lie outside the float window)."""
-        if self._floats is None and self._in_window():
-            rows = self._entries
-            self.__dict__["_floats"] = _symmetric(self.order, lambda i, j: float(rows[i][j]))
-        return self._floats
+        """The faithful float rows, or None when there are none: entries that
+        are not floats and do not all lie in the float window.  The verdict
+        is worked out on first call and kept either way (False stands for
+        none); a NaN or infinite entry raises ValueError."""
+        rows = self._floats
+        if rows is None:
+            entries = self._entries
+            rows = _in_float_window(_upper(entries)) and _symmetric(
+                self.order, lambda i, j: float(entries[i][j]))
+            self.__dict__["_floats"] = rows
+        return rows if rows is not False else None
 
     def _decimal_image(self):
         """The entries each rounded once (``DEC_ARITH.num``) into the current

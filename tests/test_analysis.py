@@ -1,4 +1,6 @@
+import decimal
 import importlib
+import itertools
 import math
 import random
 import time
@@ -32,7 +34,7 @@ from loewnerlab import (
 )
 from loewnerlab import analysis
 from loewnerlab.exact import det_fraction
-from loewnerlab.types import FLOAT_ARITH, MP_ARITH
+from loewnerlab.types import FLOAT_ARITH, MP_ARITH, to_mpf
 
 from helpers import nonintegral, perm_det, random_config, random_rational_config
 
@@ -278,6 +280,33 @@ def test_compound_eigenvalues_are_products():
     got = sorted(float(e) for e in eig_sym(comp).eigenvalues)
     scale = max(1.0, max(abs(p) for p in products))
     assert all(abs(a - b) <= 1e-8 * scale for a, b in zip(got, products))
+
+
+def test_minors_above_53_bits_come_from_the_lu_on_decimal(monkeypatch):
+    # rational nodes at r = 3, none of them dyadic: the 256-bit Loewner
+    # matrix has rounded mpf entries, so its minors run the shared LU on
+    # decimal, and agree with the exact minors within 256-bit roundoff
+    seen = set()
+    lu = analysis._lu_factor
+
+    def spy(A):
+        seen.update(type(e) for row in A for e in row)
+        return lu(A)
+
+    monkeypatch.setattr(analysis, "_lu_factor", spy)
+    cfg = make_point_config((Fraction(1, 3), Fraction(5, 7), 2, Fraction(17, 5)))
+    tol = ToleranceContext.at_bits(256)
+    L = loewner_matrix(cfg, 3, tol)
+    got = compound_matrix(L, 2, tol).entries
+    assert seen == {decimal.Decimal}
+    want = compound_matrix(loewner_matrix_exact(cfg, 3), 2).entries
+    subsets = list(itertools.combinations(range(cfg.n), 2))
+    with mp.workprec(512):
+        for a, rows in enumerate(subsets):
+            for b, cols in enumerate(subsets):
+                # Hadamard's bound on the minor of |entries|
+                scale = mp.fprod(mp.norm([L.entries[i][j] for j in cols]) for i in rows)
+                assert abs(got[a][b] - to_mpf(want[a][b])) <= 16 * tol.eps() * scale
 
 
 def test_det_closed_forms_spot_values():
@@ -681,6 +710,19 @@ def test_complex_det_climbs_for_a_sample_53_bits_cannot_resolve(complex_tiers):
     with mp.workprec(512):
         ref = _reference_det(cfg, z)
         assert abs(d - ref) <= min(bound, 1e-12 * abs(ref))
+
+
+def test_complex_det_float_rung_ignores_the_ambient_precision(complex_tiers):
+    # nodes 1..8 at z = 60: the float rung's pivot product, about 2.9e373,
+    # lies beyond the float range and is taken in mpmath at 53 bits
+    cfg = make_point_config(range(1, 9))
+    tol = ToleranceContext()
+    value, bound = analysis._complex_det_rung(cfg, 60, tol)
+    assert type(value) is mpc and abs(value) > mpf("1e370") and abs(value) > bound
+    with mp.workprec(200):
+        assert analysis._complex_det_rung(cfg, 60, tol) == (value, bound)
+        assert mp.prec == 200
+    assert complex_tiers == [(53, FLOAT_ARITH)] * 2
 
 
 def test_complex_det_far_right_is_not_a_zero():

@@ -115,6 +115,13 @@ def test_verify_rejects_zero_exponent(capsys):
     assert code == 2
 
 
+def test_ssr_rejects_zero_exponent(capsys):
+    # L_0 is the zero matrix: every minor is zero, which is no violation
+    code, out, err = run(capsys, "ssr", "--points", "1,2,3", "--r", "0")
+    assert (code, out) == (2, "")
+    assert "L_0 is the zero matrix" in err
+
+
 def test_verify_range(capsys):
     code, out, _ = run(capsys, "verify", "--points", "1,2,3", "--r-range",
                        "0.5:2.5:5")

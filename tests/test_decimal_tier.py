@@ -351,13 +351,16 @@ def test_ql_leaves_a_deflated_coupling_in_place():
         assert all(abs(x) <= skip for x in e)
 
 
-def test_ql_on_floats_divides_by_zero_once_squares_underflow():
+def test_ql_on_floats_deflates_once_squares_underflow():
     # d = (1, 1) makes the first rotation's f and g both e[0]; at 1e-170
-    # their squares underflow and r rounds to 0.  The deflation level of
-    # 1e-200 lies outside the float tier, whose level is at least
-    # 2^-400 / (2n).  decimal does not underflow and deflates the coupling.
-    with pytest.raises(ZeroDivisionError):
-        inertia_mod._ql([1.0, 1.0], [1e-170, 0.0], 2, FLOAT_ARITH, 1e-200, 30)
+    # their squares underflow and sqrt(f^2 + g^2) rounds to 0, so r is
+    # formed again from f and g scaled by the larger.  The deflation level
+    # of 1e-200 lies outside the float tier, whose level is at least
+    # 2^-400 / (2n).  Floats deflate the coupling as decimal does, which
+    # does not underflow.
+    d, e = [1.0, 1.0], [1e-170, 0.0]
+    inertia_mod._ql(d, e, 2, FLOAT_ARITH, 1e-200, 30)
+    assert abs(e[0]) <= 1e-200 and d == [1.0, 1.0]
     with CTX256.prec():
         num = DEC_ARITH.num
         skip = num(10) ** -200

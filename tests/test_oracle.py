@@ -21,6 +21,7 @@ from loewnerlab import (
     verify_identities,
     verify_instance,
 )
+from loewnerlab import analysis
 
 from helpers import random_config, random_rational_config
 
@@ -230,6 +231,16 @@ def test_identities_exact_power_step_on_float_nodes(points, r):
     res = verify_identities(make_point_config(points), r)
     assert res.power_step_exact
     assert res.power_step == 0
+
+
+@pytest.mark.parametrize("check", [verify_instance, verify_identities,
+                                   analysis.loewner_ssr, analysis.dk_norm_probe],
+                         ids=lambda f: f.__name__)
+def test_every_property_check_of_l_r_refuses_r_0(check):
+    # one check, shared: L_0 is the zero matrix, so the reflection residual
+    # would divide by zero and the minor scan would read a false violation
+    with pytest.raises(ValueError, match=r"exponent 0 is not accepted here \(L_0 is the zero matrix\)"):
+        check(make_point_config((1, 2, 3)), 0)
 
 
 def test_identities_residuals_random():

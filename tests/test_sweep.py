@@ -3,7 +3,7 @@ import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from loewnerlab import (
     SpectrumSweep,
@@ -15,6 +15,7 @@ from loewnerlab import (
     predicted_inertia,
     sign_change_report,
 )
+from loewnerlab.types import to_mpf
 
 inertia_mod = importlib.import_module("loewnerlab.inertia")
 sweep_mod = importlib.import_module("loewnerlab.sweep")
@@ -128,6 +129,23 @@ def test_signed_log_odd_and_monotone(lam):
                       ((-mpf(lam) - 1, -mpf(lam)),), (Inertia(2, 0, 0),)),
         tau=tau)
     assert abs(rows_neg[0][2] + y0) < 1e-25  # odd symmetry
+
+
+@pytest.mark.parametrize("tol", [ToleranceContext(), ToleranceContext.at_bits(256),
+                                 ToleranceContext(zero_rel_tol=1e-3)],
+                         ids=["53", "256", "override"])
+def test_signed_log_tau_is_the_sweeps_zero_threshold(tol):
+    # tau = zero_rel_tol * n * max |lambda| of the context the sweep ran at
+    from loewnerlab import Inertia
+    s = eigen_trajectories(make_point_config((1, 2, 3)), 0.5, 0.5, 1, tol)
+    assert s.tol is tol and s.precision_bits == tol.precision_bits
+    s = SpectrumSweep(s.config, (0.5,), ((mpf(-2), mpf(2) ** -133, mpf(5)),),
+                      (Inertia(2, 0, 1),), tol=tol)
+    _, (row,) = emit_figure1(s)
+    with tol.prec():
+        tau = to_mpf(tol.zero_rel_tol) * 3 * 5
+        assert row[1:4] == (-mp.log10(1 + 2 / tau), mp.log10(1 + mpf(2) ** -133 / tau),
+                            mp.log10(1 + 5 / tau))
 
 
 def test_emit_none_scaling_returns_raw_values():

@@ -94,6 +94,28 @@ def test_tolerance_defaults_and_scaling():
     assert high.residual_tol < 1e-60
 
 
+def test_prec_enters_53_bits_from_a_wider_ambient_precision_and_restores_it():
+    with mp.workprec(100):
+        with ToleranceContext().prec():
+            assert mp.prec == 53
+            third = mpf(1) / 3
+        assert mp.prec == 100
+        assert third != mpf(1) / 3  # the 53-bit quotient, not the 100-bit one
+    with mp.workprec(53):
+        assert third == mpf(1) / 3
+
+
+def test_prec_at_an_ambient_53_bits_switches_nothing(monkeypatch):
+    def switch(*args):
+        raise AssertionError("prec() switched precision while already at 53 bits")
+
+    assert mp.prec == 53
+    monkeypatch.setattr(mp, "workprec", switch)
+    with ToleranceContext().prec():
+        assert mp.prec == 53
+    assert mp.prec == 53
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         ToleranceContext(precision_bits=32)
