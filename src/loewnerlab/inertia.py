@@ -28,19 +28,17 @@ and take whichever arithmetic it picks, unchanged:
   decimal ones, so eigenvalues sit within a few units of roundoff of
   mpmath's, not on the same bits.
 
-Entries are converted once per matrix: each matrix decides once whether
-its entries lie in the float window, and when they do it keeps its rows as
-floats (``SymMatrix``; a matrix built on floats has them from the start),
-and it keeps its entries rounded into ``decimal``, with their norm, once
-per precision.
-``ToleranceContext.arith`` judges those rows; on floats and on ``decimal``
-each route copies the matrix's image, and on mpmath each route converts the
-entries it works on.  Eigenvalues and residuals go back to mpf once, for
-the ``Spectrum``, and at 53 bits the eigenvalues are classified as the floats
-they were computed in, which round as 53-bit mpf does.  A NaN or infinite
-entry raises ValueError.  The exact route (Fractions) shares nothing with
-them, and its answer does not depend on precision, so the ladder computes
-it once, before its first rung, for every integer exponent.
+The arithmetic is picked, and the entries converted into it, once per
+matrix and context: ``SymMatrix._image`` keeps the arithmetic, the rows in
+it and their norm (a matrix built on floats keeps those floats, its image
+on floats), and each route copies that image (``_working_copy``).
+Eigenvalues and residuals go back to mpf once, for the ``Spectrum``, which
+is classified inside the context's precision; at 53 bits the eigenvalues
+are classified as the floats they were computed in, which round as 53-bit
+mpf does.  A NaN or infinite entry raises ValueError.  The exact route
+(Fractions) shares nothing with them, and its answer does not depend on
+precision, so the ladder computes it once, before its first rung, for
+every integer exponent.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from mpmath import mp
 
 from . import builders, exact
 from .types import (
-    DEC_ARITH,
     DEFAULT_PRECISION_BITS,
     DEFAULT_TOL,
     FLOAT_ARITH,
@@ -66,8 +63,6 @@ from .types import (
     ToleranceContext,
     VERDICT_RUNG_BITS,
     _in_float_window,
-    _symmetric,
-    _upper,
     to_mpf,
 )
 
@@ -118,24 +113,11 @@ class InertiaReport:
 
 
 def _working_copy(A: SymMatrix, tol: ToleranceContext):
-    """The arithmetic for A (ValueError on a NaN or infinite entry), A's
-    entries in it, exactly symmetric, and its Frobenius norm.
-
-    ``tol.arith`` judges A's faithful float rows where A has them (see
-    ``SymMatrix``), which are cheap to scan, on ``FLOAT_ARITH`` the copy is
-    theirs, and on ``DEC_ARITH`` it is A's decimal image at the current
-    precision, which A keeps with its norm for the other route.  On mpmath
-    each upper-triangle entry is converted once and mirrored."""
-    rows = A._float_rows()
-    ar = tol.arith(_upper(A.entries if rows is None else rows))
-    if ar is DEC_ARITH:
-        rows, norm = A._decimal_image()
-        return ar, [list(row) for row in rows], norm
-    if ar is not FLOAT_ARITH:
-        entries = A.entries
-        rows = _symmetric(A.order, lambda i, j: ar.num(entries[i][j]))
-    M = [list(row) for row in rows]
-    return ar, M, ar.sqrt(ar.fsum(v * v for row in M for v in row))
+    """A's image at ``tol`` (``SymMatrix._image``: the arithmetic, A's rows in
+    it and their Frobenius norm; ValueError on a NaN or infinite entry), with
+    the rows copied so that a route may work on them in place."""
+    ar, rows, norm = A._image(tol)
+    return ar, [list(row) for row in rows], norm
 
 
 def _tridiagonal(M, n, ar):
@@ -270,27 +252,29 @@ def eig_sym(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
 
 def inertia_from_spectrum(s: Spectrum, scale, tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
     """Classify eigenvalues against the relative zero threshold
-    zero_rel_tol * scale * n, formed in mpf at mpmath's precision.
+    zero_rel_tol * scale * n, formed and compared in mpf inside
+    ``tol.prec()``, so at the context's precision whatever the caller's.
 
     With float eigenvalues at 53 bits, and the tolerance and scale in the
     float window, the threshold is formed and compared in floats: they round
     as 53-bit mpf does, so the verdicts are the same."""
     n = len(s.eigenvalues)
-    if (s._float_eigenvalues is not None and mp.prec == DEFAULT_PRECISION_BITS
-            and _in_float_window((tol.zero_rel_tol, scale))):
-        lams = s._float_eigenvalues
-        thresh = float(tol.zero_rel_tol) * float(scale) * n
-    else:
-        lams = s.eigenvalues
-        thresh = to_mpf(tol.zero_rel_tol) * to_mpf(scale) * n
-    pos = neg = zero = 0
-    for lam in lams:
-        if abs(lam) <= thresh:
-            zero += 1
-        elif lam > 0:
-            pos += 1
+    with tol.prec():
+        if (s._float_eigenvalues is not None and tol.precision_bits == DEFAULT_PRECISION_BITS
+                and _in_float_window((tol.zero_rel_tol, scale))):
+            lams = s._float_eigenvalues
+            thresh = float(tol.zero_rel_tol) * float(scale) * n
         else:
-            neg += 1
+            lams = s.eigenvalues
+            thresh = to_mpf(tol.zero_rel_tol) * to_mpf(scale) * n
+        pos = neg = zero = 0
+        for lam in lams:
+            if abs(lam) <= thresh:
+                zero += 1
+            elif lam > 0:
+                pos += 1
+            else:
+                neg += 1
     return Inertia(pos, zero, neg)
 
 
@@ -407,7 +391,8 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
     if target is not None and by_ldl != target:
         return InertiaReport(None, by_ldl, None, None)
     spec = eig_sym(A, tol)
-    return InertiaReport(inertia_from_spectrum(spec, spec.scale, tol), by_ldl, None, spec)
+    with tol.prec():  # the scale, too, at the rung's precision
+        return InertiaReport(inertia_from_spectrum(spec, spec.scale, tol), by_ldl, None, spec)
 
 
 def _settle(build: Callable[[ToleranceContext], SymMatrix],

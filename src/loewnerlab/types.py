@@ -27,11 +27,11 @@ precision otherwise.
 
 Kernels are written once against that namespace, enter their precision
 only through ``ToleranceContext.prec``, and return mpf (mpc for the
-complex determinant).  A ``SymMatrix`` works out at most once what the
-inertia routes ask of it: whether its entries lie in the float window, its
-rows as floats, and its rows in ``decimal`` and their norm at each
-precision.  One that a builder computed on floats keeps those floats and
-makes its mpf entries only when they are read.  No context asks
+complex determinant).  A ``SymMatrix`` keeps one working image per
+context for the inertia routes: the arithmetic ``arith`` picks for it, its
+rows in that arithmetic and their norm, worked out once.  One that a
+builder computed on floats keeps those floats, which are its image on
+floats, and makes its mpf entries only when they are read.  No context asks
 for more than ``MAX_PRECISION_BITS`` bits, so no input causes unbounded work.
 """
 
@@ -446,15 +446,13 @@ class SymMatrix:
     """Dense real symmetric matrix; entries mirror each other exactly.
 
     Immutable, and equal (hash included) to any SymMatrix of the same order
-    and entries.  It works out at most once what the inertia routes ask of
-    it: its faithful float rows (``_float_rows``, one method that gives the
-    window verdict and the float image together) and its decimal image
-    (``_decimal_image``).  The float rows are the floats a float-tier
-    builder computed (``_build_floats``), which are its entries exactly and
-    from which its mpf ``entries`` are made when first read, or else the
-    float images of entries shown to lie in the window.  The decimal image
-    and its Frobenius norm are kept per ``decimal`` precision, so both
-    routes of a rung above 53 bits read one conversion and one norm.
+    and entries.  It keeps one working image per ``ToleranceContext``
+    (``_image``): the arithmetic ``ToleranceContext.arith`` picks for it,
+    its rows in that arithmetic and their Frobenius norm, worked out once,
+    so both inertia routes of a rung read one decision, one conversion and
+    one norm.  A matrix a float-tier builder computed (``_build_floats``)
+    keeps those floats, which are its entries exactly, and makes its mpf
+    ``entries`` from them only when they are read.
     """
 
     def __init__(self, order: int, entries: tuple[tuple, ...], _floats=None):
@@ -469,7 +467,7 @@ class SymMatrix:
                         if not mpmath.isfinite(v):
                             raise ValueError(f"entry ({a},{b}) is not finite: {v!r}")
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _decimals={})
+        self.__dict__.update(order=order, _entries=entries, _floats=_floats, _images={})
 
     @classmethod
     def _build_floats(cls, n: int, entry) -> "SymMatrix":
@@ -484,31 +482,24 @@ class SymMatrix:
                 self.order, lambda i, j: mpf(rows[i][j], prec=DEFAULT_PRECISION_BITS))
         return self._entries
 
-    def _float_rows(self):
-        """The faithful float rows, or None when there are none: entries that
-        are not floats and do not all lie in the float window.  The verdict
-        is worked out on first call and kept either way (False stands for
-        none); a NaN or infinite entry raises ValueError."""
-        rows = self._floats
-        if rows is None:
-            entries = self._entries
-            rows = _in_float_window(_upper(entries)) and _symmetric(
-                self.order, lambda i, j: float(entries[i][j]))
-            self.__dict__["_floats"] = rows
-        return rows if rows is not False else None
+    def _image(self, tol: ToleranceContext):
+        """(arithmetic, rows, Frobenius norm) at ``tol``, called inside
+        ``tol.prec()``, worked out on first call and kept.
 
-    def _decimal_image(self):
-        """The entries each rounded once (``DEC_ARITH.num``) into the current
-        ``decimal`` context, and their Frobenius norm in it.  The context's
-        precision keys the kept pair: every context ``ToleranceContext.prec``
-        enters fixes the rest."""
-        prec = decimal.getcontext().prec
-        image = self._decimals.get(prec)
+        ``tol.arith`` judges the builder's floats where there are any, and
+        the entries otherwise (ValueError on a NaN or an infinity).  On
+        ``FLOAT_ARITH`` the builder's floats are the rows as they are; in
+        every other case each upper-triangle value is converted once with
+        the arithmetic's ``num`` and mirrored.  The context itself keys the
+        image, not its bits: its thresholds take part in the float verdict."""
+        image = self._images.get(tol)
         if image is None:
-            entries = self.entries
-            rows = _symmetric(self.order, lambda i, j: DEC_ARITH.num(entries[i][j]))
-            image = self._decimals[prec] = (
-                rows, DEC_ARITH.sqrt(DEC_ARITH.fsum(v * v for row in rows for v in row)))
+            given = self._entries if self._floats is None else self._floats
+            ar = tol.arith(_upper(given))
+            rows = (given if ar is FLOAT_ARITH and self._floats is not None
+                    else _symmetric(self.order, lambda i, j: ar.num(given[i][j])))
+            image = self._images[tol] = (
+                ar, rows, ar.sqrt(ar.fsum(v * v for row in rows for v in row)))
         return image
 
     def __setattr__(self, name, value):

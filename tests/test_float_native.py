@@ -1,7 +1,7 @@
 """The float-native 53-bit rung: a matrix built on floats keeps its float
-rows, works out its window verdict and float rows at most once, and makes
-its mpf entries only when they are read, with every result bit-identical
-to the same matrix given as mpf entries.
+rows, works out one working image per context (the arithmetic, its rows in
+it and their norm), and makes its mpf entries only when they are read, with
+every result bit-identical to the same matrix given as mpf entries.
 
 Also the bounds around it: the precision cap, the float fast path of
 ``Exponent.of`` and the parser built once per process.
@@ -26,7 +26,7 @@ from loewnerlab import (
     verify_instance,
 )
 from loewnerlab import cli
-from loewnerlab.types import DEC_ARITH, MAX_PRECISION_BITS, MP_ARITH
+from loewnerlab.types import DEC_ARITH, DEFAULT_TOL, FLOAT_ARITH, MAX_PRECISION_BITS, MP_ARITH
 
 from test_float_tier import CASES, chosen, mp_only  # noqa: F401  (fixtures)
 
@@ -81,15 +81,15 @@ def test_a_53_bit_verify_converts_no_entry(conversions):
     assert entries.isdisjoint(out for _, out in imaged)
 
 
-def test_a_256_bit_rung_converts_each_entry_twice_in_all(conversions):
-    # once for the window rule and once for the float image, however many
-    # routes read them (each entry object sits in both triangles)
+def test_a_256_bit_rung_converts_each_entry_once_in_all(conversions):
+    # once for the window rule, however many routes read the matrix (each
+    # entry object sits in both triangles); no float image is made above 53 bits
     L = loewner_matrix(make_point_config((1, 2, 3, 4, 5)), 2.5, CTX256)
     ids = {id(e) for row in L.entries for e in row}
     _, imaged = conversions
     inertia(L, CTX256)
     per_entry = Counter(id(x) for x, _ in imaged if id(x) in ids)
-    assert set(per_entry) == ids and set(per_entry.values()) == {2}
+    assert set(per_entry) == ids and set(per_entry.values()) == {1}
 
 
 @pytest.fixture
@@ -108,7 +108,7 @@ def decimal_roundings():
 
 
 def test_a_256_bit_rung_rounds_each_entry_into_decimal_once(decimal_roundings):
-    # both routes copy the matrix's one decimal image at this precision
+    # both routes copy the matrix's one image at this context
     L = loewner_matrix(make_point_config((1, 2, 3, 4, 5)), 2.5, CTX256)
     ids = {id(e) for row in L.entries for e in row}
     inertia(L, CTX256)
@@ -139,7 +139,7 @@ def test_an_entry_under_the_window_takes_mpmath_at_53_bits(chosen):
     A = SymMatrix.from_rows([[1, tiny, 0], [tiny, 2, 0], [0, 0, 3]])
     eig_sym(A)
     inertia_ldl(A)
-    assert chosen == [MP_ARITH, MP_ARITH]
+    assert chosen == [MP_ARITH]
 
 
 def test_an_entry_over_the_window_skips_the_float_pass(chosen):
@@ -150,8 +150,33 @@ def test_an_entry_over_the_window_skips_the_float_pass(chosen):
         A = SymMatrix.from_rows([[big, 1, 0], [1, 2, 0], [0, 0, 3]])
         chosen.clear()
         rep = inertia(A, ctx)
-        assert chosen == [ar, ar]
+        assert chosen == [ar]
         assert not rep.disagreement
+
+
+@pytest.mark.parametrize("wide_first", [False, True])
+def test_the_image_is_keyed_by_context_not_bits(monkeypatch, wide_first):
+    # at 53 bits a residual tolerance under the float window sends the same
+    # float-tier matrix to mpmath, so an image kept per bits would hand the
+    # second context the first one's arithmetic
+    copies = []
+    original = inertia_mod._working_copy
+
+    def spy(A, tol):
+        ar, M, norm = original(A, tol)
+        copies.append((tol, ar, {type(v) for row in M for v in row}))
+        return ar, M, norm
+
+    monkeypatch.setattr(inertia_mod, "_working_copy", spy)
+    cfg, r = CASES[2]
+    L = loewner_matrix(cfg, r)
+    wide = ToleranceContext(residual_tol=1e-70)
+    runs = {DEFAULT_TOL: (FLOAT_ARITH, {float}), wide: (MP_ARITH, {mpf})}
+    order = [wide, DEFAULT_TOL] if wide_first else [DEFAULT_TOL, wide]
+    for ctx in order:
+        eig_sym(L, ctx)
+        inertia_ldl(L, ctx)
+    assert copies == [(ctx, *runs[ctx]) for ctx in order for _ in range(2)]
 
 
 def test_float_native_matrix_equals_its_entries():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -82,6 +83,35 @@ def test_inertia_from_spectrum_cases():
     assert inertia_from_spectrum(s, 3, ctx).as_tuple() == (1, 2, 0)
     s = Spectrum((mpf(-5),), mpf(0))
     assert inertia_from_spectrum(s, 5, ctx).as_tuple() == (0, 0, 1)
+
+
+CTX256 = ToleranceContext.at_bits(256)
+
+
+def _just_over_the_threshold(sign):
+    """A 256-bit spectrum (lam, top), top = 1 + sign * 2^-100, whose lam lies a
+    relative 2^-120 over the 256-bit zero threshold: with |lam| or the
+    threshold rounded to 53 bits it reads zero."""
+    with CTX256.prec():
+        top = 1 + sign * mpf(2) ** -100
+        lam = CTX256.zero_rel_tol * top * 2 * (1 + mpf(2) ** -120)
+        return Spectrum((lam, top), mpf(0))
+
+
+def test_a_spectrum_is_classified_at_its_contexts_precision():
+    s = _just_over_the_threshold(1)
+    with CTX256.prec():
+        assert inertia_from_spectrum(s, s.eigenvalues[-1], CTX256).as_tuple() == (2, 0, 0)
+    assert inertia_from_spectrum(s, s.eigenvalues[-1], CTX256).as_tuple() == (2, 0, 0)
+
+
+def test_inertia_takes_the_scale_at_the_rungs_precision(monkeypatch):
+    # 1 - 2^-100 rounds up to 1 at 53 bits, which would lift the threshold over lam
+    s = _just_over_the_threshold(-1)
+    inertia_mod = importlib.import_module("loewnerlab.inertia")
+    monkeypatch.setattr(inertia_mod, "eig_sym", lambda A, tol: s)
+    rep = inertia(SymMatrix.diagonal([1, 2]), CTX256)
+    assert rep.by_eigen.as_tuple() == (2, 0, 0)
 
 
 def test_ldl_cases():
