@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the verdicts of a fixed probe grid, or check a fresh run against the record.
 
-Four grids, 1,244 rows in all, each row one JSON object on one line of the
+Five grids, 1,642 rows in all, each row one JSON object on one line of the
 record file, so a moved verdict shows as a one-line diff:
 
 - verify: ``verify_instance`` on nodes 1..n for n = 3..18 at r in
@@ -14,11 +14,16 @@ record file, so a moved verdict shows as a one-line diff:
   against the theorem's inertia of L_{r+1};
 - sweep: ``eigen_trajectories`` on nodes 1..n for n = 3..12 from an
   explicit 53-bit ``ToleranceContext()`` over 0.5:n+0.5:2n+1, one row per
-  grid point, with the failure the sweep recorded there (if any).
+  grid point, with the failure the sweep recorded there (if any);
+- conditional: ``conditional_inertia`` for n = 3..10 on nodes 1..n, on
+  0.3*1.7^i and on 2 + 1e-3*i, at r = m + {0.25, 0.5, 0.75} with k = m for
+  m = 1..n-1, each against definiteness on H_k with sign (-1)^k, then two
+  reproducers: nodes 1..9 at r = 5.925815894643639, k = 5, and a clustered
+  triple at r = 2.2004672103655363, k = 2.
 
 Only long-standing public calls are used (``verify_instance``,
-``pr_compare``, ``eigen_trajectories``, ``ToleranceContext``,
-``predicted_inertia``, ``make_point_config``), so the same
+``pr_compare``, ``eigen_trajectories``, ``conditional_inertia``,
+``ToleranceContext``, ``predicted_inertia``, ``make_point_config``), so the same
 script runs on both sides of a change and its record can be made on either.
 
 Usage:
@@ -32,7 +37,9 @@ import sys
 from pathlib import Path
 
 from loewnerlab import (
+    Inertia,
     ToleranceContext,
+    conditional_inertia,
     eigen_trajectories,
     make_point_config,
     pr_compare,
@@ -43,6 +50,11 @@ from loewnerlab import (
 RECORDS = Path(__file__).with_name("verdict_grid.jsonl")
 OFFSETS = (1e-7, -1e-7, 1e-9, -1e-9, 1e-11, -1e-11, 1e-13, -1e-13)
 PR_EXPONENTS = (1.0001, 1.01, 1.5, 2.5, 3.5, 4.5, 5.5)
+CONDITIONAL_REPRODUCERS = (
+    ("1..n", list(range(1, 10)), 5.925815894643639, 5),
+    ("1.871449823,1.871653007,1.871905676", [1.871449823, 1.871653007, 1.871905676],
+     2.2004672103655363, 2),
+)
 
 
 def _triple(inertia):
@@ -57,8 +69,16 @@ def _verify_row(grid, nodes, values, r):
             "precision_bits": rep.precision_bits, "escalations": rep.escalations}
 
 
+def _conditional_row(nodes, values, r, k):
+    n = len(values)
+    definite = Inertia(0, 0, n - k) if k % 2 else Inertia(n - k, 0, 0)
+    return {"grid": "conditional", "nodes": nodes, "n": n, "r": r, "k": k,
+            "theorem": _triple(definite),
+            "computed": _triple(conditional_inertia(make_point_config(values), r, k))}
+
+
 def _probes():
-    """Yield every row of the four grids, in a fixed order."""
+    """Yield every row of the five grids, in a fixed order."""
     for n in range(3, 19):
         for r in (0.5, 1.5, 2.5, 3.5, 4.5, 7.5, 2, 3, 5, n - 0.5, n + 0.5, 40.5, 300.5):
             yield _verify_row("verify", "1..n", list(range(1, n + 1)), r)
@@ -89,6 +109,16 @@ def _probes():
             yield {"grid": "sweep", "nodes": "1..n", "n": n, "r": r,
                    "theorem": _triple(predicted_inertia(n, r).inertia),
                    "computed": _triple(ir), "failure": failures.get(idx)}
+    for n in range(3, 11):
+        node_sets = (("1..n", list(range(1, n + 1))),
+                     ("0.3*1.7^i", [0.3 * 1.7 ** i for i in range(n)]),
+                     ("2+1e-3*i", [2 + 1e-3 * i for i in range(n)]))
+        for nodes, values in node_sets:
+            for m in range(1, n):
+                for t in (0.25, 0.5, 0.75):
+                    yield _conditional_row(nodes, values, m + t, m)
+    for row in CONDITIONAL_REPRODUCERS:
+        yield _conditional_row(*row)
 
 
 def _probe_key(row):
@@ -103,6 +133,7 @@ def _summary(rows):
     verify = [r for r in rows if r["grid"] in ("verify", "near-integer")]
     sides = [r for r in rows if r["grid"] == "pr_compare"]
     points = [r for r in rows if r["grid"] == "sweep"]
+    restricted = [r for r in rows if r["grid"] == "conditional"]
     probes = {(r["n"], r["r"]) for r in sides if r["differs"]}
     return (f"{len(rows)} rows: {sum(not r['match'] for r in verify)} of {len(verify)} "
             f"verify and near-integer rows mismatch; {len(probes)} pr_compare probes "
@@ -110,7 +141,8 @@ def _summary(rows):
             f"{sum(r['differs'] and r['disagreement'] for r in sides)} of them flagged); "
             f"{sum(not _equal_to_theorem(r) for r in points)} of {len(points)} sweep points "
             f"differ from the theorem, {sum(r['failure'] is not None for r in points)} "
-            f"flagged")
+            f"flagged; {sum(not _equal_to_theorem(r) for r in restricted)} of "
+            f"{len(restricted)} conditional rows are not definite with sign (-1)^k")
 
 
 def _check(rows, path: Path) -> int:

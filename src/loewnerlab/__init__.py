@@ -38,7 +38,6 @@ from .oracle import (
     conditional_inertia,
     predicted_inertia,
     prop21_check,
-    subspace_basis,
     verify_identities,
     verify_instance,
 )

@@ -912,30 +912,28 @@ def dk_norm_probe(config: PointConfig, r: Scalar, samples: int = 20, seed: int =
     builders.refuse_zero_exponent(r)
     n = config.n
     rng = random.Random(seed)
-    with tol.prec():
+    with tol.prec():  # each scale, the margins and the verdict at the working precision
         p = config.mp_points()
         rr = to_mpf(r)
         reference = max(abs(rr) * x ** (rr - 1) for x in p)
 
-    def spectral(S: SymMatrix):
-        return eig_sym(S, tol).scale
+        def spectral(S: SymMatrix):
+            return eig_sym(S, tol).scale
 
-    ident = SymMatrix.diagonal([1] * n)
-    bound = spectral(dk_apply(config, r, ident, tol))
-    for _ in range(samples):
-        raw = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
-        X = SymMatrix.build(n, lambda i, j: mpf(raw[i][j]))
-        nx = spectral(X)
-        if nx == 0:
-            continue
-        with tol.prec():
+        ident = SymMatrix.diagonal([1] * n)
+        bound = spectral(dk_apply(config, r, ident, tol))
+        for _ in range(samples):
+            raw = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+            X = SymMatrix.build(n, lambda i, j: mpf(raw[i][j]))
+            nx = spectral(X)
+            if nx == 0:
+                continue
             Xu = SymMatrix.build(n, lambda i, j: to_mpf(X.entries[i][j]) / nx)
-        bound = max(bound, spectral(dk_apply(config, r, Xu, tol)))
-    margin = float(tol.residual_tol) * _DK_SLACK
-    equality_regime = 0 < r <= 1
-    ok = bound >= reference * (1 - margin) and (
-        not equality_regime or bound <= reference * (1 + margin))
-    with tol.prec():
+            bound = max(bound, spectral(dk_apply(config, r, Xu, tol)))
+        margin = to_mpf(tol.residual_tol) * _DK_SLACK
+        equality_regime = 0 < r <= 1
+        ok = bound >= reference * (1 - margin) and (
+            not equality_regime or bound <= reference * (1 + margin))
         ratio = bound / reference
     return NormProbe(r, bound, reference, ratio, samples, seed, equality_regime, ok)
 

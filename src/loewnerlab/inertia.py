@@ -404,17 +404,18 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     of ``tol.rungs(via=VERDICT_RUNG_BITS)`` (53 -> 128 -> 256 -> 512 bits
     from the default; a start at or above 128 bits climbs as it would
     without ``via``) builds the matrix with ``build(ctx)`` and runs
-    ``inertia`` on it, until the routes agree on a consensus equal to
-    ``target`` (if given) that has no zero eigenvalue unless the exact route
-    ran, or the rungs run out: a float zero count only says that this
-    precision did not resolve an eigenvalue.  Every rung's thresholds
-    come from ``at_bits``, and the stop test is the same at each.  A rung
-    ruled out by the target (see ``inertia``) climbs, as it would whatever
-    its eigenvalues.  The ladder stays lazy, so the top rung is known only
-    once it has run: when it was ruled out, ``inertia`` runs there again
-    without the target, and an exhausted ladder still reports both routes
-    and a spectrum.  An ``EigenConvergenceError`` below the top rung is a cue to climb; on
-    the top rung it propagates.  This is the one place the exact route
+    ``inertia`` on it, until the routes agree on a consensus that has no
+    zero eigenvalue unless the exact route ran, or the rungs run out: a
+    float zero count only says that this precision did not resolve an
+    eigenvalue.  Every rung's thresholds come from ``at_bits``, and the
+    stop test is the same at each.  A rung ruled out by ``target`` (see
+    ``inertia``) is a disagreement and climbs, as it would whatever its
+    eigenvalues, so routes that agree have agreed on the target.  The
+    ladder stays lazy, so the top rung is known only once it has run: when
+    it was ruled out, ``inertia`` runs there again without the target, and
+    an exhausted ladder still reports both routes and a spectrum.  An
+    ``EigenConvergenceError`` below the top rung is a cue to climb; on the
+    top rung it propagates.  This is the one place the exact route
     joins a report: it runs once on ``exact_hint``, before the first rung,
     and joins each rung's report.  (Private, so perfbench's tracer sees
     each ``inertia`` under the caller.)"""
@@ -427,8 +428,7 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
             failure = exc
             continue
         failure = None
-        if (not rep.disagreement and (target is None or rep.consensus == target)
-                and (by_exact is not None or rep.consensus.zero == 0)):
+        if not rep.disagreement and (by_exact is not None or rep.consensus.zero == 0):
             break
     if failure is not None:
         raise failure

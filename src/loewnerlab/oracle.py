@@ -1,14 +1,15 @@
-"""Predicted inertia of L_r, conditional-definiteness probes on the moment
-subspaces H_k, and the algebraic identities tying the matrix family together.
-``verify_instance`` climbs the precision ladder of ``inertia`` toward the prediction."""
+"""Predicted inertia of L_r, its inertia on the moment subspaces H_k (read off
+a bordered matrix, so no basis of H_k is formed), and the algebraic
+identities tying the matrix family together.  Every verdict here climbs the
+one precision ladder of ``inertia``; ``verify_instance`` climbs it toward
+the prediction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import builders
 # perfbench's tracer test looks up ``inertia_report`` here.
@@ -99,55 +100,33 @@ def verify_instance(config: PointConfig, r: Scalar,
                         ctx.precision_bits, escalations)
 
 
-def subspace_basis(config: PointConfig, k: int,
-                   tol: ToleranceContext = DEFAULT_TOL) -> tuple[tuple, ...]:
-    """Orthonormal basis of H_k = {x : sum p_i^j x_i = 0 for j < k} as n x (n-k) rows.
+def conditional_inertia(config: PointConfig, r: Scalar, k: int,
+                        tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
+    """Inertia of L_r on H_k = {x : sum p_i^j x_i = 0 for j < k}.
 
-    Computed from an orthogonal factorization of the transposed k x n moment
-    matrix; the trailing columns of the orthogonal factor span its null
-    space.  Inertia under compression is basis-independent by Sylvester's
-    law, so only orthonormality and the moment residual matter here.  It
-    climbs ``tol.rungs()`` until the residual is within tolerance, else
-    raises ArithmeticError.
-    """
+    Read off the bordered matrix K = [[L_r, C^T], [C, 0]], C the k x n
+    moment matrix p_i^j (j < k), which has full row rank for distinct nodes
+    and k < n, so In(K) = In(L_r on H_k) + (k, 0, k) (Chabrillac & Crouzeix,
+    LAA 63, 1984; Maddocks, LAA 108, 1988) and no basis of H_k is formed.
+    ``_settle`` climbs its ladder on K, rebuilt at each rung."""
     n = config.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    for ctx in tol.rungs():
-        with ctx.prec():
-            moments = [[x ** j for x in config.mp_points()] for j in range(k)]
-            Q, _ = mp.qr(mpmath.matrix(moments).T, mode='full')
-            basis = tuple(tuple(Q[i, c] for c in range(k, n)) for i in range(n))
-            worst = mpf(0)
-            for j in range(k):
-                row_norm = mp.sqrt(mp.fsum(v ** 2 for v in moments[j]))
-                for c in range(n - k):
-                    res = abs(mp.fsum(moments[j][i] * basis[i][c] for i in range(n)))
-                    worst = max(worst, res / row_norm)
-            if worst <= to_mpf(ctx.residual_tol):
-                return basis
-    raise ArithmeticError(
-        f"moment residual {mp.nstr(worst, 5)} exceeds tolerance even after escalation"
-    )
-
-
-def conditional_inertia(config: PointConfig, r: Scalar, k: int,
-                        tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
-    """Inertia of the compression of L_r onto H_k; the basis, L_r and the
-    compression are rebuilt at each rung of the ladder."""
-    n, m = config.n, config.n - k
 
     def build(ctx):
-        Q = subspace_basis(config, k, ctx)
+        L = builders.loewner_matrix(config, r, ctx).entries
         with ctx.prec():
-            L = builders.loewner_matrix(config, r, ctx)
-            LQ = [[mp.fsum(to_mpf(L.entries[i][t]) * Q[t][c] for t in range(n))
-                   for c in range(m)] for i in range(n)]
-            B = [[mp.fsum(Q[i][a] * LQ[i][c] for i in range(n))
-                  for c in range(m)] for a in range(m)]
-            return SymMatrix.build(m, lambda a, c: (B[a][c] + B[c][a]) / 2)
+            p = config.mp_points()
 
-    return _settle(build, tol)[0].consensus
+            def entry(a, b):  # a <= b: L_r, then C^T's column b - n, then zero
+                if b < n:
+                    return L[a][b]
+                return p[a] ** (b - n) if a < n else 0
+
+            return SymMatrix.build(n + k, entry)
+
+    c = _settle(build, tol)[0].consensus
+    return Inertia(c.pos - k, c.zero, c.neg - k)
 
 
 def prop21_check(config: PointConfig, r: Scalar,

@@ -557,12 +557,23 @@ def test_dk_probe_bound_never_below_reference():
 
 
 def test_dk_probe_ratio_is_taken_at_the_working_precision():
-    # bound and reference differ in the 17th digit: a 53-bit quotient reads 1
+    # the X = I sample attains the reference; each spectrum's scale read at
+    # 53 bits would put the bound off it in the 17th digit
     probe = dk_norm_probe(make_point_config((1, 2, 3)), 1.5, samples=5, seed=4,
                           tol=ToleranceContext.at_bits(100))
     with mp.workprec(100):
         assert probe.ratio == probe.bound / probe.reference
-        assert probe.ratio > 1
+        assert probe.bound == probe.reference
+
+
+def test_dk_probe_verdict_is_formed_at_the_working_precision():
+    # the equality regime at 256 bits: the margins are formed at 256 bits too,
+    # so a 256-bit bound equal to the reference passes both sides
+    tol = ToleranceContext.at_bits(256)
+    probe = dk_norm_probe(make_point_config((2, 3, 5)), 0.5, tol=tol)
+    with tol.prec():
+        assert probe.bound == probe.reference
+    assert probe.equality_regime and probe.ok
 
 
 def test_pr_compare_examples():

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
 
 from loewnerlab import (
     Inertia,
@@ -17,11 +16,10 @@ from loewnerlab import (
     make_point_config,
     predicted_inertia,
     prop21_check,
-    subspace_basis,
     verify_identities,
     verify_instance,
 )
-from loewnerlab import analysis
+from loewnerlab import analysis, builders
 
 from helpers import random_config, random_rational_config
 
@@ -117,54 +115,53 @@ def test_verify_instance_float_nodes_at_integer_exponent():
     assert rep.match and rep.computed.as_tuple() == (1, 1, 1)
 
 
-def test_subspace_basis_two_points():
-    basis = subspace_basis(make_point_config((1, 2)), 1)
-    col = [basis[0][0], basis[1][0]]
-    ref = 1 / mp.sqrt(2)
-    assert abs(abs(col[0]) - ref) < 1e-14
-    assert abs(col[0] + col[1]) < 1e-14
-
-
-def test_subspace_basis_three_points_k2():
-    basis = subspace_basis(make_point_config((1, 2, 3)), 2)
-    col = [basis[i][0] for i in range(3)]
-    ref = [1 / mp.sqrt(6), -2 / mp.sqrt(6), 1 / mp.sqrt(6)]
-    sign = 1 if col[0] > 0 else -1
-    assert all(abs(sign * c - e) < 1e-13 for c, e in zip(col, ref))
-
-
-def test_subspace_basis_orthonormal_and_annihilated():
-    rng = random.Random(43)
-    for n in (3, 5, 6):
-        cfg = random_config(rng, n)
-        for k in (1, n - 1):
-            basis = subspace_basis(cfg, k)
-            cols = list(zip(*basis))
-            assert len(cols) == n - k
-            for a in range(len(cols)):
-                for b in range(a, len(cols)):
-                    dot = mp.fsum(x * y for x, y in zip(cols[a], cols[b]))
-                    assert abs(dot - (1 if a == b else 0)) < 1e-12
-            for j in range(k):
-                moments = [mpf(p) ** j for p in cfg.points]
-                for col in cols:
-                    assert abs(mp.fsum(m * c for m, c in zip(moments, col))) < 1e-9
-
-
-def test_subspace_basis_rejects_bad_k():
-    cfg = make_point_config((1, 2, 3))
-    with pytest.raises(ValueError):
-        subspace_basis(cfg, 3)
-    with pytest.raises(ValueError):
-        subspace_basis(cfg, 0)
-
-
 def test_conditional_inertia_examples():
     cfg = make_point_config((1, 2, 3))
     assert conditional_inertia(cfg, 1.5, 1).as_tuple() == (0, 0, 2)
     assert conditional_inertia(cfg, 2.5, 1).as_tuple() == (2, 0, 0)
     cfg5 = make_point_config((1, 2, 3, 4, 5))
     assert conditional_inertia(cfg5, 3.5, 2).as_tuple() == (0, 0, 3)
+
+
+def test_conditional_inertia_rejects_bad_k():
+    cfg = make_point_config((1, 2, 3))
+    with pytest.raises(ValueError, match="1 <= k < n"):
+        conditional_inertia(cfg, 1.5, 0)
+    with pytest.raises(ValueError, match="1 <= k < n"):
+        conditional_inertia(cfg, 2.5, 3)
+
+
+def test_conditional_inertia_on_nodes_1_to_9_near_r_6():
+    # a compression onto a computed basis of H_5 reads (1, 0, 3) at 53 bits,
+    # both routes agreeing: the bordered matrix needs no basis
+    assert conditional_inertia(make_point_config(range(1, 10)), 5.925815894643639, 5) == \
+        Inertia(0, 0, 4)
+
+
+def test_conditional_inertia_on_a_clustered_triple():
+    # close nodes make the moment rows nearly dependent: a 1x1 compression
+    # onto a computed basis of H_2 reads (0, 0, 1)
+    cfg = make_point_config((1.871449823, 1.871653007, 1.871905676))
+    assert conditional_inertia(cfg, 2.2004672103655363, 2) == Inertia(1, 0, 0)
+
+
+def test_conditional_inertia_on_clustered_nodes_is_definite():
+    # nodes within a relative 1e-6 .. 1e-1 of a centre in 0.1 .. 100, where the
+    # moment rows are nearly dependent: L_r on H_k, floor(r) = k, is definite
+    # with sign (-1)^k
+    rng = random.Random(11)
+    wrong = []
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        k = rng.randint(1, n - 1)
+        r = k + rng.uniform(0.02, 0.98)
+        centre, width = 10 ** rng.uniform(-1, 2), 10 ** rng.uniform(-6, -1)
+        nodes = [centre * (1 + width * (i + rng.random()) / n) for i in range(n)]
+        expected = Inertia(0, 0, n - k) if k % 2 else Inertia(n - k, 0, 0)
+        got = conditional_inertia(make_point_config(nodes), r, k)
+        if got != expected:
+            wrong.append((nodes, r, k, got))
+    assert wrong == []
 
 
 def test_positive_definite_below_one():
@@ -317,24 +314,17 @@ def test_near_integer_exponents_settle_by_128_bits(nk, side, digits):
     assert rep.match and rep.precision_bits <= 128
 
 
-def test_conditional_inertia_rebuilds_the_compression_per_rung():
-    # the compression built once at 53 bits reads (1, 0, 8)
+def test_conditional_inertia_rebuilds_the_compression_per_rung(monkeypatch):
+    # the bordered matrix [[L_r, C^T], [C, 0]] of nodes 1..10 counts zero
+    # eigenvalues at 53 bits (five by QL, four by LDL), so the ladder climbs
+    # and builds L_r, and the bordered matrix with it, again at 128 bits
+    bits = []
+    build = builders.loewner_matrix
+
+    def spy(config, r, tol):
+        bits.append(tol.precision_bits)
+        return build(config, r, tol)
+
+    monkeypatch.setattr(builders, "loewner_matrix", spy)
     assert conditional_inertia(make_point_config(range(1, 11)), 1.5, 1) == Inertia(0, 0, 9)
-
-
-def test_subspace_basis_climbs_every_rung_then_raises(monkeypatch):
-    precs = []
-    qr = mp.qr
-
-    def off_by_1e5(A, mode):  # a factorization that never meets the residual tolerance
-        precs.append(mp.prec)
-        Q, R = qr(A, mode=mode)
-        for i in range(Q.rows):
-            for j in range(Q.cols):
-                Q[i, j] += mpf("1e-5")
-        return Q, R
-
-    monkeypatch.setattr(mp, "qr", off_by_1e5)
-    with pytest.raises(ArithmeticError, match="moment residual"):
-        subspace_basis(make_point_config((1, 2, 3)), 1)
-    assert precs == [53, 256, 512]
+    assert bits == [53, 128]
