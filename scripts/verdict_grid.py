@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the verdicts of a fixed probe grid, or check a fresh run against the record.
 
-Five grids, 1,642 rows in all, each row one JSON object on one line of the
+Six grids, 2,044 rows in all, each row one JSON object on one line of the
 record file, so a moved verdict shows as a one-line diff:
 
 - verify: ``verify_instance`` on nodes 1..n for n = 3..18 at r in
@@ -19,7 +19,13 @@ record file, so a moved verdict shows as a one-line diff:
   0.3*1.7^i and on 2 + 1e-3*i, at r = m + {0.25, 0.5, 0.75} with k = m for
   m = 1..n-1, each against definiteness on H_k with sign (-1)^k, then two
   reproducers: nodes 1..9 at r = 5.925815894643639, k = 5, and a clustered
-  triple at r = 2.2004672103655363, k = 2.
+  triple at r = 2.2004672103655363, k = 2;
+- integer: ``pr_compare`` on nodes 1..n for n = 3..12 at r in {1, 2, 3},
+  one row per side as in the pr_compare grid, then ``conditional_inertia``
+  for n = 3..10 on the conditional grid's three node families at each
+  integer m = 1..n-1 with k = ceil(m/2)..m, each against (0, n-k, 0):
+  L_m = W^T V W (W the rows p_i^a, a < m; V the antidiagonal) vanishes on
+  H_k once 2k >= m, since every pair a + b = m - 1 has an index below k.
 
 Only long-standing public calls are used (``verify_instance``,
 ``pr_compare``, ``eigen_trajectories``, ``conditional_inertia``,
@@ -69,16 +75,36 @@ def _verify_row(grid, nodes, values, r):
             "precision_bits": rep.precision_bits, "escalations": rep.escalations}
 
 
-def _conditional_row(nodes, values, r, k):
-    n = len(values)
-    definite = Inertia(0, 0, n - k) if k % 2 else Inertia(n - k, 0, 0)
-    return {"grid": "conditional", "nodes": nodes, "n": n, "r": r, "k": k,
-            "theorem": _triple(definite),
+def _pr_rows(grid, n, r):
+    rep = pr_compare(make_point_config(range(1, n + 1)), r)
+    theorem = predicted_inertia(n, r + 1).inertia
+    for side, ir in (("power_sum", rep.power_sum), ("loewner", rep.loewner)):
+        yield {"grid": grid, "nodes": "1..n", "n": n, "r": r, "side": side,
+               "theorem": _triple(theorem), "computed": _triple(ir.consensus),
+               "by_eigen": _triple(ir.by_eigen), "by_ldl": _triple(ir.by_ldl),
+               "by_exact": _triple(ir.by_exact), "disagreement": ir.disagreement,
+               "differs": ir.consensus != theorem}
+
+
+def _conditional_nodes(n):
+    return (("1..n", list(range(1, n + 1))),
+            ("0.3*1.7^i", [0.3 * 1.7 ** i for i in range(n)]),
+            ("2+1e-3*i", [2 + 1e-3 * i for i in range(n)]))
+
+
+def _conditional_row(grid, nodes, values, r, k, theorem):
+    return {"grid": grid, "nodes": nodes, "n": len(values), "r": r, "k": k,
+            "theorem": _triple(theorem),
             "computed": _triple(conditional_inertia(make_point_config(values), r, k))}
 
 
+def _definite(n, k):
+    """Definiteness on H_k with sign (-1)^k."""
+    return Inertia(0, 0, n - k) if k % 2 else Inertia(n - k, 0, 0)
+
+
 def _probes():
-    """Yield every row of the five grids, in a fixed order."""
+    """Yield every row of the six grids, in a fixed order."""
     for n in range(3, 19):
         for r in (0.5, 1.5, 2.5, 3.5, 4.5, 7.5, 2, 3, 5, n - 0.5, n + 0.5, 40.5, 300.5):
             yield _verify_row("verify", "1..n", list(range(1, n + 1)), r)
@@ -91,16 +117,8 @@ def _probes():
                 for d in OFFSETS:
                     yield _verify_row("near-integer", nodes, values, k + d)
     for n in range(3, 13):
-        config = make_point_config(range(1, n + 1))
         for r in PR_EXPONENTS:
-            rep = pr_compare(config, r)
-            theorem = predicted_inertia(n, r + 1).inertia
-            for side, ir in (("power_sum", rep.power_sum), ("loewner", rep.loewner)):
-                yield {"grid": "pr_compare", "nodes": "1..n", "n": n, "r": r, "side": side,
-                       "theorem": _triple(theorem), "computed": _triple(ir.consensus),
-                       "by_eigen": _triple(ir.by_eigen), "by_ldl": _triple(ir.by_ldl),
-                       "by_exact": _triple(ir.by_exact), "disagreement": ir.disagreement,
-                       "differs": ir.consensus != theorem}
+            yield from _pr_rows("pr_compare", n, r)
     for n in range(3, 13):
         s = eigen_trajectories(make_point_config(range(1, n + 1)), 0.5, n + 0.5, 2 * n + 1,
                                ToleranceContext())
@@ -110,15 +128,20 @@ def _probes():
                    "theorem": _triple(predicted_inertia(n, r).inertia),
                    "computed": _triple(ir), "failure": failures.get(idx)}
     for n in range(3, 11):
-        node_sets = (("1..n", list(range(1, n + 1))),
-                     ("0.3*1.7^i", [0.3 * 1.7 ** i for i in range(n)]),
-                     ("2+1e-3*i", [2 + 1e-3 * i for i in range(n)]))
-        for nodes, values in node_sets:
+        for nodes, values in _conditional_nodes(n):
             for m in range(1, n):
                 for t in (0.25, 0.5, 0.75):
-                    yield _conditional_row(nodes, values, m + t, m)
-    for row in CONDITIONAL_REPRODUCERS:
-        yield _conditional_row(*row)
+                    yield _conditional_row("conditional", nodes, values, m + t, m, _definite(n, m))
+    for nodes, values, r, k in CONDITIONAL_REPRODUCERS:
+        yield _conditional_row("conditional", nodes, values, r, k, _definite(len(values), k))
+    for n in range(3, 13):
+        for r in (1, 2, 3):
+            yield from _pr_rows("integer", n, r)
+    for n in range(3, 11):
+        for nodes, values in _conditional_nodes(n):
+            for m in range(1, n):
+                for k in range((m + 1) // 2, m + 1):
+                    yield _conditional_row("integer", nodes, values, m, k, Inertia(0, n - k, 0))
 
 
 def _probe_key(row):
@@ -134,6 +157,7 @@ def _summary(rows):
     sides = [r for r in rows if r["grid"] == "pr_compare"]
     points = [r for r in rows if r["grid"] == "sweep"]
     restricted = [r for r in rows if r["grid"] == "conditional"]
+    integer = [r for r in rows if r["grid"] == "integer"]
     probes = {(r["n"], r["r"]) for r in sides if r["differs"]}
     return (f"{len(rows)} rows: {sum(not r['match'] for r in verify)} of {len(verify)} "
             f"verify and near-integer rows mismatch; {len(probes)} pr_compare probes "
@@ -142,7 +166,9 @@ def _summary(rows):
             f"{sum(not _equal_to_theorem(r) for r in points)} of {len(points)} sweep points "
             f"differ from the theorem, {sum(r['failure'] is not None for r in points)} "
             f"flagged; {sum(not _equal_to_theorem(r) for r in restricted)} of "
-            f"{len(restricted)} conditional rows are not definite with sign (-1)^k")
+            f"{len(restricted)} conditional rows are not definite with sign (-1)^k; "
+            f"{sum(not _equal_to_theorem(r) for r in integer)} of {len(integer)} integer "
+            f"rows differ from the theorem")
 
 
 def _check(rows, path: Path) -> int:

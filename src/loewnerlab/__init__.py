@@ -27,7 +27,6 @@ from .inertia import (
     consensus_inertia,
     eig_sym,
     inertia,
-    inertia_exact_integer,
     inertia_from_spectrum,
     inertia_ldl,
 )

@@ -45,7 +45,7 @@ from mpmath import libmp, mp, mpc, mpf
 
 from . import builders
 from .exact import _DET_FLOAT_MAX, _DET_FLOAT_MIN, _lu_factor, _pivot_product, det_fraction
-from .inertia import InertiaReport, _settle, _settle_loewner, eig_sym
+from .inertia import InertiaReport, _settle, _settle_loewner, eig_sym, exact_route_hint
 from .types import (
     DEFAULT_TOL,
     FLOAT_ARITH,
@@ -964,8 +964,15 @@ class PrCompareReport:
 def pr_compare(config: PointConfig, r: Scalar,
                tol: ToleranceContext = DEFAULT_TOL) -> PrCompareReport:
     """Compare the inertia of [(p_i+p_j)^r] with that of L_{r+1}, each matrix
-    rebuilt at every rung of the ladder."""
+    rebuilt at every rung of the ladder.  Wherever ``exact_route_hint`` gives
+    an integer m, each side has an exact twin: L_{m+1}'s is
+    ``builders.loewner_matrix_exact``, and the power-sum side's is
+    [(q_i+q_j)^m] over the rationals.  So that matrix, singular of rank
+    m + 1 when m + 1 < n, settles on the first rung whose float routes agree
+    with the exact count instead of climbing to the top one."""
     if not r > 0:
         raise ValueError(f"exponent must be positive, got {r!r}")
-    p_rep, _, _ = _settle(lambda ctx: builders.power_sum_matrix(config, r, ctx), tol)
+    hint = exact_route_hint(config, Exponent.of(r))
+    twin = hint and (lambda: [[(a + b) ** hint[1] for b in hint[0].exact] for a in hint[0].exact])
+    p_rep, _, _ = _settle(lambda ctx: builders.power_sum_matrix(config, r, ctx), tol, twin)
     return PrCompareReport(r, p_rep, _settle_loewner(config, r + 1, tol)[0])

@@ -4,8 +4,9 @@ Route one computes eigenvalues and counts their signs, at every precision
 by Householder tridiagonalization and implicit-shift QL, eigenvalues only
 (see ``eig_sym``).  Route two runs a completely pivoted (Bunch-Parlett)
 block congruence elimination with 1x1 and 2x2 pivots and counts pivot
-signs, which preserves inertia by Sylvester's law.  Route three, available
-at every integer exponent, eliminates the exact rational matrix.  A report
+signs, which preserves inertia by Sylvester's law.  Route three eliminates
+the matrix's exact twin over the rationals, wherever the caller names one
+(at every integer exponent on the nodes ``exact_route_hint`` gives).  A report
 derives its verdicts from whichever routes ran and keeps the spectrum its
 eigenvalue route classified.  ``_settle`` climbs the one precision ladder,
 ``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
@@ -37,8 +38,8 @@ is classified inside the context's precision; at 53 bits the eigenvalues
 are classified as the floats they were computed in, which round as 53-bit
 mpf does.  A NaN or infinite entry raises ValueError.  The exact route
 (Fractions) shares nothing with them, and its answer does not depend on
-precision, so the ladder computes it once, before its first rung, for
-every integer exponent.
+precision, so the ladder computes it once, before its first rung, on the
+twin its caller names.
 """
 
 from __future__ import annotations
@@ -360,16 +361,14 @@ def _swap_sym(M, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def inertia_exact_integer(config: PointConfig, r: int) -> Inertia:
-    """Exact inertia of the integer-exponent Loewner matrix over the rationals."""
-    return exact.rational_inertia(builders.loewner_matrix_exact(config, r).entries)
-
-
 def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[tuple]:
-    """The ``exact_hint`` for the Loewner matrix of t^r at these nodes.
+    """Whether a matrix of t^r at these nodes has an exact twin, and on what.
 
     It is ``(config, m)`` for every integer exponent m, with float nodes
     promoted to the binary rationals they already denote, and None otherwise.
+    Each caller builds the twin of its own matrix from it, with plain
+    quotients and powers over the rationals (never the float kernel), and
+    hands it to ``_settle``.
     """
     if exponent.is_integer:
         return config.ensure_exact(), exponent.integer_value
@@ -397,7 +396,7 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
 
 def _settle(build: Callable[[ToleranceContext], SymMatrix],
             tol: ToleranceContext = DEFAULT_TOL,
-            exact_hint: Optional[tuple[PointConfig, int]] = None,
+            twin: Optional[Callable] = None,
             target: Optional[Inertia] = None) -> tuple[InertiaReport, ToleranceContext, int]:
     """The precision ladder: (report, context, escalations) of the rung it
     stopped at.  It starts at ``tol`` as the caller gave it, and each rung
@@ -416,10 +415,11 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     an exhausted ladder still reports both routes and a spectrum.  An
     ``EigenConvergenceError`` below the top rung is a cue to climb; on the
     top rung it propagates.  This is the one place the exact route
-    joins a report: it runs once on ``exact_hint``, before the first rung,
-    and joins each rung's report.  (Private, so perfbench's tracer sees
-    each ``inertia`` under the caller.)"""
-    by_exact = inertia_exact_integer(*exact_hint) if exact_hint is not None else None
+    joins a report: ``twin``, when given, returns the Fraction rows of the
+    matrix ``build`` makes; ``exact.rational_inertia`` runs once on them,
+    before the first rung, and joins each rung's report.  (Private, so
+    perfbench's tracer sees each ``inertia`` under the caller.)"""
+    by_exact = exact.rational_inertia(twin()) if twin is not None else None
     for escalations, ctx in enumerate(tol.rungs(via=VERDICT_RUNG_BITS)):
         A = build(ctx)
         try:
@@ -440,13 +440,16 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
 def _settle_loewner(config: PointConfig, r: Scalar, tol: ToleranceContext = DEFAULT_TOL,
                     target: Optional[Inertia] = None):
     """``_settle`` on the Loewner matrix of t^r at these nodes, rebuilt at each
-    rung, with the exact route wherever ``exact_route_hint`` gives one."""
-    return _settle(lambda ctx: builders.loewner_matrix(config, r, ctx), tol,
-                   exact_route_hint(config, Exponent.of(r)), target)
+    rung, with ``builders.loewner_matrix_exact`` as its twin wherever
+    ``exact_route_hint`` gives one."""
+    hint = exact_route_hint(config, Exponent.of(r))
+    twin = hint and (lambda: builders.loewner_matrix_exact(*hint).entries)
+    return _settle(lambda ctx: builders.loewner_matrix(config, r, ctx), tol, twin, target)
 
 
 def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
-                      exact_hint: Optional[tuple[PointConfig, int]] = None) -> InertiaReport:
+                      twin: Optional[Callable] = None) -> InertiaReport:
     """Inertia report of the already built A, escalating the routes' precision
-    (not A's) until they agree; ``_settle`` rebuilds a matrix per rung."""
-    return _settle(lambda ctx: A, tol, exact_hint)[0]
+    (not A's) until they agree; ``_settle`` rebuilds a matrix per rung.
+    ``twin`` returns A's exact Fraction rows, as in ``_settle``."""
+    return _settle(lambda ctx: A, tol, twin)[0]

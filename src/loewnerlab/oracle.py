@@ -100,6 +100,14 @@ def verify_instance(config: PointConfig, r: Scalar,
                         ctx.precision_bits, escalations)
 
 
+def _bordered(L, p, k: int) -> SymMatrix:
+    """K = [[L, C^T], [C, 0]] for the n x n rows L and the k x n moment matrix
+    C = [p_i^j] (j < k), in whatever arithmetic L and p carry."""
+    C = [[x ** j for x in p] for j in range(k)]
+    top = [list(row) + list(col) for row, col in zip(L, zip(*C))]
+    return SymMatrix.from_rows(top + [c + [0] * k for c in C])
+
+
 def conditional_inertia(config: PointConfig, r: Scalar, k: int,
                         tol: ToleranceContext = DEFAULT_TOL) -> Inertia:
     """Inertia of L_r on H_k = {x : sum p_i^j x_i = 0 for j < k}.
@@ -108,7 +116,11 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
     moment matrix p_i^j (j < k), which has full row rank for distinct nodes
     and k < n, so In(K) = In(L_r on H_k) + (k, 0, k) (Chabrillac & Crouzeix,
     LAA 63, 1984; Maddocks, LAA 108, 1988) and no basis of H_k is formed.
-    ``_settle`` climbs its ladder on K, rebuilt at each rung."""
+    ``_settle`` climbs its ladder on K, rebuilt at each rung.  Wherever
+    ``exact_route_hint`` gives an integer m, K's twin borders L_m's exact
+    rows with the exact moment rows.  So K, singular wherever L_m vanishes
+    on part of H_k, settles on the first rung whose float routes agree with
+    the exact count instead of climbing to the top one."""
     n = config.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -116,16 +128,12 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
     def build(ctx):
         L = builders.loewner_matrix(config, r, ctx).entries
         with ctx.prec():
-            p = config.mp_points()
+            return _bordered(L, config.mp_points(), k)
 
-            def entry(a, b):  # a <= b: L_r, then C^T's column b - n, then zero
-                if b < n:
-                    return L[a][b]
-                return p[a] ** (b - n) if a < n else 0
-
-            return SymMatrix.build(n + k, entry)
-
-    c = _settle(build, tol)[0].consensus
+    hint = exact_route_hint(config, Exponent.of(r))
+    twin = hint and (lambda: _bordered(builders.loewner_matrix_exact(*hint).entries,
+                                       hint[0].exact, k).entries)
+    c = _settle(build, tol, twin)[0].consensus
     return Inertia(c.pos - k, c.zero, c.neg - k)
 
 

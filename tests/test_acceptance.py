@@ -21,7 +21,6 @@ from loewnerlab import (
     det_closed_form_L4,
     eig_sym,
     eigen_trajectories,
-    inertia_exact_integer,
     loewner_matrix,
     loewner_matrix_exact,
     make_point_config,
@@ -93,7 +92,7 @@ def test_criterion_02_integer_exact():
                 k = (r + 1) // 2
                 expected = Inertia(k, n - r, k) if r % 2 == 0 else Inertia(k, n - r, k - 1)
                 checked += 1
-                if inertia_exact_integer(cfg, r) != expected:
+                if rational_inertia(loewner_matrix_exact(cfg, r).entries) != expected:
                     failures += 1
     _report(2, "exact integer-exponent inertia equals the closed pattern",
             failures == 0, f"{checked} cases, exact arithmetic")

@@ -599,17 +599,35 @@ def test_pr_compare_rebuilds_both_matrices_per_rung(n, r, expected):
 
 def test_pr_compare_runs_the_exact_route_at_integer_exponents(monkeypatch):
     calls = []
-    original = inertia_mod.inertia_exact_integer
+    original = inertia_mod.builders.loewner_matrix_exact
 
     def counted(config, m):
         calls.append((config.exact, m))
         return original(config, m)
 
-    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", counted)
     rep = pr_compare(make_point_config((1.0, 2.0, 3.0)), 2)
     assert calls == [((Fraction(1), Fraction(2), Fraction(3)), 3)]
     assert rep.loewner.by_exact.as_tuple() == (2, 0, 1)
+    assert rep.power_sum.by_exact.as_tuple() == (2, 0, 1)
 
+
+
+def test_pr_compare_settles_both_sides_at_53_bits_at_an_integer_exponent(monkeypatch):
+    # [(p_i + p_j)^2] on six nodes is singular of rank 3: its exact twin
+    # settles it on the first rung, as L_3's settles the other side
+    bits = []
+    original = inertia_mod.inertia
+
+    def counted(A, tol, target=None):
+        bits.append(tol.precision_bits)
+        return original(A, tol, target)
+
+    monkeypatch.setattr(inertia_mod, "inertia", counted)
+    rep = pr_compare(make_point_config(range(1, 7)), 2)
+    assert rep.power_sum.by_exact.as_tuple() == (2, 3, 1)
+    assert rep.loewner.by_exact.as_tuple() == (2, 3, 1)
+    assert bits == [53, 53] and rep.match
 
 @pytest.mark.parametrize("grid", [1, 0, -5])
 def test_scan_policy_rejects_a_grid_under_two_points(grid):

@@ -32,6 +32,7 @@ from loewnerlab import (
     verify_instance,
 )
 from loewnerlab import cli
+from loewnerlab.exact import rational_inertia
 from loewnerlab.types import DEC_ARITH, FLOAT_ARITH, MP_ARITH
 
 # the package re-exports a function named ``inertia`` that hides the module
@@ -191,23 +192,25 @@ def test_power_tables_keep_entries_bit_identical():
 
 def test_exact_route_runs_once_per_call(monkeypatch):
     calls = []
-    original = inertia_mod.inertia_exact_integer
+    original = inertia_mod.builders.loewner_matrix_exact
 
     def counted(config, r):
         calls.append(r)
         return original(config, r)
 
-    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", counted)
     cfg = make_point_config(range(1, 9))
     rep = verify_instance(cfg, 7)
     assert rep.match and rep.escalations == 1
     assert calls == [7]
 
     L = loewner_matrix(cfg, 7)
-    first_rung = replace(inertia_mod.inertia(L), by_exact=inertia_mod.inertia_exact_integer(cfg, 7))
+    by_exact = rational_inertia(original(cfg, 7).entries)
+    first_rung = replace(inertia_mod.inertia(L), by_exact=by_exact)
     assert first_rung.disagreement  # so consensus escalates
     calls.clear()
-    rep = consensus_inertia(L, exact_hint=(cfg, 7))
+    rep = consensus_inertia(
+        L, twin=lambda: inertia_mod.builders.loewner_matrix_exact(cfg, 7).entries)
     assert not rep.disagreement
     assert calls == [7]
 

@@ -17,10 +17,10 @@ from loewnerlab import (
     consensus_inertia,
     eig_sym,
     inertia,
-    inertia_exact_integer,
     inertia_from_spectrum,
     inertia_ldl,
     loewner_matrix,
+    loewner_matrix_exact,
     make_point_config,
     ones_E,
 )
@@ -174,18 +174,10 @@ def test_reflection_swaps_inertia():
 
 
 def test_exact_integer_examples():
-    assert inertia_exact_integer(make_point_config((1, 2, 3)), 2).as_tuple() == (1, 1, 1)
-    assert inertia_exact_integer(make_point_config((1, 2, 3, 4)), 3).as_tuple() == (2, 1, 1)
-    assert inertia_exact_integer(make_point_config((1, 2)), 1).as_tuple() == (1, 1, 0)
-
-
-def test_exact_integer_rejects_bad_input():
-    cfg = make_point_config((1, 2))
-    with pytest.raises(ValueError):
-        inertia_exact_integer(cfg, 1.5)
-    assert inertia_exact_integer(cfg, 0).as_tuple() == (0, 2, 0)  # L_0 is the zero matrix
-    with pytest.raises(ValueError):
-        inertia_exact_integer(make_point_config((1.5, 2.5)), 2)
+    for points, m, expected in (((1, 2, 3), 2, (1, 1, 1)), ((1, 2, 3, 4), 3, (2, 1, 1)),
+                                ((1, 2), 1, (1, 1, 0))):
+        L = loewner_matrix_exact(make_point_config(points), m)
+        assert rational_inertia(L.entries).as_tuple() == expected
 
 
 def test_exact_agrees_with_float_routes_at_256_bits():
@@ -195,7 +187,7 @@ def test_exact_agrees_with_float_routes_at_256_bits():
         n = rng.randint(2, 5)
         cfg = random_rational_config(rng, n)
         for r in range(1, n + 1):
-            by_exact = inertia_exact_integer(cfg, r)
+            by_exact = rational_inertia(loewner_matrix_exact(cfg, r).entries)
             rep = inertia(loewner_matrix(cfg, r, ctx), ctx)
             assert not rep.disagreement
             assert rep.consensus == by_exact
@@ -211,7 +203,7 @@ def test_consensus_examples():
 def test_exact_hint_joins_consensus():
     cfg = make_point_config((1, 2, 3))
     L = loewner_matrix(cfg, 2)
-    rep = consensus_inertia(L, exact_hint=(cfg, 2))
+    rep = consensus_inertia(L, twin=lambda: loewner_matrix_exact(cfg, 2).entries)
     assert rep.by_exact is not None
     assert not rep.disagreement
     assert rep.consensus.as_tuple() == (1, 1, 1)

@@ -11,8 +11,8 @@ from loewnerlab import (
     ToleranceContext,
     conditional_inertia,
     consensus_inertia,
-    inertia_exact_integer,
     loewner_matrix,
+    loewner_matrix_exact,
     make_point_config,
     predicted_inertia,
     prop21_check,
@@ -20,6 +20,7 @@ from loewnerlab import (
     verify_instance,
 )
 from loewnerlab import analysis, builders
+from loewnerlab.exact import rational_inertia
 
 from helpers import random_config, random_rational_config
 
@@ -65,7 +66,8 @@ def test_predicted_matches_exact_route():
     for n in range(2, 7):
         cfg = random_rational_config(rng, n)
         for r in range(1, n + 1):
-            assert predicted_inertia(n, r).inertia == inertia_exact_integer(cfg, r)
+            assert predicted_inertia(n, r).inertia == rational_inertia(
+                loewner_matrix_exact(cfg, r).entries)
 
 
 def test_predicted_matches_exact_route_on_promoted_float_nodes():
@@ -74,7 +76,8 @@ def test_predicted_matches_exact_route_on_promoted_float_nodes():
     for n in range(8, 13):
         cfg = random_config(rng, n).ensure_exact()
         for m in range(1, n + 1):
-            assert predicted_inertia(n, m).inertia == inertia_exact_integer(cfg, m)
+            assert predicted_inertia(n, m).inertia == rational_inertia(
+                loewner_matrix_exact(cfg, m).entries)
 
 
 def test_verify_instance_examples():
@@ -89,13 +92,13 @@ def test_verify_instance_examples():
 @pytest.mark.parametrize("r", [-3, -2])
 def test_verify_instance_runs_the_exact_route_at_a_negative_integer(monkeypatch, r):
     calls = []
-    original = inertia_mod.inertia_exact_integer
+    original = inertia_mod.builders.loewner_matrix_exact
 
     def counted(config, m):
         calls.append(m)
         return original(config, m)
 
-    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", counted)
     rep = verify_instance(make_point_config((1, 2, 3, 4)), r)
     assert calls == [r]
     assert rep.match and not rep.disagreement
@@ -164,6 +167,56 @@ def test_conditional_inertia_on_clustered_nodes_is_definite():
     assert wrong == []
 
 
+
+def _moment_null_columns(p, k):
+    """A basis of H_k over Q: on each window of k + 1 consecutive nodes, the
+    divided-difference weights 1/prod_(l != i) (p_i - p_l), which annihilate
+    every power p^j with j < k; each window starts one node later."""
+    cols = []
+    for start in range(len(p) - k):
+        window = range(start, start + k + 1)
+        cols.append([1 / math.prod(p[i] - p[l] for l in window if l != i) if i in window
+                     else 0 for i in range(len(p))])
+    return cols
+
+
+@pytest.mark.parametrize("family", ["1..n", "rational", "float"])
+def test_conditional_inertia_at_integer_exponents_matches_an_exact_compression(
+        monkeypatch, family):
+    # the count equals the inertia of Z^T L_m Z, Z a basis of H_k and L_m
+    # formed by plain quotients over Q: no bordering, no library builder.  The
+    # exact route settles the bordered matrix once the float routes agree with
+    # it: on the first rung, or at 128 bits where K has an eigenvalue under the
+    # 53-bit zero threshold (nodes 1..6 at m = 7, k = 1: 8e-7 against a scale of
+    # 5e5).  Without it, a singular K climbs to the 512-bit top rung.
+    rungs = []
+    original = inertia_mod.inertia
+
+    def counted(A, tol, target=None):
+        rungs.append(tol.precision_bits)
+        return original(A, tol, target)
+
+    monkeypatch.setattr(inertia_mod, "inertia", counted)
+    rng = random.Random(61)
+    wrong = []
+    for n in range(3, 7):
+        cfg = {"1..n": make_point_config(range(1, n + 1)),
+               "rational": random_rational_config(rng, n),
+               "float": random_config(rng, n)}[family]
+        p = cfg.ensure_exact().exact
+        for m in [m for m in range(-2, n + 2) if m]:
+            L = [[m * a ** (m - 1) if a == b else (a ** m - b ** m) / (a - b) for b in p]
+                 for a in p]
+            for k in range(1, n):
+                Z = _moment_null_columns(p, k)
+                B = [[sum(x * L[i][j] * y[j] for i, x in enumerate(u) for j in range(n))
+                      for y in Z] for u in Z]
+                rungs.clear()
+                got = conditional_inertia(cfg, m, k)
+                if got != rational_inertia(B) or rungs not in ([53], [53, 128]):
+                    wrong.append((cfg.points, m, k, got, rungs[:]))
+    assert wrong == []
+
 def test_positive_definite_below_one():
     # operator monotonicity regime: the full matrix is positive definite
     rng = random.Random(47)
@@ -182,13 +235,13 @@ def test_prop21_examples():
 
 def test_prop21_runs_the_exact_route_at_integer_exponents(monkeypatch):
     calls = []
-    original = inertia_mod.inertia_exact_integer
+    original = inertia_mod.builders.loewner_matrix_exact
 
     def counted(config, r):
         calls.append(r)
         return original(config, r)
 
-    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", counted)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", counted)
     assert prop21_check(make_point_config(range(1, 9)), 7)
     assert calls == [7]
 

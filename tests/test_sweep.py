@@ -192,16 +192,17 @@ def test_emit_keeps_the_sweep_precision():
 
 def test_snapped_points_run_the_exact_route_once_each(monkeypatch):
     calls = []
-    exact_integer = inertia_mod.inertia_exact_integer
+    exact_matrix = inertia_mod.builders.loewner_matrix_exact
 
     def spy(config, m):
-        calls.append(m)
-        return exact_integer(config, m)
+        calls.append((config.exact, m))
+        return exact_matrix(config, m)
 
-    monkeypatch.setattr(inertia_mod, "inertia_exact_integer", spy)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", spy)
     cfg = make_point_config((0.5, 1.25, 3.0, 4.0))  # float nodes take the exact route too
     s = eigen_trajectories(cfg, -2.0, 3.0, 11)
-    assert calls == [-2, -1, 0, 1, 2, 3]
+    promoted = cfg.ensure_exact().exact
+    assert calls == [(promoted, m) for m in (-2, -1, 0, 1, 2, 3)]
     for m in (-2, 0, 3):
         assert s.inertias[s.grid.index(float(m))] == predicted_inertia(4, m).inertia
 
