@@ -11,7 +11,11 @@ each power once, and runs on the arithmetic ``ToleranceContext.arith``
 picks: Python floats at 53 bits while every node, r and node^r lies in the
 window 2^-200 .. 2^200, mpmath otherwise.  On floats the Loewner matrix
 keeps the float rows the kernel computed, which the inertia routes run on,
-and makes its mpf entries only when they are read.  The remaining builders
+and makes its mpf entries only when they are read.  At integer exponents on
+rational nodes the divided differences are also computed exactly, in one
+place: ``loewner_twin`` forms them over Z on the nodes scaled to integers
+(``integer_nodes``), and ``loewner_matrix_exact`` reads them back as
+Fractions.  The remaining builders
 (sinh form, diagonal and all-ones factors, Vandermonde and antidiagonal
 factors, power-sum matrix, and the two-sequence cross variant) supply the
 congruences and factorizations the inertia analysis relies on.  Every
@@ -20,6 +24,7 @@ builder takes the nodes and the exponent as they are: (config, r[, tol]).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +38,7 @@ from .types import (
     Scalar,
     SymMatrix,
     ToleranceContext,
+    _symmetric,
     to_mpf,
 )
 
@@ -122,30 +128,56 @@ def refuse_zero_exponent(r: Scalar) -> None:
         raise ValueError("exponent 0 is not accepted here (L_0 is the zero matrix)")
 
 
+def integer_nodes(config: PointConfig) -> tuple[int, tuple[int, ...]]:
+    """(c, q): c the lcm of the denominators of the rational nodes p (a power
+    of two for promoted float nodes) and q = c p, the nodes as integers."""
+    if config.exact is None:
+        raise ValueError("exact Loewner matrix needs rational nodes")
+    c = math.lcm(*(x.denominator for x in config.exact))
+    return c, tuple(x.numerator * (c // x.denominator) for x in config.exact)
+
+
+def loewner_twin(config: PointConfig, m: int) -> tuple[tuple[int, ...], ...]:
+    """The exact twin of L_m at rational nodes p, as int rows, on the integer
+    nodes q = c p of ``integer_nodes``: L_m(q) = c^(m-1) L_m(p) for m >= 0,
+    and for m < 0 -L_|m|(q), a positive diagonal congruence of L_m(p) by the
+    reflection identity D^|m| L_m D^|m| = -L_|m|.  So it has the inertia of
+    L_m(p), and no Fraction is formed.
+
+    Every entry is the exact integer quotient (q_i^k - q_j^k) // (q_i - q_j),
+    k = |m|, with k q_i^(k-1) on the diagonal; k = 0 gives the zero matrix.
+    """
+    q = integer_nodes(config)[1]
+    k, sign = abs(m), (1 if m >= 0 else -1)
+    qk = [x ** k for x in q]
+
+    def entry(i, j):
+        if i == j:
+            return sign * k * q[i] ** max(k - 1, 0)
+        return sign * ((qk[i] - qk[j]) // (q[i] - q[j]))
+
+    return _symmetric(len(q), entry)
+
+
 def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
     """Loewner matrix for integer r over the rationals, exactly.
 
     Every entry is the plain quotient (p_i^r - p_j^r)/(p_i - p_j), with the
     limit r p_i^(r-1) on the diagonal: over the rationals nothing cancels,
-    and r = 0 gives the zero matrix by the same formula.  Each node is
-    raised to r, and its diagonal value formed, once.
+    and r = 0 gives the zero matrix.  The quotients are the integer ones of
+    ``loewner_twin`` read back as Fractions: L_m(p) is L_m(q) / c^(m-1) for
+    m >= 0, and -L_|m|(q) c^(|m|+1) / (q_i q_j)^|m| for m < 0.
     """
-    if config.exact is None:
-        raise ValueError("exact Loewner matrix needs rational nodes")
     ex = Exponent.of(r)
     if not ex.is_integer:
         raise ValueError(f"exact Loewner matrix needs an integer exponent, got {r!r}")
     m = ex.integer_value
-    p = config.exact
-    pm = [x ** m for x in p]
-    diag = [m * x ** (m - 1) for x in p]
-
-    def entry(i, j):
-        if i == j:
-            return diag[i]
-        return (pm[i] - pm[j]) / (p[i] - p[j])
-
-    return SymMatrix.build(config.n, entry)
+    c, q = integer_nodes(config)
+    rows = loewner_twin(config, m)
+    if m >= 0:
+        return SymMatrix.build(config.n, lambda i, j: Fraction(rows[i][j] * c, c ** m))
+    return SymMatrix.build(
+        config.n, lambda i, j: Fraction(rows[i][j] * c ** (1 - m), (q[i] * q[j]) ** -m))
 
 
 def sinh_loewner(x: Sequence[Scalar], r: Scalar,

@@ -29,9 +29,14 @@ def as_fraction_rows(rows) -> list[list[Fraction]]:
     return out
 
 
-def _integer_rows(F) -> list[list[int]]:
-    """The Fraction rows F times the lcm of their denominators, as ints: a
-    positive multiple, with the rank and inertia of F."""
+def _integer_rows(rows) -> list[list[int]]:
+    """The rows as ints, a new list: int rows as they are, and rational ones
+    times the lcm of their denominators, a positive multiple with the rank
+    and inertia of the rows."""
+    A = [list(row) for row in rows]
+    if all(type(e) is int for row in A for e in row):
+        return A
+    F = as_fraction_rows(A)
     scale = math.lcm(*(e.denominator for row in F for e in row))
     return [[e.numerator * (scale // e.denominator) for e in row] for row in F]
 
@@ -105,7 +110,7 @@ def det_fraction(rows) -> Fraction:
 def rank_fraction(rows) -> int:
     """Exact rank; accepts rectangular input.  A A^T is positive
     semidefinite with the rank of A, so the rank is its positive count."""
-    A = _integer_rows(as_fraction_rows(rows))
+    A = _integer_rows(rows)
     if any(len(row) != len(A[0]) for row in A):
         raise ValueError("rank needs rows of one length")
     gram = [[sum(x * y for x, y in zip(a, b)) for b in A] for a in A]
@@ -118,23 +123,24 @@ def rational_inertia(rows) -> Inertia:
     Pivots on a nonzero diagonal entry when one exists.  When the whole
     trailing diagonal vanishes but some off-diagonal entry A[i][j] does not,
     adding row/column j into row/column i is a congruence that makes
-    A[i][i] = 2*A[i][j] != 0, so elimination can continue.  The matrix is
-    scaled by the lcm of its denominators (positive, so the inertia stays)
-    and eliminated over ints with Bareiss's update (Math. Comp. 22 (1968)
-    565-578) a_ij <- (d a_ij - a_ik a_kj) // prev, exact because each entry
-    is a minor; pivot d is then a leading principal minor, so the rational
-    pivot d / prev has the sign sign(d) * sign(prev).  The update is
-    symmetric in i and j, so it is computed on the upper triangle only, with
-    a_ik read as a_ki, and each value is mirrored: the matrix stays exactly
-    symmetric for the swaps and the pair congruence.
+    A[i][i] = 2*A[i][j] != 0, so elimination can continue.  Int rows, which
+    every exact twin gives, are eliminated as they are; rows with Fraction
+    (or other rational) entries are first scaled by the lcm of their
+    denominators (positive, so the inertia stays).  The ints are eliminated
+    with Bareiss's update (Math. Comp. 22 (1968) 565-578)
+    a_ij <- (d a_ij - a_ik a_kj) // prev, exact because each entry is a
+    minor; pivot d is then a leading principal minor, so the rational pivot
+    d / prev has the sign sign(d) * sign(prev).  The update is symmetric in
+    i and j, so it is computed on the upper triangle only, with a_ik read as
+    a_ki, and each value is mirrored: the matrix stays exactly symmetric for
+    the swaps and the pair congruence.
     """
-    F = as_fraction_rows(rows)
-    n = len(F)
-    if any(len(row) != n for row in F):
+    A = _integer_rows(rows)
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("inertia needs a square matrix")
-    if any(F[i][j] != F[j][i] for i in range(n) for j in range(i)):
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
         raise ValueError("inertia needs a symmetric matrix")
-    A = _integer_rows(F)
     pos = neg = zero = 0
     prev = 1
     for k in range(n):

@@ -5,8 +5,8 @@ by Householder tridiagonalization and implicit-shift QL, eigenvalues only
 (see ``eig_sym``).  Route two runs a completely pivoted (Bunch-Parlett)
 block congruence elimination with 1x1 and 2x2 pivots and counts pivot
 signs, which preserves inertia by Sylvester's law.  Route three eliminates
-the matrix's exact twin over the rationals, wherever the caller names one
-(at every integer exponent on the nodes ``exact_route_hint`` gives).  A report
+the matrix's exact twin, built over the integers, wherever the caller names
+one (at every integer exponent on the nodes ``exact_route_hint`` gives).  A report
 derives its verdicts from whichever routes ran and keeps the spectrum its
 eigenvalue route classified.  ``_settle`` climbs the one precision ladder,
 ``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
@@ -37,7 +37,7 @@ Eigenvalues and residuals go back to mpf once, for the ``Spectrum``, which
 is classified inside the context's precision; at 53 bits the eigenvalues
 are classified as the floats they were computed in, which round as 53-bit
 mpf does.  A NaN or infinite entry raises ValueError.  The exact route
-(Fractions) shares nothing with them, and its answer does not depend on
+(ints) shares nothing with them, and its answer does not depend on
 precision, so the ladder computes it once, before its first rung, on the
 twin its caller names.
 """
@@ -366,9 +366,10 @@ def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[tuple]
 
     It is ``(config, m)`` for every integer exponent m, with float nodes
     promoted to the binary rationals they already denote, and None otherwise.
-    Each caller builds the twin of its own matrix from it, with plain
-    quotients and powers over the rationals (never the float kernel), and
-    hands it to ``_settle``.
+    Each caller builds the twin of its own matrix from it over Z, on the
+    integer nodes q = c p of ``builders.integer_nodes`` (c a power of two for
+    promoted float nodes), with plain integer quotients and powers (never
+    the float kernel), and hands it to ``_settle``.
     """
     if exponent.is_integer:
         return config.ensure_exact(), exponent.integer_value
@@ -415,9 +416,10 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     an exhausted ladder still reports both routes and a spectrum.  An
     ``EigenConvergenceError`` below the top rung is a cue to climb; on the
     top rung it propagates.  This is the one place the exact route
-    joins a report: ``twin``, when given, returns the Fraction rows of the
-    matrix ``build`` makes; ``exact.rational_inertia`` runs once on them,
-    before the first rung, and joins each rung's report.  (Private, so
+    joins a report: ``twin``, when given, returns rows over Q, ideally ints,
+    of a positive diagonal congruence of the matrix ``build`` makes (so of
+    its inertia); ``exact.rational_inertia`` runs once on them, before the
+    first rung, and joins each rung's report.  (Private, so
     perfbench's tracer sees each ``inertia`` under the caller.)"""
     by_exact = exact.rational_inertia(twin()) if twin is not None else None
     for escalations, ctx in enumerate(tol.rungs(via=VERDICT_RUNG_BITS)):
@@ -440,10 +442,10 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
 def _settle_loewner(config: PointConfig, r: Scalar, tol: ToleranceContext = DEFAULT_TOL,
                     target: Optional[Inertia] = None):
     """``_settle`` on the Loewner matrix of t^r at these nodes, rebuilt at each
-    rung, with ``builders.loewner_matrix_exact`` as its twin wherever
+    rung, with ``builders.loewner_twin`` as its twin wherever
     ``exact_route_hint`` gives one."""
     hint = exact_route_hint(config, Exponent.of(r))
-    twin = hint and (lambda: builders.loewner_matrix_exact(*hint).entries)
+    twin = hint and (lambda: builders.loewner_twin(*hint))
     return _settle(lambda ctx: builders.loewner_matrix(config, r, ctx), tol, twin, target)
 
 
@@ -451,5 +453,6 @@ def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
                       twin: Optional[Callable] = None) -> InertiaReport:
     """Inertia report of the already built A, escalating the routes' precision
     (not A's) until they agree; ``_settle`` rebuilds a matrix per rung.
-    ``twin`` returns A's exact Fraction rows, as in ``_settle``."""
+    ``twin`` returns the exact rows of A or of a positive diagonal congruence
+    of A, as in ``_settle``."""
     return _settle(lambda ctx: A, tol, twin)[0]

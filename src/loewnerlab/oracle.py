@@ -100,12 +100,22 @@ def verify_instance(config: PointConfig, r: Scalar,
                         ctx.precision_bits, escalations)
 
 
-def _bordered(L, p, k: int) -> SymMatrix:
-    """K = [[L, C^T], [C, 0]] for the n x n rows L and the k x n moment matrix
-    C = [p_i^j] (j < k), in whatever arithmetic L and p carry."""
-    C = [[x ** j for x in p] for j in range(k)]
+def _bordered(L, C) -> list[list]:
+    """The rows of K = [[L, C^T], [C, 0]] for the n x n rows L and the k x n
+    rows C, in whatever arithmetic they carry."""
     top = [list(row) + list(col) for row, col in zip(L, zip(*C))]
-    return SymMatrix.from_rows(top + [c + [0] * k for c in C])
+    return top + [list(c) + [0] * len(C) for c in C]
+
+
+def _bordered_twin(config: PointConfig, m: int, k: int) -> list[list[int]]:
+    """K's exact twin over Z: ``builders.loewner_twin`` bordered by the
+    moment rows q_i^j (j < k) of the integer nodes q = c p, each times
+    q_i^|m| when m < 0.  Both steps are block-diagonal positive congruences
+    of K at p (the second undoes the reflection D^|m| L_m D^|m| = -L_|m|)."""
+    _, q = builders.integer_nodes(config)
+    s = max(-m, 0)
+    return _bordered(builders.loewner_twin(config, m),
+                     [[x ** (j + s) for x in q] for j in range(k)])
 
 
 def conditional_inertia(config: PointConfig, r: Scalar, k: int,
@@ -116,11 +126,15 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
     moment matrix p_i^j (j < k), which has full row rank for distinct nodes
     and k < n, so In(K) = In(L_r on H_k) + (k, 0, k) (Chabrillac & Crouzeix,
     LAA 63, 1984; Maddocks, LAA 108, 1988) and no basis of H_k is formed.
-    ``_settle`` climbs its ladder on K, rebuilt at each rung.  Wherever
-    ``exact_route_hint`` gives an integer m, K's twin borders L_m's exact
-    rows with the exact moment rows.  So K, singular wherever L_m vanishes
-    on part of H_k, settles on the first rung whose float routes agree with
-    the exact count instead of climbing to the top one."""
+    ``_settle`` climbs its ladder on K, rebuilt at each rung.  Each moment
+    row is multiplied by the power of two that puts its largest entry at
+    max|L_r|: a positive diagonal congruence, exact in binary, that keeps
+    the border from dwarfing or vanishing beside L_r, so the float routes
+    resolve K's small eigenvalues at lower precision.  Wherever
+    ``exact_route_hint`` gives an integer m, K's twin is ``_bordered_twin``.
+    So K, singular wherever L_m vanishes on part of H_k, settles on the
+    first rung whose float routes agree with the exact count instead of
+    climbing to the top one."""
     n = config.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -128,11 +142,15 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
     def build(ctx):
         L = builders.loewner_matrix(config, r, ctx).entries
         with ctx.prec():
-            return _bordered(L, config.mp_points(), k)
+            p = config.mp_points()
+            e = mp.frexp(max(abs(x) for row in L for x in row))[1]
+            C = [[x ** j for x in p] for j in range(k)]
+            shifts = [e - mp.frexp(row[-1])[1] for row in C]  # p ascends: row[-1] is the largest
+            return SymMatrix.from_rows(
+                _bordered(L, [[mp.ldexp(x, s) for x in row] for row, s in zip(C, shifts)]))
 
     hint = exact_route_hint(config, Exponent.of(r))
-    twin = hint and (lambda: _bordered(builders.loewner_matrix_exact(*hint).entries,
-                                       hint[0].exact, k).entries)
+    twin = hint and (lambda: _bordered_twin(*hint, k))
     c = _settle(build, tol, twin)[0].consensus
     return Inertia(c.pos - k, c.zero, c.neg - k)
 

@@ -18,6 +18,7 @@ from loewnerlab import (
     sinh_loewner,
     vandermonde_W,
 )
+from loewnerlab.builders import integer_nodes, loewner_twin
 from loewnerlab.exact import rank_fraction, rational_inertia
 
 from helpers import mat_mul, perm_det, random_rational_config, transpose
@@ -229,3 +230,36 @@ def test_loewner_exact_equals_the_per_entry_formula(cfg, m):
         for j in range(cfg.n):
             want = m * p[i] ** (m - 1) if i == j else (p[i] ** m - p[j] ** m) / (p[i] - p[j])
             assert L[i, j] == want
+
+
+def _plain_quotients(p, m):
+    """L_m over Q by the plain quotient and the diagonal limit, entry by entry."""
+    return [[m * a ** (m - 1) if a == b else (a ** m - b ** m) / (a - b) for b in p] for a in p]
+
+
+_TWIN_CONFIGS = [
+    make_point_config(range(1, 7)),
+    make_point_config((Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2), 5)),
+    make_point_config((0.7, 1.5, 2.3, 3.1, 3.9, 4.6)).ensure_exact(),
+]
+
+
+@pytest.mark.parametrize("cfg", _TWIN_CONFIGS, ids=["integer", "rational", "float"])
+def test_integer_twin_is_c_to_the_m_minus_1_times_the_exact_matrix(cfg):
+    c, q = integer_nodes(cfg)
+    assert all(type(x) is int for x in q) and q == tuple(c * x for x in cfg.exact)
+    for m in range(1, cfg.n + 3):
+        rows = loewner_twin(cfg, m)
+        L = loewner_matrix_exact(cfg, m)
+        assert all(type(e) is int for row in rows for e in row)
+        assert all(rows[i][j] == c ** (m - 1) * L[i, j]
+                   for i in range(cfg.n) for j in range(cfg.n))
+
+
+@pytest.mark.parametrize("cfg", _TWIN_CONFIGS, ids=["integer", "rational", "float"])
+def test_integer_twin_has_the_inertia_of_the_fraction_matrix(cfg):
+    # a positive diagonal congruence of L_m: c^(m-1) L_m(p) for m >= 1, and
+    # -L_|m|(q), by the reflection identity, for m < 0
+    for m in range(-3, cfg.n + 3):
+        assert rational_inertia(loewner_twin(cfg, m)) == rational_inertia(
+            _plain_quotients(cfg.exact, m)), m

@@ -120,3 +120,13 @@ def _symmetric_rows(draw):
 @given(_symmetric_rows())
 def test_one_triangle_elimination_matches_the_full_row_reference(rows):
     assert rational_inertia(rows).as_tuple() == bareiss_inertia_full_rows(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_rows())
+def test_int_rows_and_the_same_rows_as_fractions_give_one_inertia(rows):
+    # 60 clears every denominator the strategy draws; int rows skip the
+    # Fraction conversion and the lcm pass, the same values as Fractions take them
+    ints = [[int(Fraction(e) * 60) for e in row] for row in rows]
+    as_fractions = [[Fraction(e) for e in row] for row in ints]
+    assert rational_inertia(ints) == rational_inertia(as_fractions) == rational_inertia(rows)

@@ -92,13 +92,13 @@ def test_verify_instance_examples():
 @pytest.mark.parametrize("r", [-3, -2])
 def test_verify_instance_runs_the_exact_route_at_a_negative_integer(monkeypatch, r):
     calls = []
-    original = inertia_mod.builders.loewner_matrix_exact
+    original = inertia_mod.builders.loewner_twin
 
     def counted(config, m):
         calls.append(m)
         return original(config, m)
 
-    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", counted)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_twin", counted)
     rep = verify_instance(make_point_config((1, 2, 3, 4)), r)
     assert calls == [r]
     assert rep.match and not rep.disagreement
@@ -187,8 +187,8 @@ def test_conditional_inertia_at_integer_exponents_matches_an_exact_compression(
     # formed by plain quotients over Q: no bordering, no library builder.  The
     # exact route settles the bordered matrix once the float routes agree with
     # it: on the first rung, or at 128 bits where K has an eigenvalue under the
-    # 53-bit zero threshold (nodes 1..6 at m = 7, k = 1: 8e-7 against a scale of
-    # 5e5).  Without it, a singular K climbs to the 512-bit top rung.
+    # 53-bit zero threshold (the float family's nodes, clustered in [7.2, 9.0],
+    # at m = 7, k = 2).  Without it, a singular K climbs to the 512-bit top rung.
     rungs = []
     original = inertia_mod.inertia
 
@@ -235,13 +235,13 @@ def test_prop21_examples():
 
 def test_prop21_runs_the_exact_route_at_integer_exponents(monkeypatch):
     calls = []
-    original = inertia_mod.builders.loewner_matrix_exact
+    original = inertia_mod.builders.loewner_twin
 
     def counted(config, r):
         calls.append(r)
         return original(config, r)
 
-    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", counted)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_twin", counted)
     assert prop21_check(make_point_config(range(1, 9)), 7)
     assert calls == [7]
 
@@ -365,6 +365,43 @@ def test_near_integer_exponents_settle_by_128_bits(nk, side, digits):
     n, k = nk
     rep = verify_instance(make_point_config(range(1, n + 1)), k + side * 10.0 ** -digits)
     assert rep.match and rep.precision_bits <= 128
+
+
+def test_conditional_inertia_scales_the_border_to_settle_at_53_bits(monkeypatch):
+    # K of nodes 1..6 at m = 7, k = 1 has a true eigenvalue of 8e-7 beside a
+    # largest of 5e5 when the moment row is all ones; scaled to max|L_7|, the
+    # border lets both float routes read the exact (4, 0, 3) on the first rung
+    bits = []
+    original = inertia_mod.inertia
+
+    def counted(A, tol, target=None):
+        bits.append(tol.precision_bits)
+        return original(A, tol, target)
+
+    monkeypatch.setattr(inertia_mod, "inertia", counted)
+    assert conditional_inertia(make_point_config(range(1, 7)), 7, 1) == Inertia(3, 0, 2)
+    assert bits == [53]
+
+
+def test_every_twin_is_int_rows_at_an_integer_exponent(monkeypatch):
+    # the L, K and power-sum twins reach the exact route as ints, on integer,
+    # rational and float nodes alike, negative exponents included
+    seen = []
+    original = inertia_mod.exact.rational_inertia
+
+    def spy(rows):
+        seen.append(all(type(e) is int for row in rows for e in row))
+        return original(rows)
+
+    monkeypatch.setattr(inertia_mod.exact, "rational_inertia", spy)
+    for points in (range(1, 6), (Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2), 5),
+                   (0.7, 1.5, 2.3, 3.1, 3.9)):
+        cfg = make_point_config(points)
+        for m in (-2, 1, 3):
+            verify_instance(cfg, m)
+            conditional_inertia(cfg, m, 2)
+        analysis.pr_compare(cfg, 2)
+    assert len(seen) == 3 * (2 * 3 + 2) and all(seen)
 
 
 def test_conditional_inertia_rebuilds_the_compression_per_rung(monkeypatch):

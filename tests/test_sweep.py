@@ -192,13 +192,13 @@ def test_emit_keeps_the_sweep_precision():
 
 def test_snapped_points_run_the_exact_route_once_each(monkeypatch):
     calls = []
-    exact_matrix = inertia_mod.builders.loewner_matrix_exact
+    exact_matrix = inertia_mod.builders.loewner_twin
 
     def spy(config, m):
         calls.append((config.exact, m))
         return exact_matrix(config, m)
 
-    monkeypatch.setattr(inertia_mod.builders, "loewner_matrix_exact", spy)
+    monkeypatch.setattr(inertia_mod.builders, "loewner_twin", spy)
     cfg = make_point_config((0.5, 1.25, 3.0, 4.0))  # float nodes take the exact route too
     s = eigen_trajectories(cfg, -2.0, 3.0, 11)
     promoted = cfg.ensure_exact().exact
