@@ -961,17 +961,11 @@ class PrCompareReport:
         return self.loewner.consensus
 
 
-def _power_sum_twin(config: PointConfig, m: int) -> list[list[int]]:
-    """[(q_i+q_j)^m] on the integer nodes q = c p: c^m [(p_i+p_j)^m]."""
-    _, q = builders.integer_nodes(config)
-    return [[(a + b) ** m for b in q] for a in q]
-
-
 def pr_compare(config: PointConfig, r: Scalar,
                tol: ToleranceContext = DEFAULT_TOL) -> PrCompareReport:
     """Compare the inertia of [(p_i+p_j)^r] with that of L_{r+1}, each matrix
     rebuilt at every rung of the ladder.  Wherever ``exact_route_hint`` gives
-    an integer m, each side has an exact twin over Z: L_{m+1}'s is
+    (q, m), each side has an exact twin over Z: L_{m+1}'s is
     ``builders.loewner_twin``, and the power-sum side's is [(q_i+q_j)^m] on
     the integer nodes q = c p, c^m times the matrix at p.  So that matrix,
     singular of rank m + 1 when m + 1 < n, settles on the first rung whose
@@ -980,6 +974,6 @@ def pr_compare(config: PointConfig, r: Scalar,
     if not r > 0:
         raise ValueError(f"exponent must be positive, got {r!r}")
     hint = exact_route_hint(config, Exponent.of(r))
-    twin = hint and (lambda: _power_sum_twin(*hint))
+    twin = hint and [[(a + b) ** hint[1] for b in hint[0]] for a in hint[0]]
     p_rep, _, _ = _settle(lambda ctx: builders.power_sum_matrix(config, r, ctx), tol, twin)
     return PrCompareReport(r, p_rep, _settle_loewner(config, r + 1, tol)[0])

@@ -137,17 +137,16 @@ def integer_nodes(config: PointConfig) -> tuple[int, tuple[int, ...]]:
     return c, tuple(x.numerator * (c // x.denominator) for x in config.exact)
 
 
-def loewner_twin(config: PointConfig, m: int) -> tuple[tuple[int, ...], ...]:
-    """The exact twin of L_m at rational nodes p, as int rows, on the integer
-    nodes q = c p of ``integer_nodes``: L_m(q) = c^(m-1) L_m(p) for m >= 0,
-    and for m < 0 -L_|m|(q), a positive diagonal congruence of L_m(p) by the
-    reflection identity D^|m| L_m D^|m| = -L_|m|.  So it has the inertia of
-    L_m(p), and no Fraction is formed.
+def loewner_twin(q: Sequence[int], m: int) -> tuple[tuple[int, ...], ...]:
+    """The exact twin of L_m at rational nodes p, as int rows, on their
+    integer nodes q = c p (``integer_nodes``): L_m(q) = c^(m-1) L_m(p) for
+    m >= 0, and for m < 0 -L_|m|(q), a positive diagonal congruence of
+    L_m(p) by the reflection identity D^|m| L_m D^|m| = -L_|m|.  So it has
+    the inertia of L_m(p), and no Fraction is formed.
 
     Every entry is the exact integer quotient (q_i^k - q_j^k) // (q_i - q_j),
     k = |m|, with k q_i^(k-1) on the diagonal; k = 0 gives the zero matrix.
     """
-    q = integer_nodes(config)[1]
     k, sign = abs(m), (1 if m >= 0 else -1)
     qk = [x ** k for x in q]
 
@@ -165,15 +164,16 @@ def loewner_matrix_exact(config: PointConfig, r: int) -> SymMatrix:
     Every entry is the plain quotient (p_i^r - p_j^r)/(p_i - p_j), with the
     limit r p_i^(r-1) on the diagonal: over the rationals nothing cancels,
     and r = 0 gives the zero matrix.  The quotients are the integer ones of
-    ``loewner_twin`` read back as Fractions: L_m(p) is L_m(q) / c^(m-1) for
-    m >= 0, and -L_|m|(q) c^(|m|+1) / (q_i q_j)^|m| for m < 0.
+    ``loewner_twin`` on the nodes' one ``integer_nodes`` (c, q), read back
+    as Fractions: L_m(p) is L_m(q) / c^(m-1) for m >= 0, and
+    -L_|m|(q) c^(|m|+1) / (q_i q_j)^|m| for m < 0.
     """
     ex = Exponent.of(r)
     if not ex.is_integer:
         raise ValueError(f"exact Loewner matrix needs an integer exponent, got {r!r}")
     m = ex.integer_value
     c, q = integer_nodes(config)
-    rows = loewner_twin(config, m)
+    rows = loewner_twin(q, m)
     if m >= 0:
         return SymMatrix.build(config.n, lambda i, j: Fraction(rows[i][j] * c, c ** m))
     return SymMatrix.build(

@@ -5,18 +5,19 @@ by Householder tridiagonalization and implicit-shift QL, eigenvalues only
 (see ``eig_sym``).  Route two runs a completely pivoted (Bunch-Parlett)
 block congruence elimination with 1x1 and 2x2 pivots and counts pivot
 signs, which preserves inertia by Sylvester's law.  Route three eliminates
-the matrix's exact twin, built over the integers, wherever the caller names
-one (at every integer exponent on the nodes ``exact_route_hint`` gives).  A report
-derives its verdicts from whichever routes ran and keeps the spectrum its
-eigenvalue route classified.  ``_settle`` climbs the one precision ladder,
-``ToleranceContext.rungs``, with one rung at ``VERDICT_RUNG_BITS`` = 128
-between a lower start and the first doubling (53 -> 128 -> 256 -> 512 bits
-from the default), and ``_settle_loewner`` is that ladder on L_r: every
-Loewner verdict (verify, prop21, pr_compare's Loewner side, each sweep
-point) runs it.  A float zero count never settles a rung: without the
-exact route, a rung stops only on a consensus with no zero eigenvalue.  On
-a ladder toward a target (``verify_instance``), a rung whose LDL count
-misses it runs no eigenvalue route (see ``inertia``).
+the matrix's exact twin, built over the integers, wherever the caller
+names one (at every integer exponent, on the integer nodes
+``exact_route_hint`` gives).  A report derives its verdicts from whichever
+routes ran and keeps the spectrum its eigenvalue route classified.
+``_settle`` climbs the one precision ladder, ``ToleranceContext.rungs``,
+with one rung at ``VERDICT_RUNG_BITS`` = 128 between a lower start and the
+first doubling (53 -> 128 -> 256 -> 512 bits from the default), and
+``_settle_loewner`` is that ladder on L_r: every Loewner verdict (verify,
+prop21, pr_compare's Loewner side, each sweep point) runs it.  A float
+zero count never settles a rung: without the exact route, a rung stops
+only on a consensus with no zero eigenvalue.  On a ladder toward a target
+(``verify_instance``), a rung whose LDL count misses it runs no eigenvalue
+route (see ``inertia``).
 
 The two float routes are written once against ``ToleranceContext.arith``
 and take whichever arithmetic it picks, unchanged:
@@ -39,7 +40,7 @@ are classified as the floats they were computed in, which round as 53-bit
 mpf does.  A NaN or infinite entry raises ValueError.  The exact route
 (ints) shares nothing with them, and its answer does not depend on
 precision, so the ladder computes it once, before its first rung, on the
-twin its caller names.
+rows of the twin its caller builds from ``exact_route_hint``'s integer nodes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from mpmath import mp
 
@@ -364,15 +365,16 @@ def _swap_sym(M, i, j):
 def exact_route_hint(config: PointConfig, exponent: Exponent) -> Optional[tuple]:
     """Whether a matrix of t^r at these nodes has an exact twin, and on what.
 
-    It is ``(config, m)`` for every integer exponent m, with float nodes
-    promoted to the binary rationals they already denote, and None otherwise.
-    Each caller builds the twin of its own matrix from it over Z, on the
-    integer nodes q = c p of ``builders.integer_nodes`` (c a power of two for
-    promoted float nodes), with plain integer quotients and powers (never
-    the float kernel), and hands it to ``_settle``.
+    It is ``(q, m)`` for every integer exponent m, and None otherwise: q the
+    integer nodes c p of ``builders.integer_nodes``, with float nodes
+    promoted to the binary rationals they already denote (so c is a power
+    of two for them).  This is the one place the integers are derived.
+    Each caller builds the twin of its own matrix from (q, m) over Z, with
+    plain integer quotients and powers (never the float kernel), and hands
+    its rows to ``_settle``.
     """
     if exponent.is_integer:
-        return config.ensure_exact(), exponent.integer_value
+        return builders.integer_nodes(config.ensure_exact())[1], exponent.integer_value
     return None
 
 
@@ -397,7 +399,7 @@ def inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
 
 def _settle(build: Callable[[ToleranceContext], SymMatrix],
             tol: ToleranceContext = DEFAULT_TOL,
-            twin: Optional[Callable] = None,
+            twin: Optional[Sequence[Sequence]] = None,
             target: Optional[Inertia] = None) -> tuple[InertiaReport, ToleranceContext, int]:
     """The precision ladder: (report, context, escalations) of the rung it
     stopped at.  It starts at ``tol`` as the caller gave it, and each rung
@@ -416,12 +418,12 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
     an exhausted ladder still reports both routes and a spectrum.  An
     ``EigenConvergenceError`` below the top rung is a cue to climb; on the
     top rung it propagates.  This is the one place the exact route
-    joins a report: ``twin``, when given, returns rows over Q, ideally ints,
+    joins a report: ``twin``, when given, is the rows over Q, ideally ints,
     of a positive diagonal congruence of the matrix ``build`` makes (so of
     its inertia); ``exact.rational_inertia`` runs once on them, before the
     first rung, and joins each rung's report.  (Private, so
     perfbench's tracer sees each ``inertia`` under the caller.)"""
-    by_exact = exact.rational_inertia(twin()) if twin is not None else None
+    by_exact = exact.rational_inertia(twin) if twin is not None else None
     for escalations, ctx in enumerate(tol.rungs(via=VERDICT_RUNG_BITS)):
         A = build(ctx)
         try:
@@ -442,17 +444,17 @@ def _settle(build: Callable[[ToleranceContext], SymMatrix],
 def _settle_loewner(config: PointConfig, r: Scalar, tol: ToleranceContext = DEFAULT_TOL,
                     target: Optional[Inertia] = None):
     """``_settle`` on the Loewner matrix of t^r at these nodes, rebuilt at each
-    rung, with ``builders.loewner_twin`` as its twin wherever
-    ``exact_route_hint`` gives one."""
+    rung, with ``builders.loewner_twin(q, m)`` as its twin wherever
+    ``exact_route_hint`` gives (q, m)."""
     hint = exact_route_hint(config, Exponent.of(r))
-    twin = hint and (lambda: builders.loewner_twin(*hint))
+    twin = hint and builders.loewner_twin(*hint)
     return _settle(lambda ctx: builders.loewner_matrix(config, r, ctx), tol, twin, target)
 
 
 def consensus_inertia(A: SymMatrix, tol: ToleranceContext = DEFAULT_TOL,
-                      twin: Optional[Callable] = None) -> InertiaReport:
+                      twin: Optional[Sequence[Sequence]] = None) -> InertiaReport:
     """Inertia report of the already built A, escalating the routes' precision
     (not A's) until they agree; ``_settle`` rebuilds a matrix per rung.
-    ``twin`` returns the exact rows of A or of a positive diagonal congruence
-    of A, as in ``_settle``."""
+    ``twin`` is the exact rows of A or of a positive diagonal congruence of
+    A, as in ``_settle``."""
     return _settle(lambda ctx: A, tol, twin)[0]

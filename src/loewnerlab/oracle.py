@@ -107,15 +107,14 @@ def _bordered(L, C) -> list[list]:
     return top + [list(c) + [0] * len(C) for c in C]
 
 
-def _bordered_twin(config: PointConfig, m: int, k: int) -> list[list[int]]:
-    """K's exact twin over Z: ``builders.loewner_twin`` bordered by the
-    moment rows q_i^j (j < k) of the integer nodes q = c p, each times
-    q_i^|m| when m < 0.  Both steps are block-diagonal positive congruences
-    of K at p (the second undoes the reflection D^|m| L_m D^|m| = -L_|m|)."""
-    _, q = builders.integer_nodes(config)
+def _bordered_twin(q: tuple[int, ...], m: int, k: int) -> list[list[int]]:
+    """K's exact twin over Z, on the integer nodes q = c p of
+    ``exact_route_hint``: ``builders.loewner_twin(q, m)`` bordered by the
+    moment rows q_i^j (j < k), each times q_i^|m| when m < 0.  Both steps
+    are block-diagonal positive congruences of K at p (the second undoes
+    the reflection D^|m| L_m D^|m| = -L_|m|)."""
     s = max(-m, 0)
-    return _bordered(builders.loewner_twin(config, m),
-                     [[x ** (j + s) for x in q] for j in range(k)])
+    return _bordered(builders.loewner_twin(q, m), [[x ** (j + s) for x in q] for j in range(k)])
 
 
 def conditional_inertia(config: PointConfig, r: Scalar, k: int,
@@ -131,7 +130,7 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
     max|L_r|: a positive diagonal congruence, exact in binary, that keeps
     the border from dwarfing or vanishing beside L_r, so the float routes
     resolve K's small eigenvalues at lower precision.  Wherever
-    ``exact_route_hint`` gives an integer m, K's twin is ``_bordered_twin``.
+    ``exact_route_hint`` gives (q, m), K's twin is ``_bordered_twin(q, m, k)``.
     So K, singular wherever L_m vanishes on part of H_k, settles on the
     first rung whose float routes agree with the exact count instead of
     climbing to the top one."""
@@ -150,7 +149,7 @@ def conditional_inertia(config: PointConfig, r: Scalar, k: int,
                 _bordered(L, [[mp.ldexp(x, s) for x in row] for row, s in zip(C, shifts)]))
 
     hint = exact_route_hint(config, Exponent.of(r))
-    twin = hint and (lambda: _bordered_twin(*hint, k))
+    twin = hint and _bordered_twin(*hint, k)
     c = _settle(build, tol, twin)[0].consensus
     return Inertia(c.pos - k, c.zero, c.neg - k)
 
@@ -194,11 +193,14 @@ def verify_identities(config: PointConfig, r: Scalar,
     """Evaluate the three identities and report max relative residuals.
 
     The power-step residual is one expression over nodes q, L_r, L_(r-2)
-    and the power q^(r-1).  Wherever ``exact_route_hint`` gives an integer
-    r >= 2 they are exact rationals, on float nodes too (the binary
-    rationals they denote), and the residual is then exactly zero or the
-    identity is genuinely violated; elsewhere they are mpf at working
-    precision.  r = 0 raises ValueError: L_0 is the zero matrix.
+    and the power q^(r-1), relative to max|L_r|.  Wherever
+    ``exact_route_hint`` gives (q, m) with m >= 2 it runs over Z, on float
+    nodes too (the binary rationals they denote): on the integer nodes
+    q = c p, ``builders.loewner_twin(q, m)`` and ``loewner_twin(q, m - 2)``.
+    The identity is homogeneous of degree m - 1 in the nodes, so its
+    residual there is c^(m-1) times the one at p, and is exactly zero
+    unless the identity is genuinely violated; elsewhere it runs on mpf at
+    working precision.  r = 0 raises ValueError: L_0 is the zero matrix.
     """
     builders.refuse_zero_exponent(r)
     n = config.n
@@ -227,10 +229,8 @@ def verify_identities(config: PointConfig, r: Scalar,
         hint = exact_route_hint(config, ex)
         exact = hint is not None and hint[1] >= 2
         if exact:
-            exact_config, m = hint
-            q, k = exact_config.exact, m - 1
-            Lr = builders.loewner_matrix_exact(exact_config, m).entries
-            Lr2 = builders.loewner_matrix_exact(exact_config, m - 2).entries
+            q, m = hint
+            k, Lr, Lr2 = m - 1, builders.loewner_twin(q, m), builders.loewner_twin(q, m - 2)
         else:
             q, k, Lr = p, rr - 1, L
             Lr2 = builders.loewner_matrix(config, r - 2, tol).entries
@@ -238,5 +238,5 @@ def verify_identities(config: PointConfig, r: Scalar,
         power_res = to_mpf(_max_abs([
             [Lr[i][j] - (qk[i] + q[i] * Lr2[i][j] * q[j] + qk[j]) for j in range(n)]
             for i in range(n)
-        ])) / scale_L
+        ])) / to_mpf(_max_abs(Lr))
         return IdentityResiduals(refl, sinh_res, power_res, exact)

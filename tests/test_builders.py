@@ -246,20 +246,24 @@ _TWIN_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", _TWIN_CONFIGS, ids=["integer", "rational", "float"])
 def test_integer_twin_is_c_to_the_m_minus_1_times_the_exact_matrix(cfg):
+    # entry by entry against the plain quotients at p, which share no code
+    # with the twin: L_m(q) = c^(m-1) L_m(p) for m >= 0 (the zero matrix at
+    # m = 0), and -L_|m|(q) = c^(m-1) (q_i q_j)^|m| L_m(p) for m < 0
     c, q = integer_nodes(cfg)
     assert all(type(x) is int for x in q) and q == tuple(c * x for x in cfg.exact)
-    for m in range(1, cfg.n + 3):
-        rows = loewner_twin(cfg, m)
-        L = loewner_matrix_exact(cfg, m)
+    for m in range(-3, cfg.n + 3):
+        rows = loewner_twin(q, m)
+        L = _plain_quotients(cfg.exact, m)
         assert all(type(e) is int for row in rows for e in row)
-        assert all(rows[i][j] == c ** (m - 1) * L[i, j]
-                   for i in range(cfg.n) for j in range(cfg.n))
+        assert all(rows[i][j] == Fraction(c) ** (m - 1) * (q[i] * q[j]) ** max(-m, 0) * L[i][j]
+                   for i in range(cfg.n) for j in range(cfg.n)), m
 
 
 @pytest.mark.parametrize("cfg", _TWIN_CONFIGS, ids=["integer", "rational", "float"])
 def test_integer_twin_has_the_inertia_of_the_fraction_matrix(cfg):
     # a positive diagonal congruence of L_m: c^(m-1) L_m(p) for m >= 1, and
     # -L_|m|(q), by the reflection identity, for m < 0
+    q = integer_nodes(cfg)[1]
     for m in range(-3, cfg.n + 3):
-        assert rational_inertia(loewner_twin(cfg, m)) == rational_inertia(
+        assert rational_inertia(loewner_twin(q, m)) == rational_inertia(
             _plain_quotients(cfg.exact, m)), m

@@ -194,23 +194,23 @@ def test_exact_route_runs_once_per_call(monkeypatch):
     calls = []
     original = inertia_mod.builders.loewner_twin
 
-    def counted(config, r):
+    def counted(q, r):
         calls.append(r)
-        return original(config, r)
+        return original(q, r)
 
     monkeypatch.setattr(inertia_mod.builders, "loewner_twin", counted)
     cfg = make_point_config(range(1, 9))
+    q = tuple(range(1, 9))
     rep = verify_instance(cfg, 7)
     assert rep.match and rep.escalations == 1
     assert calls == [7]
 
     L = loewner_matrix(cfg, 7)
-    by_exact = rational_inertia(original(cfg, 7))
+    by_exact = rational_inertia(original(q, 7))
     first_rung = replace(inertia_mod.inertia(L), by_exact=by_exact)
     assert first_rung.disagreement  # so consensus escalates
     calls.clear()
-    rep = consensus_inertia(
-        L, twin=lambda: inertia_mod.builders.loewner_twin(cfg, 7))
+    rep = consensus_inertia(L, twin=inertia_mod.builders.loewner_twin(q, 7))
     assert not rep.disagreement
     assert calls == [7]
 

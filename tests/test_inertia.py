@@ -120,6 +120,19 @@ def test_ldl_cases():
     assert inertia_ldl(SymMatrix.diagonal([1, -2, 0])).as_tuple() == (1, 1, 1)
 
 
+def test_bunch_parlett_pivots_leave_the_unresolved_block_for_last():
+    # L_9 on eight widely spread nodes has four eigenvalues under the 53-bit
+    # zero threshold (the true inertia is (4, 0, 4)).  With alpha =
+    # (1 + sqrt 17)/8 the second pivot is 2x2 and the trailing block of four
+    # falls under the threshold, so LDL counts what the eigenvalues do; with
+    # alpha = 0.1 every pivot is 1x1 and LDL counts (3, 3, 2), a disagreement
+    cfg = make_point_config((0.008750550754165608, 0.02664422848732597, 0.031491194842922024,
+                             0.2712576147639866, 0.7897933001464024, 155.13484000416753,
+                             563.2738818281466, 563.8263560915592))
+    rep = inertia(loewner_matrix(cfg, 9))
+    assert rep.by_ldl == rep.by_eigen == Inertia(2, 4, 2)
+
+
 def test_routes_agree_on_random_corpus():
     rng = random.Random(17)
     for n in range(1, 9):
@@ -203,7 +216,7 @@ def test_consensus_examples():
 def test_exact_hint_joins_consensus():
     cfg = make_point_config((1, 2, 3))
     L = loewner_matrix(cfg, 2)
-    rep = consensus_inertia(L, twin=lambda: loewner_matrix_exact(cfg, 2).entries)
+    rep = consensus_inertia(L, twin=loewner_matrix_exact(cfg, 2).entries)
     assert rep.by_exact is not None
     assert not rep.disagreement
     assert rep.consensus.as_tuple() == (1, 1, 1)

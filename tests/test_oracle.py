@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
 from loewnerlab import (
     Inertia,
@@ -281,6 +282,24 @@ def test_identities_exact_power_step_on_float_nodes(points, r):
     res = verify_identities(make_point_config(points), r)
     assert res.power_step_exact
     assert res.power_step == 0
+
+
+def test_identities_exact_power_step_reports_a_violation(monkeypatch):
+    # the exact power step can read other than zero: with one off-diagonal
+    # pair of L_3's twin off by one, the residual is 1 / max|L_3(q)| = 1/27
+    original = builders.loewner_twin
+
+    def perturbed(q, m):
+        rows = [list(row) for row in original(q, m)]
+        if m == 3:
+            rows[0][1] += 1
+            rows[1][0] += 1
+        return rows
+
+    monkeypatch.setattr(builders, "loewner_twin", perturbed)
+    res = verify_identities(make_point_config((1, 2, 3)), 3)
+    assert res.power_step_exact
+    assert res.power_step > 0 and res.power_step == mpf(1) / 27
 
 
 @pytest.mark.parametrize("check", [verify_instance, verify_identities,

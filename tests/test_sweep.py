@@ -194,15 +194,15 @@ def test_snapped_points_run_the_exact_route_once_each(monkeypatch):
     calls = []
     exact_matrix = inertia_mod.builders.loewner_twin
 
-    def spy(config, m):
-        calls.append((config.exact, m))
-        return exact_matrix(config, m)
+    def spy(q, m):
+        calls.append((q, m))
+        return exact_matrix(q, m)
 
     monkeypatch.setattr(inertia_mod.builders, "loewner_twin", spy)
     cfg = make_point_config((0.5, 1.25, 3.0, 4.0))  # float nodes take the exact route too
     s = eigen_trajectories(cfg, -2.0, 3.0, 11)
-    promoted = cfg.ensure_exact().exact
-    assert calls == [(promoted, m) for m in (-2, -1, 0, 1, 2, 3)]
+    q = (2, 5, 12, 16)  # the promoted nodes times c = 4
+    assert calls == [(q, m) for m in (-2, -1, 0, 1, 2, 3)]
     for m in (-2, 0, 3):
         assert s.inertias[s.grid.index(float(m))] == predicted_inertia(4, m).inertia
 
